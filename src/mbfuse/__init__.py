@@ -23,7 +23,6 @@ from .errors import (
     NumericalError,
 )
 from .gm import (
-    GaussianComponent,
     GaussianMixture,
     gm_eval,
     gm_normalize,

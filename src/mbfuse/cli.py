@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -191,10 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FUSE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

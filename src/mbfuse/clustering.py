@@ -14,8 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-DEFAULT_GATE = 4.0
-
 
 class ClusterKind(Enum):
     BOTH = "both"            # nonempty on both sensors
@@ -52,7 +50,7 @@ def gate(distances: np.ndarray, gamma: float) -> list[set[int]]:
 
     The boundary d == gamma is inside the gate (the pair is not "bad").
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gate threshold must be positive")
     return [set(np.flatnonzero(row <= gamma).tolist()) for row in distances]
 

@@ -23,14 +23,15 @@ from .errors import (
 )
 from .gm import (
     GaussianMixture,
-    LOG_2PI,
     _batch_cholesky,
+    _log_normal,
     gm_normalize,
     gm_pair_log_mass,
     gm_pair_product,
+    gm_reduce,
     log_power_mass,
 )
-from .mb import BernoulliComponent, MultiBernoulliDensity, R_MAX
+from .mb import BernoulliComponent, MultiBernoulliDensity, R_MAX, _stack_gaussians
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -58,7 +59,6 @@ class FusionHypothesis:
 
     i1: tuple[int, ...]
     theta: dict[int, int]
-    w_tilde: float
     w: float = 0.0
     log_k: float = 0.0  # log of the Q-factor part (weight with distances removed)
 
@@ -100,37 +100,21 @@ def pairwise_distances(
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2))
 
-    def stack(mb, omega):
-        owner, logw, means, covs = [], [], [], []
-        for i, comp in enumerate(mb.components):
-            pdf = comp.pdf
-            owner.append(np.full(pdf.n_components, i))
-            with np.errstate(divide="ignore"):
-                logw.append(
-                    omega * np.log(pdf.weights) + log_power_mass(pdf.covs, omega)
-                )
-            means.append(pdf.means)
-            covs.append(pdf.covs / omega)
-        return (
-            np.concatenate(owner),
-            np.concatenate(logw),
-            np.concatenate(means),
-            np.concatenate(covs),
-        )
+    def powered_stack(mb, omega):
+        # Flat stack of mb's Gaussians raised to omega, weights kept in log space.
+        owner, weights, means, covs = _stack_gaussians(mb)
+        with np.errstate(divide="ignore"):
+            log_w = omega * np.log(weights) + log_power_mass(covs, omega)
+        return owner, log_w, means, covs / omega
 
-    o1, lw1, m1, s1 = stack(mb1, w.w1)
-    o2, lw2, m2, s2 = stack(mb2, w.w2)
+    o1, lw1, m1, s1 = powered_stack(mb1, w.w1)
+    o2, lw2, m2, s2 = powered_stack(mb2, w.w2)
     if m1.shape[1] != m2.shape[1]:
         raise DimensionMismatchError("state dimensions differ between densities")
-    d = m1.shape[1]
 
     sig = s1[:, None] + s2[None, :]
     diff = m1[:, None, :] - m2[None, :, :]
-    L = _batch_cholesky(sig)
-    sol = np.linalg.solve(L, diff[..., None])[..., 0]
-    maha = np.sum(sol**2, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    log_alpha = lw1[:, None] + lw2[None, :] - 0.5 * (d * LOG_2PI + logdet + maha)
+    log_alpha = lw1[:, None] + lw2[None, :] + _log_normal(diff, _batch_cholesky(sig))
 
     # Group-wise logsumexp over the Gaussian pairs of each (l, l') cell.
     rows = np.broadcast_to(o1[:, None], log_alpha.shape)
@@ -253,17 +237,16 @@ def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
     return hyps, np.array(log_ws), np.array(log_ks)
 
 
-def _moment_match(hyps, log_ws, pdf_provider, l1_idx, gm_config=None, log_ks=None):
+def _moment_match(hyps, log_ws, pdf_provider, l1_idx, gm_config):
     """First-order moment matching of the normalized hypothesis mixture.
 
     pdf_provider(l, lp) returns the normalized fused pair density; it is
-    only called for pairs carrying non-negligible marginal weight.
+    only called for pairs carrying non-negligible marginal weight. Returns
+    (fused MB, normalized hypothesis weights, log eta).
     """
-    from .gm import gm_reduce  # local import to avoid cycle noise
-
     log_eta = float(logsumexp(log_ws))
     if log_eta == -np.inf:
-        return MultiBernoulliDensity(()), [], log_eta
+        return MultiBernoulliDensity(()), np.zeros(0), log_eta
     norm_ws = np.exp(log_ws - log_eta)
 
     pair_marginal: dict[tuple[int, int], float] = {}
@@ -303,19 +286,38 @@ def _moment_match(hyps, log_ws, pdf_provider, l1_idx, gm_config=None, log_ks=Non
         pdf, _ = gm_normalize(mixture)
         components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
 
-    if log_ks is None:
-        log_ks = np.zeros_like(log_ws)
-    normalized_hyps = [
-        FusionHypothesis(
-            i1=tuple(i1),
-            theta=dict(theta),
-            w_tilde=float(np.exp(lw)),
-            w=float(wn),
-            log_k=float(lk),
+    return MultiBernoulliDensity(tuple(components)), norm_ws, log_eta
+
+
+def _fuse_index_sets(mb1, mb2, w, distances, l1_idx, l2_idx, cap, gm_config):
+    """Exhaustive GCI-MB fusion of components l1_idx of mb1 with l2_idx of mb2.
+
+    Every hypothesis over the two index sets is enumerated (the Q factors
+    use them as the universe), each fused pair pdf is computed once, and
+    the normalized hypothesis mixture is moment-matched onto l1_idx, whose
+    fused components take ids 0, 1, ... in order. Returns (fused MB,
+    log eta, hypotheses, normalized weights, log Q parts, fused pair pdfs).
+    """
+    count = count_hypotheses_distinct(len(l1_idx), len(l2_idx))
+    if count > cap:
+        raise IntractableFusionError(
+            f"fusing components {list(l1_idx)} with {list(l2_idx)} needs "
+            f"{count} hypotheses (cap {cap})",
+            count=count,
+            cap=cap,
         )
-        for (i1, theta), lw, wn, lk in zip(hyps, log_ws, norm_ws, log_ks)
-    ]
-    return MultiBernoulliDensity(tuple(components)), normalized_hyps, log_eta
+
+    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
+
+    fused_pdfs: dict[tuple[int, int], GaussianMixture] = {}
+
+    def provider(l, lp):
+        if (l, lp) not in fused_pdfs:
+            fused_pdfs[(l, lp)], _ = fused_pair_density(l, lp, mb1, mb2, w)
+        return fused_pdfs[(l, lp)]
+
+    fused_mb, norm_ws, log_eta = _moment_match(hyps, log_ws, provider, l1_idx, gm_config)
+    return fused_mb, log_eta, hyps, norm_ws, log_ks, fused_pdfs
 
 
 def naive_gci_mb_fuse(
@@ -338,34 +340,18 @@ def naive_gci_mb_fuse(
             distances = distances.T
         swapped = True
 
-    n1, n2 = len(mb1), len(mb2)
-    count = count_hypotheses_distinct(n1, n2)
-    if count > cap:
-        raise IntractableFusionError(
-            f"exhaustive fusion needs {count} hypotheses (cap {cap})",
-            count=count,
-            cap=cap,
-        )
-
     if distances is None:
         distances = pairwise_distances(mb1, mb2, w)
 
-    l1_idx = list(range(n1))
-    l2_idx = list(range(n2))
-    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
-
-    fused_pdfs: dict[tuple[int, int], GaussianMixture] = {}
-
-    def provider(l, lp):
-        if (l, lp) not in fused_pdfs:
-            fused_pdfs[(l, lp)], _ = fused_pair_density(l, lp, mb1, mb2, w)
-        return fused_pdfs[(l, lp)]
-
-    fused_mb, norm_hyps, log_eta = _moment_match(
-        hyps, log_ws, provider, l1_idx, gm_config, log_ks=log_ks
+    n1, n2 = len(mb1), len(mb2)
+    fused_mb, log_eta, hyps, norm_ws, log_ks, fused_pdfs = _fuse_index_sets(
+        mb1, mb2, w, distances, list(range(n1)), list(range(n2)), cap, gm_config
     )
     gmb = GmbDensity(
-        hypotheses=norm_hyps,
+        hypotheses=[
+            FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))
+            for (i1, theta), wn, lk in zip(hyps, norm_ws, log_ks)
+        ],
         fused_pdfs=fused_pdfs,
         eta=float(np.exp(log_eta)),
         log_eta=log_eta,
@@ -374,11 +360,3 @@ def naive_gci_mb_fuse(
         swapped=swapped,
     )
     return fused_mb, gmb
-
-
-def gmb_to_mb(gmb: GmbDensity, l1_idx) -> MultiBernoulliDensity:
-    """Moment-matched MB of an already-normalized GMB density."""
-    hyps = [(h.i1, h.theta) for h in gmb.hypotheses]
-    log_ws = np.array([np.log(h.w) if h.w > 0 else -np.inf for h in gmb.hypotheses])
-    fused_mb, _, _ = _moment_match(hyps, log_ws, lambda l, lp: gmb.fused_pdfs[(l, lp)], list(l1_idx))
-    return fused_mb

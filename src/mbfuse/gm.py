@@ -24,20 +24,6 @@ SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class GaussianComponent:
-    """Single weighted Gaussian: weight >= 0, mean (d,), SPD covariance (d, d)."""
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def validate(self) -> None:
-        if self.weight < 0:
-            raise NumericalError(f"negative component weight {self.weight}")
-        check_spd(self.covariance)
-
-
-@dataclass(frozen=True)
 class GaussianMixture:
     """Stacked Gaussian mixture: weights (J,), means (J, d), covs (J, d, d)."""
 
@@ -75,30 +61,10 @@ class GaussianMixture:
         return cls(np.zeros(0), np.zeros((0, d)), np.zeros((0, d, d)))
 
     @classmethod
-    def from_components(cls, comps) -> "GaussianMixture":
-        comps = list(comps)
-        if not comps:
-            raise ValueError("from_components needs at least one component; use empty(d)")
-        d = np.asarray(comps[0].mean).shape[0]
-        return cls(
-            np.array([c.weight for c in comps], dtype=float),
-            np.array([np.asarray(c.mean, dtype=float) for c in comps]),
-            np.array([np.asarray(c.covariance, dtype=float) for c in comps]).reshape(
-                len(comps), d, d
-            ),
-        )
-
-    @classmethod
     def single(cls, mean, cov, weight: float = 1.0) -> "GaussianMixture":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         return cls(np.array([weight]), mean[None, :], cov[None, :, :])
-
-    def components(self):
-        return [
-            GaussianComponent(float(w), m.copy(), p.copy())
-            for w, m, p in zip(self.weights, self.means, self.covs)
-        ]
 
 
 def check_spd(P: np.ndarray) -> None:
@@ -126,14 +92,16 @@ def _batch_logdet(covs: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
 
-def log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = x.shape[-1]
-    diff = x - mean
-    L = _batch_cholesky(cov)
-    sol = np.linalg.solve(L, diff)
+def _log_normal(diff: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """log N(diff; 0, L L^T) for Cholesky factors L that broadcast against diff.
+
+    diff has shape (..., d) and L shape (..., d, d); the leading axes
+    broadcast, so one factor can serve many difference vectors.
+    """
+    sol = np.linalg.solve(L, diff[..., None])[..., 0]
     maha = np.sum(sol**2, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * LOG_2PI + logdet + maha)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
+    return -0.5 * (diff.shape[-1] * LOG_2PI + logdet + maha)
 
 
 def gm_eval(mix: GaussianMixture, x) -> float:
@@ -143,12 +111,7 @@ def gm_eval(mix: GaussianMixture, x) -> float:
         raise DimensionMismatchError(f"x has shape {x.shape}, expected ({mix.d},)")
     if mix.n_components == 0:
         return 0.0
-    diff = x[None, :] - mix.means
-    L = _batch_cholesky(mix.covs)
-    sol = np.linalg.solve(L, diff[..., None])[..., 0]
-    maha = np.sum(sol**2, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    vals = np.exp(-0.5 * (mix.d * LOG_2PI + logdet + maha))
+    vals = np.exp(_log_normal(x[None, :] - mix.means, _batch_cholesky(mix.covs)))
     return float(np.dot(mix.weights, vals))
 
 
@@ -183,17 +146,11 @@ def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2:
         raise DimensionMismatchError(f"mixture dimensions differ: {p1.d} vs {p2.d}")
     if abs((w1 + w2) - 1.0) > 1e-12:
         raise ValueError(f"fusion weights must sum to 1, got {w1} + {w2}")
-    d = p1.d
     S1 = p1.covs / w1
     S2 = p2.covs / w2
     sig = S1[:, None] + S2[None, :]
     diff = p1.means[:, None, :] - p2.means[None, :, :]
-
-    L = _batch_cholesky(sig)
-    sol = np.linalg.solve(L, diff[..., None])[..., 0]
-    maha = np.sum(sol**2, axis=-1)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
-    log_n = -0.5 * (d * LOG_2PI + logdet + maha)
+    log_n = _log_normal(diff, _batch_cholesky(sig))
 
     with np.errstate(divide="ignore"):
         log_alpha = (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .gm import LOG_2PI, GaussianMixture, _batch_cholesky, gm_normalize, gm_reduce
+from .gm import GaussianMixture, _batch_cholesky, _log_normal, gm_normalize, gm_reduce
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
 # fusion hypothesis weights stay finite.
@@ -201,7 +201,11 @@ def adaptive_birth(
 
 
 def _stack_gaussians(density: MultiBernoulliDensity):
-    """Stack every Gaussian of every component; returns (owner, alpha, means, covs)."""
+    """Stack every Gaussian of every component; returns (owner, alpha, means, covs).
+
+    owner[j] is the index of the component that Gaussian j belongs to. The
+    density must have at least one component.
+    """
     owner, alpha, means, covs = [], [], [], []
     for i, comp in enumerate(density.components):
         pdf = comp.pdf
@@ -209,8 +213,6 @@ def _stack_gaussians(density: MultiBernoulliDensity):
         alpha.append(pdf.weights)
         means.append(pdf.means)
         covs.append(pdf.covs)
-    if not owner:
-        return None
     return (
         np.concatenate(owner),
         np.concatenate(alpha),
@@ -229,7 +231,8 @@ def mb_update(
     p_d = sensor.p_detect
     kappa = sensor.clutter_density
 
-    rs = predicted.rs
+    # Clamped like the fusion Q factors: r = 1 with p_d = 1 would divide 0 by 0.
+    rs = np.minimum(predicted.rs, R_MAX)
     legacy = []
     for comp, r in zip(predicted.components, rs):
         r_l = _clamp_r(r * (1.0 - p_d) / (1.0 - r * p_d))
@@ -239,24 +242,19 @@ def mb_update(
     if n_meas == 0 or len(predicted) == 0 or p_d == 0.0:
         return MultiBernoulliDensity(tuple(legacy))
 
-    stacked = _stack_gaussians(predicted)
-    owner, alpha, means, covs = stacked
+    owner, alpha, means, covs = _stack_gaussians(predicted)
     H, R = sensor.H, sensor.R
-    d_z = H.shape[0]
 
     z_pred = means @ H.T                                   # (N, dz)
     S = H @ covs @ H.T + R[None, :, :]                     # (N, dz, dz)
     L = _batch_cholesky(S)
-    logdet_s = 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
     K = np.linalg.solve(np.swapaxes(S, -1, -2), (covs @ H.T).swapaxes(-1, -2))
     K = np.swapaxes(K, -1, -2)                             # (N, dx, dz)
     covs_upd = covs - K @ H @ covs
     covs_upd = 0.5 * (covs_upd + np.swapaxes(covs_upd, -1, -2))
 
     innov = scan[None, :, :] - z_pred[:, None, :]          # (N, M, dz)
-    sol = np.linalg.solve(L[:, None], innov[..., None])[..., 0]
-    maha = np.sum(sol**2, axis=-1)                         # (N, M)
-    log_q = -0.5 * (d_z * LOG_2PI + logdet_s[:, None] + maha)
+    log_q = _log_normal(innov, L[:, None])                 # (N, M)
     q_gauss = alpha[:, None] * np.exp(log_q)               # per-Gaussian likelihoods
 
     n_comp = len(predicted)

@@ -10,39 +10,30 @@ the approximation claims.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute_lic
-from .errors import IntractableFusionError
 from .gci import (
     FusionWeights,
     GmbDensity,
-    _log_hypothesis_weights,
-    _moment_match,
+    _fuse_index_sets,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
-    fused_pair_density,
     pairwise_distances,
 )
-from .mb import BernoulliComponent, MbReduceConfig, MultiBernoulliDensity
+from .mb import BernoulliComponent, MbReduceConfig, MultiBernoulliDensity, mb_reduce
 
 DEFAULT_CLUSTER_CAP = 10**6
 
 
 @dataclass
 class ClusterFusionResult:
-    cluster_id: int
     components: tuple[BernoulliComponent, ...]
     log_eta: float
     hypothesis_count: int
-    hypotheses: list = field(default_factory=list)
-
-    @property
-    def eta(self) -> float:
-        return float(np.exp(self.log_eta))
 
 
 @dataclass
@@ -93,55 +84,22 @@ def fuse_cluster(
     distances: np.ndarray,
     cap: int = DEFAULT_CLUSTER_CAP,
     gm_config=None,
-    keep_hypotheses: bool = False,
-    allow_swap: bool = True,
 ) -> ClusterFusionResult:
     """Exhaustive GCI-MB fusion restricted to one two-sided cluster.
 
     Q factors use cluster-local index sets; the global factors of other
-    clusters cancel in the per-cluster normalization. ``allow_swap``
-    controls whether roles flip when this cluster's sensor-1 side is the
-    larger one; callers that already fixed a global orientation pass False
-    so every cluster is moment-matched onto the same side.
+    clusters cancel in the per-cluster normalization. Fused components are
+    moment-matched onto the cluster's sensor-1 side; eta does not depend
+    on which side that is, and ``pgci_fuse`` fixes one orientation for
+    every cluster.
     """
     if cluster.kind != ClusterKind.BOTH:
         raise ValueError("fuse_cluster only applies to two-sided clusters")
-
-    l1_idx = sorted(cluster.l1)
-    l2_idx = sorted(cluster.l2)
-    swapped = allow_swap and len(l1_idx) > len(l2_idx)
-    if swapped:
-        mb1, mb2, w = mb2, mb1, w.swapped()
-        distances = distances.T
-        l1_idx, l2_idx = l2_idx, l1_idx
-
-    count = count_hypotheses_distinct(len(l1_idx), len(l2_idx))
-    if count > cap:
-        raise IntractableFusionError(
-            f"cluster ({sorted(cluster.l1)}, {sorted(cluster.l2)}) needs "
-            f"{count} hypotheses (cap {cap})",
-            count=count,
-            cap=cap,
-        )
-
-    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
-
-    cache: dict[tuple[int, int], object] = {}
-
-    def provider(l, lp):
-        if (l, lp) not in cache:
-            cache[(l, lp)], _ = fused_pair_density(l, lp, mb1, mb2, w)
-        return cache[(l, lp)]
-
-    fused_mb, norm_hyps, log_eta = _moment_match(
-        hyps, log_ws, provider, l1_idx, gm_config, log_ks=log_ks
+    fused_mb, log_eta, hyps, *_ = _fuse_index_sets(
+        mb1, mb2, w, distances, sorted(cluster.l1), sorted(cluster.l2), cap, gm_config
     )
     return ClusterFusionResult(
-        cluster_id=-1,
-        components=fused_mb.components,
-        log_eta=log_eta,
-        hypothesis_count=count,
-        hypotheses=norm_hyps if keep_hypotheses else [],
+        components=fused_mb.components, log_eta=log_eta, hypothesis_count=len(hyps)
     )
 
 
@@ -199,10 +157,7 @@ def pgci_fuse(
     components = []
     next_id = 0
     for cluster in lic.fused_clusters:
-        result = fuse_cluster(
-            cluster, mb1, mb2, w, distances,
-            cap=cap, gm_config=gm_config, allow_swap=False,
-        )
+        result = fuse_cluster(cluster, mb1, mb2, w, distances, cap=cap, gm_config=gm_config)
         for comp in result.components:
             components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=next_id))
             next_id += 1
@@ -268,6 +223,24 @@ def multi_sensor_fuse(
     equal the prescribed per-sensor weights. With ``return_diagnostics``,
     also returns the per-pair FusionDiagnostics list.
     """
+    gm_config = reduce_config.gm if reduce_config is not None else None
+    acc, diagnostics = _fold_pairwise(
+        posteriors,
+        weights,
+        lambda a, b, w: pgci_fuse(a, b, w, gamma, cap=cap, gm_config=gm_config),
+        reduce_config,
+    )
+    if return_diagnostics:
+        return acc, diagnostics
+    return acc
+
+
+def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
+    """Left fold of fuse_pair(acc, next, pair_w) -> (fused, extra) over posteriors.
+
+    Returns the fused density and the list of each step's extra output.
+    The fused density is reduced after every step when reduce_config is set.
+    """
     posteriors = list(posteriors)
     weights = [float(v) for v in weights]
     if len(posteriors) < 1:
@@ -277,19 +250,14 @@ def multi_sensor_fuse(
     if any(v <= 0 for v in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must be positive and sum to 1")
 
-    from .mb import mb_reduce
-
     acc = posteriors[0]
     w_acc = weights[0]
-    gm_config = reduce_config.gm if reduce_config is not None else None
-    diagnostics = []
+    extras = []
     for mb_next, w_next in zip(posteriors[1:], weights[1:]):
         pair_w = FusionWeights(w_acc / (w_acc + w_next), w_next / (w_acc + w_next))
-        acc, diag = pgci_fuse(acc, mb_next, pair_w, gamma, cap=cap, gm_config=gm_config)
-        diagnostics.append(diag)
+        acc, extra = fuse_pair(acc, mb_next, pair_w)
+        extras.append(extra)
         if reduce_config is not None:
             acc = mb_reduce(acc, reduce_config)
         w_acc += w_next
-    if return_diagnostics:
-        return acc, diagnostics
-    return acc
+    return acc, extras

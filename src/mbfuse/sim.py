@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
-from .gci import FusionWeights, naive_gci_mb_fuse
+from .gci import naive_gci_mb_fuse
 from .mb import (
     BernoulliComponent,
     mb_merge_components,
@@ -31,7 +31,7 @@ from .mb import (
     mb_reduce,
     mb_update,
 )
-from .pgci import multi_sensor_fuse
+from .pgci import _fold_pairwise, multi_sensor_fuse
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class ScenarioConfig:
     fusion_trunc: float = 0.1
     fusion_r_cap: float = 0.98
     fusion_max_components: int = 100
-    fusion_cluster_cap: int = 10**6
     r_threshold: float = 0.5
     ospa_c: float = 100.0
     ospa_p: float = 2.0
@@ -101,7 +100,7 @@ class ScenarioConfig:
                 raise ConfigError("birth step must precede death step within duration")
             if not self.region.contains(b.state[:2]):
                 raise ConfigError("initial object state outside region")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
 
 
@@ -310,7 +309,6 @@ def run_montecarlo(
     cfg: ScenarioConfig,
     n_runs: int,
     compare_oracle: bool = False,
-    naive_cap: int = 10**7,
 ) -> MonteCarloResult:
     """Independent seeded runs: local filtering, fusion at one node, OSPA."""
     if n_runs < 1:
@@ -336,16 +334,15 @@ def run_montecarlo(
             )
             posteriors.append(run_local_filter(scans, cfg, sensor))
 
-        naive_acc = None
         for k in range(T):
-            densities, weights = _fusion_inputs(cfg, posteriors, k)
+            # The fusion node's time includes condensing the exchanged densities.
             t0 = time.perf_counter()
+            densities, weights = _fusion_inputs(cfg, posteriors, k)
             fused, diags = multi_sensor_fuse(
                 densities,
                 weights,
                 cfg.gamma,
                 reduce_config=cfg.reduce_config,
-                cap=cfg.fusion_cluster_cap,
                 return_diagnostics=True,
             )
             t_fuse[run, k] = (time.perf_counter() - t0) * 1e3
@@ -361,17 +358,12 @@ def run_montecarlo(
             card[run, k] = fused_est.shape[0]
 
             if compare_oracle:
-                acc = densities[0]
-                w_acc = weights[0]
-                for nxt, w_next in zip(densities[1:], weights[1:]):
-                    pair_w = FusionWeights(
-                        w_acc / (w_acc + w_next), w_next / (w_acc + w_next)
-                    )
-                    acc, _ = naive_gci_mb_fuse(
-                        acc, nxt, pair_w, cap=naive_cap, gm_config=cfg.reduce_config.gm
-                    )
-                    acc = mb_reduce(acc, cfg.reduce_config)
-                    w_acc += w_next
+                acc, _ = _fold_pairwise(
+                    densities,
+                    weights,
+                    lambda a, b, w: naive_gci_mb_fuse(a, b, w, gm_config=cfg.reduce_config.gm),
+                    cfg.reduce_config,
+                )
                 naive_est = extract_estimates(acc, cfg.r_threshold)
                 ospa_naive[run, k] = ospa(
                     naive_est[:, :2], truth_pos, cfg.ospa_c, cfg.ospa_p

@@ -58,6 +58,12 @@ class TestGate:
         with pytest.raises(ValueError):
             gate(np.zeros((1, 1)), 0.0)
 
+    def test_nan_threshold_rejected(self):
+        # A NaN gamma fails every d <= gamma test, so it would silently
+        # drop every pair and fuse to an empty density.
+        with pytest.raises(ValueError):
+            gate(np.zeros((1, 1)), float("nan"))
+
 
 class TestGraph:
     def test_shared_column_makes_edge(self):

@@ -18,7 +18,6 @@ from mbfuse.gci import (
     enumerate_hypotheses,
     fused_pair_density,
     gci_divergence,
-    gmb_to_mb,
     hypothesis_weight,
     log_q_factor,
     naive_gci_mb_fuse,
@@ -249,16 +248,6 @@ class TestExhaustiveFusion:
         mb2 = random_mb(rng, 3)
         with pytest.raises(IntractableFusionError):
             naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.5, 0.5), cap=10)
-
-    def test_gmb_to_mb_round_trip(self):
-        rng = np.random.default_rng(13)
-        mb1 = random_mb(rng, 2, spread=5.0)
-        mb2 = random_mb(rng, 2, spread=5.0)
-        fused, gmb = naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.5, 0.5))
-        again = gmb_to_mb(gmb, range(gmb.n1))
-        assert [c.r for c in again.components] == pytest.approx(
-            [c.r for c in fused.components], rel=1e-12
-        )
 
     def test_empty_inputs(self):
         rng = np.random.default_rng(2)

@@ -124,6 +124,14 @@ class TestMbUpdate:
             for c in updated.components:
                 assert 0.0 <= c.r < 1.0
 
+    def test_certain_object_with_certain_detection(self):
+        # r = 1 and p_D = 1 made the legacy update divide 0 by 0.
+        sensor = make_sensor(p_detect=1.0)
+        prior = MultiBernoulliDensity((single_component(1.0),))
+        updated = mb_update(prior, np.array([[0.0, 0.0]]), sensor)
+        rs = [c.r for c in updated.components]
+        assert rs and all(0.0 <= r <= 1.0 for r in rs)
+
     def test_empty_scan_cardinality_identity(self):
         sensor = make_sensor()
         rng = np.random.default_rng(5)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.gci import (
@@ -25,6 +27,7 @@ from mbfuse.mb import (
 from mbfuse.pgci import (
     cluster_hypothesis_count,
     cluster_log_eta,
+    fuse_cluster,
     hypothesis_count_report,
     inter_cluster_hypotheses,
     l1_error_bound,
@@ -133,6 +136,56 @@ class TestEtaFactorization:
                 else:
                     total += cluster_log_eta(cluster, mb1, mb2, W)
             assert total == pytest.approx(gmb.log_eta, rel=1e-9)
+
+
+@st.composite
+def embedded_cluster(draw):
+    """A 1x1 to 3x3 two-sided cluster behind one far-away decoy per sensor.
+
+    Returns (mb1, mb2, weights, cluster); the cluster holds every component
+    but the decoy at index 0, so its indices are not 0-based.
+    """
+    r = st.floats(0.05, 0.95)
+    coord = st.floats(-5.0, 5.0)
+    var = st.floats(0.5, 4.0)
+
+    def side(n, decoy):
+        comps = [bern(draw(r), decoy, comp_id=0)]
+        for i in range(1, n + 1):
+            cov = np.diag([draw(var), draw(var)])
+            comps.append(bern(draw(r), [draw(coord), draw(coord)], cov, comp_id=i))
+        return MultiBernoulliDensity(tuple(comps))
+
+    n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w1 = draw(st.floats(0.1, 0.9))
+    cluster = Cluster(frozenset(range(1, n1 + 1)), frozenset(range(1, n2 + 1)))
+    return side(n1, [1e3, 1e3]), side(n2, [-1e3, -1e3]), FusionWeights(w1, 1.0 - w1), cluster
+
+
+class TestClusterFusionProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(embedded_cluster())
+    def test_role_swap_and_oracle(self, instance):
+        mb1, mb2, w, cluster = instance
+        D = pairwise_distances(mb1, mb2, w)
+        direct = fuse_cluster(cluster, mb1, mb2, w, D)
+        swapped = fuse_cluster(Cluster(cluster.l2, cluster.l1), mb2, mb1, w.swapped(), D.T)
+        sub1 = MultiBernoulliDensity(tuple(mb1.components[l] for l in sorted(cluster.l1)))
+        sub2 = MultiBernoulliDensity(tuple(mb2.components[l] for l in sorted(cluster.l2)))
+        naive, gmb = naive_gci_mb_fuse(sub1, sub2, w)
+
+        # eta >= the empty hypothesis' weight, which r <= 0.95 keeps far from
+        # 0, so rel 1e-12 on eta bounds the absolute error of log eta.
+        eta = math.exp(direct.log_eta)
+        assert math.exp(swapped.log_eta) == pytest.approx(eta, rel=1e-12)
+        assert gmb.eta == pytest.approx(eta, rel=1e-12)
+        # The oracle moment-matches onto the smaller side.
+        oriented = direct if len(cluster.l1) <= len(cluster.l2) else swapped
+        assert [c.r for c in oriented.components] == pytest.approx(
+            [c.r for c in naive.components], rel=1e-12
+        )
+        for result in (direct, swapped):
+            assert all(0.0 <= c.r <= 1.0 for c in result.components)
 
 
 class TestHypothesisCounts:

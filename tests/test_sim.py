@@ -191,6 +191,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(gamma=-1.0).validate()
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ConfigError):
+            tiny_scenario(gamma=float("nan")).validate()
+
     def test_builtin_scenarios_valid(self):
         scenario1().validate()
         scenario2("desk").validate()
