@@ -5,8 +5,9 @@ Layers, bottom to top:
 - ``gm``: Gaussian-mixture algebra (powers, pairwise products, reduction).
 - ``mb``: multi-Bernoulli density, motion and sensor models, the
   cardinality-balanced filter recursion.
-- ``gci``: weighted geometric-mean fusion of two multi-Bernoulli densities
-  by exhaustive hypothesis enumeration (the correctness oracle).
+- ``gci``: weighted geometric-mean fusion of two multi-Bernoulli densities:
+  exact association marginals by a subset DP, and exhaustive hypothesis
+  enumeration (the correctness oracle).
 - ``clustering``: divergence gating, association graph, disjoint-set
   connected components, largest isolated cluster decomposition.
 - ``pgci``: per-cluster fusion that matches the exhaustive result when no
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     IncompatiblePairError,
     IntractableFusionError,
+    InvalidDensityError,
     MbFuseError,
     NumericalError,
 )

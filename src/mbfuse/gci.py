@@ -2,15 +2,16 @@
 
 Covers the divergence used as the association distance, the full
 hypothesis space (subset + injective association map), hypothesis
-weights, the generalized-MB fused density, its moment-matched MB
-approximation, and the exhaustive two-step fusion that serves as the
-correctness oracle for the clustered pipeline.
+weights, exact association marginals by a subset DP over partial
+matchings, the moment-matched MB approximation of the fused
+generalized-MB density, and the exhaustive two-step fusion that serves
+as the correctness oracle for the clustered pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -31,7 +32,13 @@ from .gm import (
     gm_reduce,
     log_power_mass,
 )
-from .mb import BernoulliComponent, MultiBernoulliDensity, R_MAX, _stack_gaussians
+from .mb import (
+    BernoulliComponent,
+    MultiBernoulliDensity,
+    R_MAX,
+    _stack_gaussians,
+    check_density,
+)
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -69,10 +76,9 @@ class FusionHypothesis:
 
 @dataclass
 class GmbDensity:
-    """Fused generalized-MB density: normalized hypotheses + fused pair pdfs."""
+    """Fused generalized-MB density: its normalized hypotheses and eta."""
 
     hypotheses: list[FusionHypothesis]
-    fused_pdfs: dict[tuple[int, int], GaussianMixture]
     eta: float
     log_eta: float
     n1: int
@@ -102,7 +108,7 @@ def pairwise_distances(
 
     def powered_stack(mb, omega):
         # Flat stack of mb's Gaussians raised to omega, weights kept in log space.
-        owner, weights, means, covs = _stack_gaussians(mb)
+        owner, weights, means, covs = _stack_gaussians(mb.components)
         with np.errstate(divide="ignore"):
             log_w = omega * np.log(weights) + log_power_mass(covs, omega)
         return owner, log_w, means, covs / omega
@@ -187,28 +193,59 @@ def hypothesis_weight(
 
 
 def fused_pair_density(
-    l1: int,
-    l2: int,
+    pairs,
     mb1: MultiBernoulliDensity,
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
-) -> tuple[GaussianMixture, float]:
-    """Normalized GCI fusion of one component pair plus its mass Z = exp(-d)."""
-    prod = gm_pair_product(mb1.components[l1].pdf, w.w1, mb2.components[l2].pdf, w.w2)
-    mass = prod.total_weight
-    if mass <= 0.0 or not np.isfinite(mass):
-        raise IncompatiblePairError(
-            f"fused mass underflow for pair ({l1}, {l2}); pair should have been gated"
+) -> list[tuple[GaussianMixture, float]]:
+    """Normalized GCI fusion of each listed pair (l, l') plus its mass Z = exp(-d).
+
+    The listed components' Gaussians are stacked on each side and multiplied
+    in one gm_pair_product call; each pair's block is then sliced out and
+    normalized. Returns [(pdf, Z), ...] in the order of pairs.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+
+    def stack(mb, idx):
+        # One mixture of the Gaussians of components idx, and each one's rows in it.
+        owner, weights, means, covs = _stack_gaussians([mb.components[l] for l in idx])
+        pos = np.arange(len(idx))
+        starts = np.searchsorted(owner, pos)
+        ends = np.searchsorted(owner, pos, side="right")
+        return GaussianMixture(weights, means, covs), dict(zip(idx, zip(starts, ends)))
+
+    p1, spans1 = stack(mb1, sorted({l for l, _ in pairs}))
+    p2, spans2 = stack(mb2, sorted({lp for _, lp in pairs}))
+    prod = gm_pair_product(p1, w.w1, p2, w.w2)
+    j1, j2, d = p1.n_components, p2.n_components, p1.d
+    weights = prod.weights.reshape(j1, j2)
+    means = prod.means.reshape(j1, j2, d)
+    covs = prod.covs.reshape(j1, j2, d, d)
+
+    out = []
+    for l, lp in pairs:
+        a, b = spans1[l]
+        c, e = spans2[lp]
+        block_weights = weights[a:b, c:e].reshape(-1)
+        mass = float(block_weights.sum())
+        if mass <= 0.0 or not np.isfinite(mass):
+            raise IncompatiblePairError(
+                f"fused mass underflow for pair ({l}, {lp}); pair should have been gated"
+            )
+        pdf = GaussianMixture(
+            block_weights / mass, means[a:b, c:e].reshape(-1, d), covs[a:b, c:e].reshape(-1, d, d)
         )
-    normalized, z = gm_normalize(prod)
-    return normalized, z
+        out.append((pdf, mass))
+    return out
 
 
 def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
     """Enumerate hypotheses over the given index sets with log-space weights.
 
-    The Q factors use the supplied index sets as the universe (global for
-    the oracle, cluster-local for the clustered pipeline).
+    The Q factors use the supplied index sets as the universe. Returns
+    (hypotheses, log weights, log Q parts).
     """
     r1 = np.minimum(mb1.rs, R_MAX)
     r2 = np.minimum(mb2.rs, R_MAX)
@@ -237,39 +274,104 @@ def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
     return hyps, np.array(log_ws), np.array(log_ks)
 
 
-def _moment_match(hyps, log_ws, pdf_provider, l1_idx, gm_config):
-    """First-order moment matching of the normalized hypothesis mixture.
+def _matching_sums(g: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sums over the partial matchings of a bipartite graph with edge weights g.
 
-    pdf_provider(l, lp) returns the normalized fused pair density; it is
-    only called for pairs carrying non-negligible marginal weight. Returns
-    (fused MB, normalized hypothesis weights, log eta).
+    g is (n_s, n_l) with n_s <= n_l. A matching's weight is the product of
+    its edge weights, and the empty matching weighs 1. Returns (Z, M): Z
+    sums every matching, M[s, k] the matchings that hold edge (s, k).
+    Forward and backward passes over the n_l large-side nodes keep one
+    entry per subset of the small side: O(n_s * n_l * 2^n_s).
     """
-    log_eta = float(logsumexp(log_ws))
-    if log_eta == -np.inf:
-        return MultiBernoulliDensity(()), np.zeros(0), log_eta
-    norm_ws = np.exp(log_ws - log_eta)
+    n_s, n_l = g.shape
+    masks = np.arange(1 << n_s)
+    bits = 1 << np.arange(n_s)
+    has = (masks[None, :] & bits[:, None]) != 0  # has[s, mask]: s is in mask
+    flip = masks[None, :] ^ bits[:, None]        # flip[s, mask]: mask with s toggled
 
-    pair_marginal: dict[tuple[int, int], float] = {}
-    for (i1, theta), wn in zip(hyps, norm_ws):
-        for l in i1:
-            key = (l, theta[l])
-            pair_marginal[key] = pair_marginal.get(key, 0.0) + wn
+    # fwd[k, mask]: matchings of large-side nodes < k that use exactly mask.
+    fwd = np.zeros((n_l + 1, 1 << n_s))
+    fwd[0, 0] = 1.0
+    for k in range(n_l):
+        fwd[k + 1] = fwd[k] + np.where(has, g[:, k, None] * fwd[k][flip], 0.0).sum(axis=0)
+
+    # bwd[mask]: matchings of large-side nodes >= k + 1 that avoid mask.
+    bwd = np.ones(1 << n_s)
+    pair = np.empty((n_s, n_l))
+    for k in reversed(range(n_l)):
+        pair[:, k] = g[:, k] * np.where(has, 0.0, fwd[k] * bwd[flip]).sum(axis=1)
+        bwd = bwd + np.where(has, 0.0, g[:, k, None] * bwd[flip]).sum(axis=0)
+    return float(bwd[0]), pair
+
+
+def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap):
+    """Exact pair marginals and log eta over the index sets l1_idx x l2_idx.
+
+    The Q factors use the index sets as the universe. A hypothesis weighs
+    exp(base) times prod over its pairs of g[l, l'] = exp(w1 logit r_l +
+    w2 logit r_l' - d[l, l']), where exp(base) is the empty hypothesis'
+    weight, so eta and the pair marginals are sums over the partial
+    matchings of g; ``_matching_sums`` computes them over subsets of the
+    smaller side instead of enumerating hypotheses. Returns
+    ({(l, l'): marginal}, log eta).
+    """
+    n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
+    steps = n_l * n_s * 2**n_s
+    if steps > cap:
+        raise IntractableFusionError(
+            f"fusing components {list(l1_idx)} with {list(l2_idx)} needs "
+            f"{steps} DP steps (cap {cap})",
+            count=steps,
+            cap=cap,
+        )
+    r1 = np.minimum([mb1.components[l].r for l in l1_idx], R_MAX)
+    r2 = np.minimum([mb2.components[l].r for l in l2_idx], R_MAX)
+    log_1mr1 = np.log1p(-r1)
+    log_1mr2 = np.log1p(-r2)
+    base = w.w1 * log_1mr1.sum() + w.w2 * log_1mr2.sum()
+    with np.errstate(divide="ignore"):
+        gain1 = w.w1 * (np.log(r1) - log_1mr1)
+        gain2 = w.w2 * (np.log(r2) - log_1mr2)
+    g = np.exp(gain1[:, None] + gain2[None, :] - distances[np.ix_(l1_idx, l2_idx)])
+
+    if g.shape[0] <= g.shape[1]:
+        z, pair = _matching_sums(g)
+    else:
+        z, pair = _matching_sums(g.T)
+        pair = pair.T
+    marginal = pair / z
+    marginals = {
+        (l, lp): marginal[i, j] for i, l in enumerate(l1_idx) for j, lp in enumerate(l2_idx)
+    }
+    return marginals, float(base + np.log(z))
+
+
+def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
+    """First-order moment matching of the fused GMB density onto l1_idx.
+
+    marginals maps (l, l') to the normalized weight of the hypotheses that
+    associate l with l'. Fused components take ids 0, 1, ... by position
+    in l1_idx; one that no pair carries weight to is dropped.
+    """
+    # Marginals below ~1e-300 can pair with densities whose product mass
+    # already underflowed to zero; drop them instead of dividing by zero.
+    kept = {key: m for key, m in marginals.items() if m > 1e-300}
+    fused = fused_pair_density(list(kept), mb1, mb2, w)
+    pdfs = {key: pdf for key, (pdf, _) in zip(kept, fused)}
 
     by_row: dict[int, list[tuple[int, float]]] = {}
-    for (l, lp), m in pair_marginal.items():
+    for (l, lp), m in kept.items():
         by_row.setdefault(l, []).append((lp, m))
 
     components = []
     for new_id, l in enumerate(l1_idx):
-        # Marginals below ~1e-300 can pair with densities whose product mass
-        # already underflowed to zero; drop them instead of dividing by zero.
-        pairs = [(lp, m) for lp, m in by_row.get(l, []) if m > 1e-300]
+        pairs = by_row.get(l, [])
         r = sum(m for _, m in pairs)
         if r <= 0.0:
             continue
         weights, means, covs = [], [], []
         for lp, m in sorted(pairs):
-            pdf = pdf_provider(l, lp)
+            pdf = pdfs[(l, lp)]
             weights.append(m / r * pdf.weights)
             means.append(pdf.means)
             covs.append(pdf.covs)
@@ -286,38 +388,7 @@ def _moment_match(hyps, log_ws, pdf_provider, l1_idx, gm_config):
         pdf, _ = gm_normalize(mixture)
         components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
 
-    return MultiBernoulliDensity(tuple(components)), norm_ws, log_eta
-
-
-def _fuse_index_sets(mb1, mb2, w, distances, l1_idx, l2_idx, cap, gm_config):
-    """Exhaustive GCI-MB fusion of components l1_idx of mb1 with l2_idx of mb2.
-
-    Every hypothesis over the two index sets is enumerated (the Q factors
-    use them as the universe), each fused pair pdf is computed once, and
-    the normalized hypothesis mixture is moment-matched onto l1_idx, whose
-    fused components take ids 0, 1, ... in order. Returns (fused MB,
-    log eta, hypotheses, normalized weights, log Q parts, fused pair pdfs).
-    """
-    count = count_hypotheses_distinct(len(l1_idx), len(l2_idx))
-    if count > cap:
-        raise IntractableFusionError(
-            f"fusing components {list(l1_idx)} with {list(l2_idx)} needs "
-            f"{count} hypotheses (cap {cap})",
-            count=count,
-            cap=cap,
-        )
-
-    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
-
-    fused_pdfs: dict[tuple[int, int], GaussianMixture] = {}
-
-    def provider(l, lp):
-        if (l, lp) not in fused_pdfs:
-            fused_pdfs[(l, lp)], _ = fused_pair_density(l, lp, mb1, mb2, w)
-        return fused_pdfs[(l, lp)]
-
-    fused_mb, norm_ws, log_eta = _moment_match(hyps, log_ws, provider, l1_idx, gm_config)
-    return fused_mb, log_eta, hyps, norm_ws, log_ks, fused_pdfs
+    return MultiBernoulliDensity(tuple(components))
 
 
 def naive_gci_mb_fuse(
@@ -330,9 +401,13 @@ def naive_gci_mb_fuse(
 ) -> tuple[MultiBernoulliDensity, GmbDensity]:
     """Exhaustive two-step GCI-MB fusion over the full index sets (the oracle).
 
-    Roles are swapped when |L1| > |L2| so the association-map definition
-    stays valid; fused components carry fresh ids either way.
+    Every hypothesis is enumerated, and the pair marginals that moment
+    matching needs are summed over them. Roles are swapped when
+    |L1| > |L2| so the association-map definition stays valid; fused
+    components carry fresh ids either way.
     """
+    check_density(mb1)
+    check_density(mb2)
     swapped = False
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
@@ -344,15 +419,31 @@ def naive_gci_mb_fuse(
         distances = pairwise_distances(mb1, mb2, w)
 
     n1, n2 = len(mb1), len(mb2)
-    fused_mb, log_eta, hyps, norm_ws, log_ks, fused_pdfs = _fuse_index_sets(
-        mb1, mb2, w, distances, list(range(n1)), list(range(n2)), cap, gm_config
-    )
+    count = count_hypotheses_distinct(n1, n2)
+    if count > cap:
+        raise IntractableFusionError(
+            f"fusing components {list(range(n1))} with {list(range(n2))} needs "
+            f"{count} hypotheses (cap {cap})",
+            count=count,
+            cap=cap,
+        )
+    l1_idx, l2_idx = list(range(n1)), list(range(n2))
+    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
+    log_eta = float(logsumexp(log_ws))
+    norm_ws = np.exp(log_ws - log_eta)
+
+    marginals: dict[tuple[int, int], float] = {}
+    for (i1, theta), wn in zip(hyps, norm_ws):
+        for l in i1:
+            key = (l, theta[l])
+            marginals[key] = marginals.get(key, 0.0) + wn
+
+    fused_mb = _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config)
     gmb = GmbDensity(
         hypotheses=[
             FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))
             for (i1, theta), wn, lk in zip(hyps, norm_ws, log_ks)
         ],
-        fused_pdfs=fused_pdfs,
         eta=float(np.exp(log_eta)),
         log_eta=log_eta,
         n1=n1,

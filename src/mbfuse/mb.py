@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import GaussianMixture, _batch_cholesky, _log_normal, gm_normalize, gm_reduce
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -29,12 +29,6 @@ class BernoulliComponent:
     r: float
     pdf: GaussianMixture
     id: int
-
-    def validate(self) -> None:
-        if not (0.0 <= self.r <= 1.0):
-            raise ValueError(f"existence probability {self.r} outside [0, 1]")
-        if abs(self.pdf.total_weight - 1.0) > 1e-9:
-            raise ValueError("location pdf is not normalized")
 
 
 @dataclass(frozen=True)
@@ -200,14 +194,14 @@ def adaptive_birth(
     return tuple(births)
 
 
-def _stack_gaussians(density: MultiBernoulliDensity):
+def _stack_gaussians(components):
     """Stack every Gaussian of every component; returns (owner, alpha, means, covs).
 
-    owner[j] is the index of the component that Gaussian j belongs to. The
-    density must have at least one component.
+    owner[j] is the position in components of the component that Gaussian
+    j belongs to. There must be at least one component.
     """
     owner, alpha, means, covs = [], [], [], []
-    for i, comp in enumerate(density.components):
+    for i, comp in enumerate(components):
         pdf = comp.pdf
         owner.append(np.full(pdf.n_components, i))
         alpha.append(pdf.weights)
@@ -221,6 +215,19 @@ def _stack_gaussians(density: MultiBernoulliDensity):
     )
 
 
+def check_density(density: MultiBernoulliDensity) -> None:
+    """Raise InvalidDensityError unless every r lies in [0, 1] and every
+    Gaussian weight, mean and covariance entry is finite."""
+    if not density.components:
+        return
+    rs = density.rs
+    if not np.all((rs >= 0.0) & (rs <= 1.0)):
+        raise InvalidDensityError(f"existence probabilities {rs} not all in [0, 1]")
+    _, weights, means, covs = _stack_gaussians(density.components)
+    if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise InvalidDensityError("density holds a non-finite weight, mean or covariance")
+
+
 def mb_update(
     predicted: MultiBernoulliDensity,
     scan: np.ndarray,
@@ -228,6 +235,8 @@ def mb_update(
 ) -> MultiBernoulliDensity:
     """Cardinality-balanced MB update: legacy tracks plus one track per measurement."""
     scan = np.asarray(scan, dtype=float).reshape(-1, sensor.H.shape[0])
+    if not np.isfinite(scan).all():
+        raise NumericalError("scan holds a non-finite measurement")
     p_d = sensor.p_detect
     kappa = sensor.clutter_density
 
@@ -242,7 +251,7 @@ def mb_update(
     if n_meas == 0 or len(predicted) == 0 or p_d == 0.0:
         return MultiBernoulliDensity(tuple(legacy))
 
-    owner, alpha, means, covs = _stack_gaussians(predicted)
+    owner, alpha, means, covs = _stack_gaussians(predicted.components)
     H, R = sensor.H, sensor.R
 
     z_pred = means @ H.T                                   # (N, dz)

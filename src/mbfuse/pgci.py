@@ -1,8 +1,9 @@
 """Clustered, parallelizable GCI-MB fusion and its diagnostics.
 
 Pipeline: pairwise divergences -> gate -> largest isolated clustering ->
-independent exhaustive fusion inside each two-sided cluster -> fused
-components concatenated in canonical cluster order. Also provides the
+independent exact fusion inside each two-sided cluster (association
+marginals by a subset DP, no hypothesis enumeration) -> fused components
+concatenated in canonical cluster order. Also provides the
 truncation-error bound and hypothesis-count bookkeeping used to verify
 the approximation claims.
 """
@@ -19,12 +20,19 @@ from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute
 from .gci import (
     FusionWeights,
     GmbDensity,
-    _fuse_index_sets,
+    _moment_match,
+    cluster_pair_marginals,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
     pairwise_distances,
 )
-from .mb import BernoulliComponent, MbReduceConfig, MultiBernoulliDensity, mb_reduce
+from .mb import (
+    BernoulliComponent,
+    MbReduceConfig,
+    MultiBernoulliDensity,
+    check_density,
+    mb_reduce,
+)
 
 DEFAULT_CLUSTER_CAP = 10**6
 
@@ -85,21 +93,24 @@ def fuse_cluster(
     cap: int = DEFAULT_CLUSTER_CAP,
     gm_config=None,
 ) -> ClusterFusionResult:
-    """Exhaustive GCI-MB fusion restricted to one two-sided cluster.
+    """Exact GCI-MB fusion restricted to one two-sided cluster.
 
     Q factors use cluster-local index sets; the global factors of other
-    clusters cancel in the per-cluster normalization. Fused components are
-    moment-matched onto the cluster's sensor-1 side; eta does not depend
-    on which side that is, and ``pgci_fuse`` fixes one orientation for
-    every cluster.
+    clusters cancel in the per-cluster normalization. The association
+    marginals and eta come from a subset DP whose steps ``cap`` bounds.
+    Fused components are moment-matched onto the cluster's sensor-1 side;
+    eta does not depend on which side that is, and ``pgci_fuse`` fixes one
+    orientation for every cluster.
     """
     if cluster.kind != ClusterKind.BOTH:
         raise ValueError("fuse_cluster only applies to two-sided clusters")
-    fused_mb, log_eta, hyps, *_ = _fuse_index_sets(
-        mb1, mb2, w, distances, sorted(cluster.l1), sorted(cluster.l2), cap, gm_config
-    )
+    l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
+    marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap)
+    fused = _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config)
     return ClusterFusionResult(
-        components=fused_mb.components, log_eta=log_eta, hypothesis_count=len(hyps)
+        components=fused.components,
+        log_eta=log_eta,
+        hypothesis_count=cluster_hypothesis_count(cluster),
     )
 
 
@@ -144,6 +155,8 @@ def pgci_fuse(
     once, globally, when |L1| > |L2| — the same orientation rule as the
     exhaustive path — so both pipelines moment-match onto the same side.
     """
+    check_density(mb1)
+    check_density(mb2)
     t0 = time.perf_counter()
     if distances is None:
         distances = pairwise_distances(mb1, mb2, w)

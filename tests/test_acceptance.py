@@ -99,6 +99,7 @@ def test_criterion_1_oracle_equivalence_exact_regime():
     report(1, ok, f"100 instances, gamma=inf, max |dr| {worst:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_2_scenario1_truncation_closeness():
     res = run_montecarlo(scenario1(), n_runs=50, compare_oracle=True)
     fu, na, lo = res.ospa_fused, res.ospa_naive, res.ospa_local
@@ -317,6 +318,7 @@ def test_criterion_7_gaussian_mixture_numerics():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_complexity_demonstration():
     rng = np.random.default_rng(1008)
     mb1_full, mb2_full = separated_mb_pair(10, rng)
@@ -346,6 +348,7 @@ def test_criterion_8_complexity_demonstration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_scenario2_desk_scale():
     cfg = scenario2("desk")
     res = run_montecarlo(cfg, n_runs=50)

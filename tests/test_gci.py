@@ -171,7 +171,7 @@ class TestSingleComponentFusion:
         m2, P2 = np.array([2.0, 0.0]), np.diag([1.0, 16.0])
         mb1 = mbd(bern(0.5, m1, P1))
         mb2 = mbd(bern(0.5, m2, P2))
-        pdf, z = fused_pair_density(0, 0, mb1, mb2, w)
+        pdf, z = fused_pair_density([(0, 0)], mb1, mb2, w)[0]
         Pf = np.linalg.inv(w.w1 * np.linalg.inv(P1) + w.w2 * np.linalg.inv(P2))
         mf = Pf @ (w.w1 * np.linalg.solve(P1, m1) + w.w2 * np.linalg.solve(P2, m2))
         assert pdf.means[0] == pytest.approx(mf, rel=1e-10)
@@ -183,7 +183,7 @@ class TestSingleComponentFusion:
             mb1 = random_mb(rng, 1)
             mb2 = random_mb(rng, 1)
             w = FusionWeights(0.45, 0.55)
-            _, z = fused_pair_density(0, 0, mb1, mb2, w)
+            _, z = fused_pair_density([(0, 0)], mb1, mb2, w)[0]
             d = gci_divergence(mb1.components[0].pdf, mb2.components[0].pdf, w)
             assert z == pytest.approx(math.exp(-d), rel=1e-12)
 
@@ -191,7 +191,7 @@ class TestSingleComponentFusion:
         mb1 = mbd(bern(0.5, [0.0], [[1.0]]))
         mb2 = mbd(bern(0.5, [200.0], [[1.0]]))
         with pytest.raises(IncompatiblePairError):
-            fused_pair_density(0, 0, mb1, mb2, FusionWeights(0.5, 0.5))
+            fused_pair_density([(0, 0)], mb1, mb2, FusionWeights(0.5, 0.5))[0]
 
 
 class TestExhaustiveFusion:

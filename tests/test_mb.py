@@ -10,6 +10,7 @@ from mbfuse import (
     MbReduceConfig,
     MotionModel,
     MultiBernoulliDensity,
+    NumericalError,
     Rectangle,
     SensorModel,
     adaptive_birth,
@@ -131,6 +132,12 @@ class TestMbUpdate:
         updated = mb_update(prior, np.array([[0.0, 0.0]]), sensor)
         rs = [c.r for c in updated.components]
         assert rs and all(0.0 <= r <= 1.0 for r in rs)
+
+    def test_non_finite_measurement_raises(self):
+        # A NaN row used to be dropped without notice, leaving 2 components.
+        prior = MultiBernoulliDensity((single_component(0.5),))
+        with pytest.raises(NumericalError):
+            mb_update(prior, np.array([[np.nan, 0.0], [1.0, 1.0]]), make_sensor())
 
     def test_empty_scan_cardinality_identity(self):
         sensor = make_sensor()

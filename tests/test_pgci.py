@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfuse.clustering import Cluster, compute_lic
+from mbfuse.errors import IntractableFusionError, MbFuseError
 from mbfuse.gci import (
     FusionWeights,
+    cluster_pair_marginals,
     count_hypotheses_distinct,
     naive_gci_mb_fuse,
     pairwise_distances,
@@ -25,6 +27,7 @@ from mbfuse.mb import (
     mb_merge_components,
 )
 from mbfuse.pgci import (
+    DEFAULT_CLUSTER_CAP,
     cluster_hypothesis_count,
     cluster_log_eta,
     fuse_cluster,
@@ -186,6 +189,119 @@ class TestClusterFusionProperties:
         )
         for result in (direct, swapped):
             assert all(0.0 <= c.r <= 1.0 for c in result.components)
+
+
+@st.composite
+def dp_cluster(draw):
+    """A 1x1 to 5x6 two-sided cluster, in either orientation, behind one
+    far-away decoy per sensor (so cluster indices are not 0-based).
+
+    Returns (mb1, mb2, weights, cluster).
+    """
+    r = st.floats(0.02, 0.98)
+    coord = st.floats(-5.0, 5.0)
+    var = st.floats(0.5, 4.0)
+
+    def side(n, decoy):
+        comps = [bern(draw(r), decoy, comp_id=0)]
+        for i in range(1, n + 1):
+            cov = np.diag([draw(var), draw(var)])
+            comps.append(bern(draw(r), [draw(coord), draw(coord)], cov, comp_id=i))
+        return MultiBernoulliDensity(tuple(comps))
+
+    n_s, n_l = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n1, n2 = (n_l, n_s) if draw(st.booleans()) else (n_s, n_l)
+    w1 = draw(st.floats(0.1, 0.9))
+    cluster = Cluster(frozenset(range(1, n1 + 1)), frozenset(range(1, n2 + 1)))
+    return side(n1, [1e3, 1e3]), side(n2, [-1e3, -1e3]), FusionWeights(w1, 1.0 - w1), cluster
+
+
+def sub_density(mb, idx):
+    return MultiBernoulliDensity(tuple(mb.components[l] for l in idx))
+
+
+class TestSubsetDp:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dp_cluster())
+    def test_dp_matches_enumeration(self, instance):
+        mb1, mb2, w, cluster = instance
+        D = pairwise_distances(mb1, mb2, w)
+        l1, l2 = sorted(cluster.l1), sorted(cluster.l2)
+        marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, D, l1, l2, DEFAULT_CLUSTER_CAP)
+        naive, gmb = naive_gci_mb_fuse(sub_density(mb1, l1), sub_density(mb2, l2), w)
+
+        enumerated = {}
+        for h in gmb.hypotheses:
+            for a, b in h.pairs:
+                i, j = (b, a) if gmb.swapped else (a, b)
+                enumerated[(l1[i], l2[j])] = enumerated.get((l1[i], l2[j]), 0.0) + h.w
+        assert set(marginals) == {(l, lp) for l in l1 for lp in l2}
+        for key, m in marginals.items():
+            assert m == pytest.approx(enumerated.get(key, 0.0), abs=1e-12)
+        # The abs term only matters where log eta is ~0 (eta ~1); there it
+        # is rel 1e-12 on eta.
+        assert log_eta == pytest.approx(gmb.log_eta, rel=1e-12, abs=1e-12)
+        if len(l1) <= len(l2):
+            # The oracle moment-matches onto the smaller side.
+            fused = fuse_cluster(cluster, mb1, mb2, w, D)
+            assert [c.r for c in fused.components] == pytest.approx(
+                [c.r for c in naive.components], abs=1e-9
+            )
+
+    def test_six_by_six_cluster_under_default_cap(self):
+        rng = np.random.default_rng(71)
+        mb1 = random_mb(rng, 6, spread=3.0)
+        mb2 = random_mb(rng, 6, spread=3.0)
+        D = pairwise_distances(mb1, mb2, W)
+        cluster = Cluster(frozenset(range(6)), frozenset(range(6)))
+        result = fuse_cluster(cluster, mb1, mb2, W, D)
+        naive, gmb = naive_gci_mb_fuse(mb1, mb2, W)
+        assert len(result.components) == len(naive.components) == 6
+        assert result.log_eta == pytest.approx(gmb.log_eta, rel=1e-12)
+        for a, b in zip(result.components, naive.components):
+            assert a.r == pytest.approx(b.r, abs=1e-9)
+            assert a.pdf.weights == pytest.approx(b.pdf.weights, rel=1e-9)
+            assert a.pdf.means == pytest.approx(b.pdf.means, rel=1e-9, abs=1e-9)
+            assert a.pdf.covs == pytest.approx(b.pdf.covs, rel=1e-9)
+
+    def test_cap_bounds_dp_steps(self):
+        rng = np.random.default_rng(72)
+        mb1 = random_mb(rng, 3, spread=3.0)
+        mb2 = random_mb(rng, 3, spread=3.0)
+        D = pairwise_distances(mb1, mb2, W)
+        cluster = Cluster(frozenset(range(3)), frozenset(range(3)))
+        steps = 3 * 3 * 2**3
+        with pytest.raises(IntractableFusionError) as err:
+            fuse_cluster(cluster, mb1, mb2, W, D, cap=steps - 1)
+        assert (err.value.count, err.value.cap) == (steps, steps - 1)
+        assert len(fuse_cluster(cluster, mb1, mb2, W, D, cap=steps).components) == 3
+
+
+# (r, mean, cov) of one invalid Bernoulli component per case.
+INVALID_COMPONENTS = {
+    "nan-mean": (0.5, [np.nan, 0.0], np.eye(2)),
+    "nan-cov": (0.5, [0.0, 0.0], np.diag([np.nan, 1.0])),
+    "inf-cov": (0.5, [0.0, 0.0], np.diag([np.inf, 1.0])),
+    "r-above-1": (1.5, [0.0, 0.0], np.eye(2)),
+    "r-below-0": (-0.2, [0.0, 0.0], np.eye(2)),
+    "r-nan": (np.nan, [0.0, 0.0], np.eye(2)),
+}
+FUSERS = {
+    "pgci": lambda a, b: pgci_fuse(a, b, W, gamma=4.0),
+    "naive": lambda a, b: naive_gci_mb_fuse(a, b, W),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("fuser", sorted(FUSERS))
+    @pytest.mark.parametrize("case", sorted(INVALID_COMPONENTS))
+    def test_invalid_component_raises(self, case, fuser):
+        # Each used to fuse into an empty density or an r ~ 1 without error.
+        r, mean, cov = INVALID_COMPONENTS[case]
+        good = MultiBernoulliDensity((bern(0.8, [0.0, 0.0]),))
+        bad = MultiBernoulliDensity((bern(r, mean, cov),))
+        with pytest.raises(MbFuseError):
+            FUSERS[fuser](good, bad)
 
 
 class TestHypothesisCounts:
