@@ -21,20 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IntractableFusionError, NumericalError
-from .gci import (
-    FusionWeights,
-    count_hypotheses_distinct,
-    count_hypotheses_nominal,
-    naive_gci_mb_fuse,
-)
+from .gci import FusionWeights, naive_gci_mb_fuse, pairwise_distances
 from .mb import GaussianMixture, BernoulliComponent, MultiBernoulliDensity
-from .pgci import (
-    hypothesis_count_report,
-    inter_cluster_hypotheses,
-    l1_error_bound,
-    pairwise_distances,
-    pgci_fuse,
-)
+from .pgci import hypothesis_count_report, inter_cluster_hypotheses, l1_error_bound
 from .clustering import compute_lic
 from .sim import build_scenario, run_montecarlo
 

@@ -26,16 +26,15 @@ from .gm import (
     GaussianMixture,
     _batch_cholesky,
     _log_normal,
-    gm_normalize,
+    _power_parts,
     gm_pair_log_mass,
     gm_pair_product,
-    gm_reduce,
-    log_power_mass,
 )
 from .mb import (
     BernoulliComponent,
     MultiBernoulliDensity,
     R_MAX,
+    _reduce_pdf,
     _stack_gaussians,
     check_density,
 )
@@ -106,15 +105,10 @@ def pairwise_distances(
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2))
 
-    def powered_stack(mb, omega):
-        # Flat stack of mb's Gaussians raised to omega, weights kept in log space.
-        owner, weights, means, covs = _stack_gaussians(mb.components)
-        with np.errstate(divide="ignore"):
-            log_w = omega * np.log(weights) + log_power_mass(covs, omega)
-        return owner, log_w, means, covs / omega
-
-    o1, lw1, m1, s1 = powered_stack(mb1, w.w1)
-    o2, lw2, m2, s2 = powered_stack(mb2, w.w2)
+    o1, a1, m1, p1 = _stack_gaussians(mb1.components)
+    o2, a2, m2, p2 = _stack_gaussians(mb2.components)
+    lw1, s1 = _power_parts(a1, p1, w.w1)
+    lw2, s2 = _power_parts(a2, p2, w.w2)
     if m1.shape[1] != m2.shape[1]:
         raise DimensionMismatchError("state dimensions differ between densities")
 
@@ -378,14 +372,7 @@ def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
         mixture = GaussianMixture(
             np.concatenate(weights), np.concatenate(means), np.concatenate(covs)
         )
-        if gm_config is not None:
-            mixture = gm_reduce(
-                mixture,
-                gm_config.prune_threshold,
-                gm_config.merge_threshold,
-                gm_config.max_components,
-            )
-        pdf, _ = gm_normalize(mixture)
+        pdf = _reduce_pdf(mixture, gm_config)
         components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
 
     return MultiBernoulliDensity(tuple(components))

@@ -122,6 +122,14 @@ def log_power_mass(covs: np.ndarray, omega: float) -> np.ndarray:
     return 0.5 * ((d * (LOG_2PI - math.log(omega)) + logdet) - omega * (d * LOG_2PI + logdet))
 
 
+def _power_parts(weights: np.ndarray, covs: np.ndarray, omega: float):
+    """(log(a^w rho(P, w)), P / w) of each Gaussian a N(m, P) raised to omega;
+    the means are unchanged."""
+    with np.errstate(divide="ignore"):
+        log_w = omega * np.log(weights) + log_power_mass(covs, omega)
+    return log_w, covs / omega
+
+
 def gm_power(mix: GaussianMixture, omega: float) -> GaussianMixture:
     """Componentwise fractional power; output is unnormalized.
 
@@ -131,10 +139,8 @@ def gm_power(mix: GaussianMixture, omega: float) -> GaussianMixture:
         raise ValueError(f"omega must be in (0, 1], got {omega}")
     if mix.n_components == 0:
         raise ValueError("gm_power requires a nonempty mixture")
-    log_rho = log_power_mass(mix.covs, omega)
-    with np.errstate(divide="ignore"):
-        new_w = np.exp(omega * np.log(mix.weights) + log_rho)
-    return GaussianMixture(new_w, mix.means.copy(), mix.covs / omega)
+    log_w, covs = _power_parts(mix.weights, mix.covs, omega)
+    return GaussianMixture(np.exp(log_w), mix.means.copy(), covs)
 
 
 def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float):
@@ -146,20 +152,11 @@ def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2:
         raise DimensionMismatchError(f"mixture dimensions differ: {p1.d} vs {p2.d}")
     if abs((w1 + w2) - 1.0) > 1e-12:
         raise ValueError(f"fusion weights must sum to 1, got {w1} + {w2}")
-    S1 = p1.covs / w1
-    S2 = p2.covs / w2
+    lw1, S1 = _power_parts(p1.weights, p1.covs, w1)
+    lw2, S2 = _power_parts(p2.weights, p2.covs, w2)
     sig = S1[:, None] + S2[None, :]
     diff = p1.means[:, None, :] - p2.means[None, :, :]
-    log_n = _log_normal(diff, _batch_cholesky(sig))
-
-    with np.errstate(divide="ignore"):
-        log_alpha = (
-            w1 * np.log(p1.weights)[:, None]
-            + w2 * np.log(p2.weights)[None, :]
-            + log_power_mass(p1.covs, w1)[:, None]
-            + log_power_mass(p2.covs, w2)[None, :]
-            + log_n
-        )
+    log_alpha = lw1[:, None] + lw2[None, :] + _log_normal(diff, _batch_cholesky(sig))
 
     # Information-form fusion of the omega-scaled covariances:
     # P12 = S1 - S1 (S1 + S2)^-1 S1, m12 = m1 + S1 (S1 + S2)^-1 (m2 - m1).
@@ -203,6 +200,26 @@ def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:
     return GaussianMixture(mix.weights / mass, mix.means, mix.covs), mass
 
 
+def _leader_groups(order, within) -> list[np.ndarray]:
+    """Greedy leader clustering, the merge rule of every reduction.
+
+    Indices are visited in ``order``; each one not yet grouped leads a
+    group of itself and every ungrouped j with ``within[lead, j]``. Groups
+    are returned in the order their leaders were visited, each as an
+    ascending index array, so with an ascending ``order`` the leader is
+    each group's first element.
+    """
+    free = np.ones(within.shape[0], dtype=bool)
+    groups = []
+    for lead in order:
+        if free[lead]:
+            grab = free & within[lead]
+            grab[lead] = True
+            free &= ~grab
+            groups.append(np.flatnonzero(grab))
+    return groups
+
+
 def gm_merge_moments(weights, means, covs):
     """Moment-preserving merge of a set of components into one."""
     w = weights.sum()
@@ -224,9 +241,10 @@ def gm_reduce(
     """Prune light components, merge nearby ones, cap the component count.
 
     Pruned mass is redistributed proportionally so the total weight is
-    preserved up to the final cap. Merging repeatedly takes the current
-    highest-weight component and absorbs every component within squared
-    Mahalanobis distance merge_threshold of it (moment-preserving).
+    preserved up to the final cap. Merging repeatedly takes the heaviest
+    remaining component (ties to the lower index) and absorbs every remaining
+    component within squared Mahalanobis distance merge_threshold of it
+    (moment-preserving).
     """
     if prune_threshold < 0 or merge_threshold < 0 or max_components < 1:
         raise ValueError("invalid reduction parameters")
@@ -242,25 +260,12 @@ def gm_reduce(
     means = mix.means[keep]
     covs = mix.covs[keep]
 
-    out_w, out_m, out_p = [], [], []
-    alive = np.ones(w.shape[0], dtype=bool)
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        j = idx[np.argmax(w[idx])]
-        diff = means[idx] - means[j][None, :]
-        L = _batch_cholesky(covs[j])
-        sol = np.linalg.solve(L, diff.T).T
-        dist_sq = np.sum(sol**2, axis=1)
-        grab = idx[dist_sq <= merge_threshold]
-        mw, mm, mp = gm_merge_moments(w[grab], means[grab], covs[grab])
-        out_w.append(mw)
-        out_m.append(mm)
-        out_p.append(mp)
-        alive[grab] = False
-
-    out_w = np.array(out_w)
-    out_m = np.array(out_m)
-    out_p = np.array(out_p)
+    # dist_sq[j, i]: squared Mahalanobis distance of mean i under covariance j.
+    diff = np.swapaxes(means[None, :, :] - means[:, None, :], -1, -2)
+    dist_sq = np.sum(np.linalg.solve(_batch_cholesky(covs), diff) ** 2, axis=1)
+    groups = _leader_groups(np.argsort(-w, kind="stable"), dist_sq <= merge_threshold)
+    merged = [gm_merge_moments(w[g], means[g], covs[g]) for g in groups]
+    out_w, out_m, out_p = map(np.array, zip(*merged))
     if out_w.shape[0] > max_components:
         top = np.argsort(out_w)[::-1][:max_components]
         top = np.sort(top)

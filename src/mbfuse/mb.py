@@ -9,13 +9,14 @@ all measurements of a scan at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
-from .gm import GaussianMixture, _batch_cholesky, _log_normal, gm_normalize, gm_reduce
+from .errors import InvalidDensityError, NumericalError
+from .gm import (
+    GaussianMixture, SYM_TOL, _batch_cholesky, _leader_groups, _log_normal, gm_normalize, gm_reduce
+)
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
 # fusion hypothesis weights stay finite.
@@ -216,8 +217,9 @@ def _stack_gaussians(components):
 
 
 def check_density(density: MultiBernoulliDensity) -> None:
-    """Raise InvalidDensityError unless every r lies in [0, 1] and every
-    Gaussian weight, mean and covariance entry is finite."""
+    """Raise InvalidDensityError unless every r lies in [0, 1], every
+    Gaussian weight, mean and covariance entry is finite, and every
+    covariance is symmetric within SYM_TOL times its largest entry."""
     if not density.components:
         return
     rs = density.rs
@@ -226,6 +228,9 @@ def check_density(density: MultiBernoulliDensity) -> None:
     _, weights, means, covs = _stack_gaussians(density.components)
     if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
         raise InvalidDensityError("density holds a non-finite weight, mean or covariance")
+    scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
+    if np.any(np.abs(covs - np.swapaxes(covs, 1, 2)) > SYM_TOL * scale):
+        raise InvalidDensityError("density holds an asymmetric covariance")
 
 
 def mb_update(
@@ -293,6 +298,22 @@ def mb_update(
     return MultiBernoulliDensity(tuple(legacy) + tuple(updated))
 
 
+def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> GaussianMixture:
+    """pdf reduced with config (skipped when config is None), then normalized."""
+    if config is not None:
+        pdf = gm_reduce(pdf, config.prune_threshold, config.merge_threshold, config.max_components)
+    return gm_normalize(pdf)[0]
+
+
+def _keep_strongest(components, max_components: int) -> list[BernoulliComponent]:
+    """The max_components components of highest r (ties to the lower id), in id
+    order; a sequence within the cap is returned in its own order."""
+    if len(components) <= max_components:
+        return list(components)
+    top = sorted(components, key=lambda c: (-c.r, c.id))[:max_components]
+    return sorted(top, key=lambda c: c.id)
+
+
 def mb_reduce(
     density: MultiBernoulliDensity,
     config: MbReduceConfig,
@@ -300,24 +321,17 @@ def mb_reduce(
     """Drop low-existence components, cap the count, reduce each pdf."""
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
-    kept = [c for c in density.components if c.r >= config.trunc_threshold]
-    if len(kept) > config.max_components:
-        kept.sort(key=lambda c: -c.r)
-        kept = kept[: config.max_components]
-        kept.sort(key=lambda c: c.id)
-    out = []
-    for comp in kept:
-        reduced = gm_reduce(
-            comp.pdf,
-            config.gm.prune_threshold,
-            config.gm.merge_threshold,
-            config.gm.max_components,
+    kept = _keep_strongest(
+        [c for c in density.components if c.r >= config.trunc_threshold], config.max_components
+    )
+    return MultiBernoulliDensity(
+        tuple(
+            BernoulliComponent(r=c.r, pdf=_reduce_pdf(c.pdf, config.gm), id=c.id)
+            for c in kept
+            # A pdf with no weight above the prune threshold reduces to nothing.
+            if np.any(c.pdf.weights >= config.gm.prune_threshold)
         )
-        if reduced.n_components == 0:
-            continue
-        pdf, _ = gm_normalize(reduced)
-        out.append(BernoulliComponent(r=comp.r, pdf=pdf, id=comp.id))
-    return MultiBernoulliDensity(tuple(out))
+    )
 
 
 def mb_merge_components(
@@ -330,40 +344,33 @@ def mb_merge_components(
     A filter recursion spreads one object's existence over a dominant
     component plus decaying missed-detection companions at the same
     location. Merging gathers every component whose dominant Gaussian lies
-    within the squared-Mahalanobis gate of a stronger component's, summing
-    r (clamped below 1) and mixing pdfs with r-proportional weights, so
-    the intensity (PHD) of the density is unchanged up to the clamp.
+    within the squared-Mahalanobis gate of a stronger component's (ties in
+    r go to the lower id), summing r (clamped below 1) and mixing pdfs with
+    r-proportional weights, so the intensity (PHD) of the density is
+    unchanged up to the clamp.
     """
     if gate <= 0:
         raise ValueError("merge gate must be positive")
-    remaining = sorted(density.components, key=lambda c: (-c.r, c.id))
+    comps = sorted(density.components, key=lambda c: (-c.r, c.id))
+    if not comps:
+        return MultiBernoulliDensity(())
+    dominant = [int(np.argmax(c.pdf.weights)) for c in comps]
+    dom_mean = np.array([c.pdf.means[j] for c, j in zip(comps, dominant)])
+    dom_cov = np.array([c.pdf.covs[j] for c, j in zip(comps, dominant)])
+    # maha[h, i] = diff^T (P_h + P_i)^-1 diff with diff = m_i - m_h.
+    diff = dom_mean[None, :, :] - dom_mean[:, None, :]
+    sol = np.linalg.solve(dom_cov[:, None] + dom_cov[None, :], diff[..., None])
+    maha = (diff[..., None, :] @ sol)[..., 0, 0]
+
     merged = []
-    while remaining:
-        head = remaining[0]
-        j = int(np.argmax(head.pdf.weights))
-        mean_h = head.pdf.means[j]
-        cov_h = head.pdf.covs[j]
-        absorbed, rest = [head], []
-        for comp in remaining[1:]:
-            i = int(np.argmax(comp.pdf.weights))
-            diff = comp.pdf.means[i] - mean_h
-            maha = diff @ np.linalg.solve(cov_h + comp.pdf.covs[i], diff)
-            (absorbed if maha <= gate else rest).append(comp)
+    for group in _leader_groups(range(len(comps)), maha <= gate):
+        absorbed = [comps[i] for i in group]
         r_sum = sum(c.r for c in absorbed)
         weights = np.concatenate([c.r / r_sum * c.pdf.weights for c in absorbed])
         means = np.concatenate([c.pdf.means for c in absorbed])
         covs = np.concatenate([c.pdf.covs for c in absorbed])
-        pdf = GaussianMixture(weights, means, covs)
-        if gm_config is not None:
-            pdf = gm_reduce(
-                pdf,
-                gm_config.prune_threshold,
-                gm_config.merge_threshold,
-                gm_config.max_components,
-            )
-        pdf, _ = gm_normalize(pdf)
-        merged.append(BernoulliComponent(r=_clamp_r(r_sum), pdf=pdf, id=head.id))
-        remaining = rest
+        pdf = _reduce_pdf(GaussianMixture(weights, means, covs), gm_config)
+        merged.append(BernoulliComponent(r=_clamp_r(r_sum), pdf=pdf, id=absorbed[0].id))
     merged.sort(key=lambda c: c.id)
     return MultiBernoulliDensity(tuple(merged))
 

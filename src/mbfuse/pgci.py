@@ -10,6 +10,7 @@ the approximation claims.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .mb import (
     BernoulliComponent,
     MbReduceConfig,
     MultiBernoulliDensity,
+    R_MAX,
     check_density,
     mb_reduce,
 )
@@ -73,10 +75,6 @@ def cluster_log_eta(
 ) -> float:
     """log eta_g for any cluster type; one-sided clusters only carry the
     empty hypothesis, whose weight is the (1 - r)^omega product."""
-    import math
-
-    from .mb import R_MAX
-
     if cluster.kind == ClusterKind.SENSOR1_ONLY:
         return w.w1 * sum(math.log1p(-min(mb1.components[l].r, R_MAX)) for l in cluster.l1)
     if cluster.kind == ClusterKind.SENSOR2_ONLY:
@@ -145,7 +143,6 @@ def pgci_fuse(
     gamma: float,
     cap: int = DEFAULT_CLUSTER_CAP,
     gm_config=None,
-    distances: np.ndarray | None = None,
 ) -> tuple[MultiBernoulliDensity, FusionDiagnostics]:
     """Gate, cluster, fuse each two-sided cluster, concatenate the results.
 
@@ -158,8 +155,7 @@ def pgci_fuse(
     check_density(mb1)
     check_density(mb2)
     t0 = time.perf_counter()
-    if distances is None:
-        distances = pairwise_distances(mb1, mb2, w)
+    distances = pairwise_distances(mb1, mb2, w)
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
@@ -226,7 +222,6 @@ def multi_sensor_fuse(
     weights,
     gamma: float,
     reduce_config: MbReduceConfig | None = None,
-    cap: int = DEFAULT_CLUSTER_CAP,
     return_diagnostics: bool = False,
 ):
     """Sequential pairwise fusion of several posteriors.
@@ -240,7 +235,7 @@ def multi_sensor_fuse(
     acc, diagnostics = _fold_pairwise(
         posteriors,
         weights,
-        lambda a, b, w: pgci_fuse(a, b, w, gamma, cap=cap, gm_config=gm_config),
+        lambda a, b, w: pgci_fuse(a, b, w, gamma, gm_config=gm_config),
         reduce_config,
     )
     if return_diagnostics:

@@ -8,7 +8,7 @@ artifact byte for byte.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
     BernoulliComponent,
+    _keep_strongest,
     mb_merge_components,
     BirthConfig,
     GaussianMixture,
@@ -288,10 +289,7 @@ def _condense_for_fusion(mb: MultiBernoulliDensity, cfg) -> MultiBernoulliDensit
         for c in merged.components
         if c.r >= cfg.fusion_trunc
     ]
-    if len(kept) > cfg.fusion_max_components:
-        kept.sort(key=lambda c: (-c.r, c.id))
-        kept = sorted(kept[: cfg.fusion_max_components], key=lambda c: c.id)
-    return MultiBernoulliDensity(tuple(kept))
+    return MultiBernoulliDensity(tuple(_keep_strongest(kept, cfg.fusion_max_components)))
 
 
 def _fusion_inputs(cfg, posteriors_by_sensor, k):
@@ -482,9 +480,6 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
         birth_config=BirthConfig(),
         reduce_config=MbReduceConfig(trunc_threshold=1e-4, max_components=100),
     )
-
-
-SCENARIOS = {"scenario1": scenario1, "scenario2": scenario2}
 
 
 def build_scenario(name: str, scale: str = "desk", seed: int = 1) -> ScenarioConfig:

@@ -285,6 +285,7 @@ INVALID_COMPONENTS = {
     "r-above-1": (1.5, [0.0, 0.0], np.eye(2)),
     "r-below-0": (-0.2, [0.0, 0.0], np.eye(2)),
     "r-nan": (np.nan, [0.0, 0.0], np.eye(2)),
+    "asymmetric-cov": (0.8, [0.0, 0.0], np.array([[1.0, 5.0], [0.0, 1.0]])),
 }
 FUSERS = {
     "pgci": lambda a, b: pgci_fuse(a, b, W, gamma=4.0),
