@@ -20,8 +20,6 @@ from .errors import DimensionMismatchError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-SYM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class GaussianMixture:
@@ -65,19 +63,6 @@ class GaussianMixture:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         return cls(np.array([weight]), mean[None, :], cov[None, :, :])
-
-
-def check_spd(P: np.ndarray) -> None:
-    """Raise NumericalError unless P is symmetric (abs tol 1e-9) and PD."""
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise DimensionMismatchError(f"covariance must be square, got {P.shape}")
-    if np.max(np.abs(P - P.T)) > SYM_TOL:
-        raise NumericalError("covariance is not symmetric within 1e-9")
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("covariance is not positive definite") from exc
 
 
 def _batch_cholesky(covs: np.ndarray) -> np.ndarray:
@@ -221,15 +206,100 @@ def _leader_groups(order, within) -> list[np.ndarray]:
 
 
 def gm_merge_moments(weights, means, covs):
-    """Moment-preserving merge of a set of components into one."""
-    w = weights.sum()
-    m = np.einsum("j,jd->d", weights, means) / w
-    spread = means - m[None, :]
+    """Moment-preserving merge of a set of components into one.
+
+    Leading axes, if any, index independent sets that are merged at once.
+    """
+    w = weights.sum(axis=-1)
+    m = np.einsum("...j,...jd->...d", weights, means) / w[..., None]
+    spread = means - m[..., None, :]
     P = (
-        np.einsum("j,jde->de", weights, covs)
-        + np.einsum("j,jd,je->de", weights, spread, spread)
-    ) / w
-    return w, m, 0.5 * (P + P.T)
+        np.einsum("...j,...jde->...de", weights, covs)
+        + np.einsum("...j,...jd,...je->...de", weights, spread, spread)
+    ) / w[..., None, None]
+    return w, m, 0.5 * (P + np.swapaxes(P, -1, -2))
+
+
+def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """ndarray.sum of each consecutive segment of values, bit for bit.
+
+    Segments of equal length are summed as the rows of one block: a row
+    sum takes the same pairwise path as a 1-D sum. np.add.reduceat adds a
+    segment's entries one after another instead, which differs in the last
+    bits from three entries up.
+    """
+    sums = np.zeros(sizes.shape[0])
+    starts = np.cumsum(sizes) - sizes
+    for n in set(sizes.tolist()) - {0}:
+        seg = sizes == n
+        sums[seg] = values[starts[seg, None] + np.arange(n)].sum(axis=1)
+    return sums
+
+
+def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_threshold,
+                     max_components):
+    """Reduce every segment of a flat stack on its own, in one pass, by
+    gm_reduce's rule: prune, merge, cap.
+
+    The stack holds consecutive segments of the given sizes. Returns the
+    reduced stack as (sizes, weights, means, covs), unnormalized; a segment
+    with no weight at or above prune_threshold reduces to size 0. Every
+    kept covariance is factorized, so a non-positive-definite one raises
+    NumericalError.
+    """
+    keep = weights >= prune_threshold
+    w, kept_sizes = weights, sizes
+    if not keep.all():
+        owner = np.repeat(np.arange(sizes.shape[0]), sizes)[keep]
+        kept_sizes = np.bincount(owner, minlength=sizes.shape[0])
+        w, means, covs = weights[keep], means[keep], covs[keep]
+        # A segment that lost Gaussians to pruning is rescaled to its own total.
+        cut = (kept_sizes < sizes) & (kept_sizes > 0)
+        scale = np.ones(sizes.shape[0])
+        scale[cut] = _segment_sums(weights, sizes)[cut] / _segment_sums(w, kept_sizes)[cut]
+        w = w * scale[owner]
+    chol = _batch_cholesky(covs)
+    starts = np.cumsum(kept_sizes) - kept_sizes
+
+    # Leader groups of every segment that keeps two or more Gaussians, as
+    # indices into the kept stack, cut to the segment's cap.
+    grouped = {}
+    for n in set(kept_sizes.tolist()) - {0, 1}:
+        seg = np.flatnonzero(kept_sizes == n)
+        rows = starts[seg, None] + np.arange(n)
+        m = means[rows]
+        # dist_sq[s, j, i]: squared Mahalanobis distance of mean i under
+        # covariance j of segment s.
+        diff = np.swapaxes(m[:, None, :, :] - m[:, :, None, :], -1, -2)
+        dist_sq = np.sum(np.linalg.solve(chol[rows], diff) ** 2, axis=2)
+        for s, r, within in zip(seg, rows, dist_sq <= merge_threshold):
+            groups = [r[g] for g in _leader_groups(np.argsort(-w[r], kind="stable"), within)]
+            if len(groups) > max_components:
+                group_w = np.array([w[g].sum() for g in groups])
+                top = np.sort(np.argsort(-group_w, kind="stable")[:max_components])
+                groups = [groups[i] for i in top]
+            grouped[s] = groups
+
+    out_sizes = np.minimum(kept_sizes, 1)
+    for s, groups in grouped.items():
+        out_sizes[s] = len(groups)
+    out_starts = np.cumsum(out_sizes) - out_sizes
+    # Each output Gaussian merges one group; groups of equal size, across
+    # segments, are merged in one batched call. A segment that keeps one
+    # Gaussian is one group of one.
+    one = kept_sizes == 1
+    by_size = {1: ([out_starts[one]], [starts[one, None]])} if one.any() else {}
+    for s, groups in grouped.items():
+        for at, g in enumerate(groups, start=out_starts[s]):
+            ats, rows = by_size.setdefault(g.shape[0], ([], []))
+            ats.append([at])
+            rows.append(g[None])
+    n_out, d = int(out_sizes.sum()), means.shape[1]
+    out_w, out_m, out_p = np.empty(n_out), np.empty((n_out, d)), np.empty((n_out, d, d))
+    for ats, rows in by_size.values():
+        at, j = np.concatenate(ats), np.concatenate(rows)
+        out_w[at], out_m[at], out_p[at] = gm_merge_moments(w[j], means[j], covs[j])
+    return out_sizes, out_w, out_m, out_p
 
 
 def gm_reduce(
@@ -244,30 +314,15 @@ def gm_reduce(
     preserved up to the final cap. Merging repeatedly takes the heaviest
     remaining component (ties to the lower index) and absorbs every remaining
     component within squared Mahalanobis distance merge_threshold of it
-    (moment-preserving).
+    (moment-preserving). The cap keeps the heaviest merged components (ties
+    to the lower index) in merge order.
     """
     if prune_threshold < 0 or merge_threshold < 0 or max_components < 1:
         raise ValueError("invalid reduction parameters")
     if mix.n_components == 0:
         return mix
-
-    keep = mix.weights >= prune_threshold
-    if not np.any(keep):
-        return GaussianMixture.empty(mix.d)
-    total = mix.total_weight
-    w = mix.weights[keep]
-    w = w * (total / w.sum())
-    means = mix.means[keep]
-    covs = mix.covs[keep]
-
-    # dist_sq[j, i]: squared Mahalanobis distance of mean i under covariance j.
-    diff = np.swapaxes(means[None, :, :] - means[:, None, :], -1, -2)
-    dist_sq = np.sum(np.linalg.solve(_batch_cholesky(covs), diff) ** 2, axis=1)
-    groups = _leader_groups(np.argsort(-w, kind="stable"), dist_sq <= merge_threshold)
-    merged = [gm_merge_moments(w[g], means[g], covs[g]) for g in groups]
-    out_w, out_m, out_p = map(np.array, zip(*merged))
-    if out_w.shape[0] > max_components:
-        top = np.argsort(out_w)[::-1][:max_components]
-        top = np.sort(top)
-        out_w, out_m, out_p = out_w[top], out_m[top], out_p[top]
-    return GaussianMixture(out_w, out_m, out_p)
+    _, w, m, p = _reduce_segments(
+        np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
+        prune_threshold, merge_threshold, max_components,
+    )
+    return GaussianMixture(w, m, p)

@@ -15,12 +15,16 @@ import numpy as np
 
 from .errors import InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, SYM_TOL, _batch_cholesky, _leader_groups, _log_normal, gm_normalize, gm_reduce
+    GaussianMixture, _batch_cholesky, _leader_groups, _log_normal, _reduce_segments,
+    _segment_sums, gm_normalize, gm_reduce,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
 # fusion hypothesis weights stay finite.
 R_MAX = 1.0 - 1e-9
+
+# Relative tolerance of the covariance symmetry check in check_density.
+SYM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,29 @@ def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> Gaussian
     return gm_normalize(pdf)[0]
 
 
+def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None) -> list:
+    """_reduce_pdf of every pdf of a flat stack, in one pass.
+
+    The stack holds the pdfs as consecutive segments of the given sizes.
+    Returns one normalized pdf per segment, or None for a segment that
+    reduction leaves empty.
+    """
+    if config is not None:
+        sizes, weights, means, covs = _reduce_segments(
+            sizes, weights, means, covs,
+            config.prune_threshold, config.merge_threshold, config.max_components,
+        )
+    mass = _segment_sums(weights, sizes)[sizes > 0]
+    if not np.all(np.isfinite(mass) & (mass > 0.0)):
+        raise NumericalError(f"cannot normalize mixtures with total weights {mass}")
+    weights = weights / np.repeat(mass, sizes[sizes > 0])
+    ends = np.cumsum(sizes)
+    return [
+        GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]) if n else None
+        for n, e in zip(sizes, ends)
+    ]
+
+
 def _keep_strongest(components, max_components: int) -> list[BernoulliComponent]:
     """The max_components components of highest r (ties to the lower id), in id
     order; a sequence within the cap is returned in its own order."""
@@ -324,12 +351,17 @@ def mb_reduce(
     kept = _keep_strongest(
         [c for c in density.components if c.r >= config.trunc_threshold], config.max_components
     )
+    if not kept:
+        return MultiBernoulliDensity(())
+    owner, weights, means, covs = _stack_gaussians(kept)
+    sizes = np.bincount(owner, minlength=len(kept))
+    pdfs = _reduce_stack(sizes, weights, means, covs, config.gm)
     return MultiBernoulliDensity(
         tuple(
-            BernoulliComponent(r=c.r, pdf=_reduce_pdf(c.pdf, config.gm), id=c.id)
-            for c in kept
-            # A pdf with no weight above the prune threshold reduces to nothing.
-            if np.any(c.pdf.weights >= config.gm.prune_threshold)
+            BernoulliComponent(r=c.r, pdf=pdf, id=c.id)
+            for c, pdf in zip(kept, pdfs)
+            # A pdf with no weight at or above the prune threshold reduces to nothing.
+            if pdf is not None
         )
     )
 
@@ -362,15 +394,21 @@ def mb_merge_components(
     sol = np.linalg.solve(dom_cov[:, None] + dom_cov[None, :], diff[..., None])
     maha = (diff[..., None, :] @ sol)[..., 0, 0]
 
-    merged = []
-    for group in _leader_groups(range(len(comps)), maha <= gate):
-        absorbed = [comps[i] for i in group]
-        r_sum = sum(c.r for c in absorbed)
-        weights = np.concatenate([c.r / r_sum * c.pdf.weights for c in absorbed])
-        means = np.concatenate([c.pdf.means for c in absorbed])
-        covs = np.concatenate([c.pdf.covs for c in absorbed])
-        pdf = _reduce_pdf(GaussianMixture(weights, means, covs), gm_config)
-        merged.append(BernoulliComponent(r=_clamp_r(r_sum), pdf=pdf, id=absorbed[0].id))
+    groups = _leader_groups(range(len(comps)), maha <= gate)
+    # One flat stack of every group's pdfs, group after group, each pdf's
+    # weights scaled by its share of the group's summed r.
+    r_sums = [sum(comps[i].r for i in g) for g in groups]
+    absorbed = [comps[i] for g in groups for i in g]
+    share = np.array([comps[i].r / r_sum for g, r_sum in zip(groups, r_sums) for i in g])
+    sizes = np.array([sum(comps[i].pdf.n_components for i in g) for g in groups])
+    owner, weights, means, covs = _stack_gaussians(absorbed)
+    pdfs = _reduce_stack(sizes, weights * share[owner], means, covs, gm_config)
+    if any(pdf is None for pdf in pdfs):
+        raise NumericalError("a merged pdf has no weight at or above the prune threshold")
+    merged = [
+        BernoulliComponent(r=_clamp_r(r_sum), pdf=pdf, id=comps[g[0]].id)
+        for g, r_sum, pdf in zip(groups, r_sums, pdfs)
+    ]
     merged.sort(key=lambda c: c.id)
     return MultiBernoulliDensity(tuple(merged))
 

@@ -6,7 +6,8 @@ from scipy import integrate
 
 from mbfuse import GaussianMixture, gm_eval, gm_normalize, gm_pair_product, gm_power, gm_reduce
 from mbfuse.errors import NumericalError
-from mbfuse.gm import check_spd, gm_merge_moments, gm_pair_log_mass
+from mbfuse.gm import gm_merge_moments, gm_pair_log_mass
+from oracle import check_spd
 
 
 def mix(triples):
@@ -148,6 +149,12 @@ class TestGmReduce:
         reduced = gm_reduce(g, 0.0, 4.0, 2)
         assert reduced.n_components == 2
         assert set(np.round(reduced.means[:, 0])) == {0.0, 100.0}
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_cap_breaks_ties_toward_lower_index(self, n):
+        g = mix([(1.0, [100.0 * i], np.eye(1)) for i in range(n)])
+        reduced = gm_reduce(g, 0.0, 4.0, 2)
+        assert reduced.means[:, 0].tolist() == [0.0, 100.0]
 
     def test_merge_moments_oracle(self):
         weights = np.array([0.25, 0.75])

@@ -1,12 +1,15 @@
 """The greedy merge sweep of the reduction layer against plain per-leader
-loops kept as references, and tie-breaking of the component caps."""
+loops kept as references, the one-pass reduction of a whole density against
+those loops run pdf by pdf, and tie-breaking of the component caps."""
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbfuse.errors import NumericalError
 from mbfuse.gm import GaussianMixture, gm_merge_moments, gm_normalize, gm_reduce
 from mbfuse.mb import (
     BernoulliComponent,
@@ -23,7 +26,8 @@ from mbfuse.sim import _condense_for_fusion, scenario1
 def reference_gm_reduce(mix, prune_threshold, merge_threshold, max_components):
     """gm_reduce as a loop: the heaviest alive component (argmax, so ties go
     to the lower index) absorbs every alive one within merge_threshold,
-    with one solve per leader."""
+    with one solve per leader; the cap keeps the heaviest (ties to the
+    lower index) in merge order."""
     if mix.n_components == 0:
         return mix
     keep = mix.weights >= prune_threshold
@@ -55,8 +59,7 @@ def reference_gm_reduce(mix, prune_threshold, merge_threshold, max_components):
     out_m = np.array(out_m)
     out_p = np.array(out_p)
     if out_w.shape[0] > max_components:
-        top = np.argsort(out_w)[::-1][:max_components]
-        top = np.sort(top)
+        top = np.sort(np.argsort(-out_w, kind="stable")[:max_components])
         out_w, out_m, out_p = out_w[top], out_m[top], out_p[top]
     return GaussianMixture(out_w, out_m, out_p)
 
@@ -104,10 +107,10 @@ def assert_mixtures_equal(a, b):
 
 
 @st.composite
-def mixture(draw, d, max_n=10):
+def mixture(draw, d, max_n=10, min_n=1):
     """Mixture whose weights, means and covariances come from small pools,
     so tied weights, duplicated means and shared covariances are common."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     points = [draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)) for _ in range(3)]
     weight = st.sampled_from([0.25, 0.25, 0.1, 0.05, 1e-6]) | st.floats(1e-7, 1.0)
     weights, means, covs = [], [], []
@@ -150,6 +153,69 @@ def merge_case(draw):
     return MultiBernoulliDensity(tuple(comps)), draw(st.sampled_from([0.5, 4.0, 50.0])), gm_config
 
 
+def gm_config_case():
+    return st.builds(
+        GmReduceConfig,
+        st.sampled_from([0.0, 1e-5, 0.05]),
+        st.sampled_from([0.0, 1.0, 4.0, 25.0]),
+        st.integers(1, 6),
+    )
+
+
+@st.composite
+def segmented_density(draw, normalized):
+    """A 2-D density whose pdfs mix 1-Gaussian, mid-sized and 8-to-16-Gaussian
+    segments (from 9 entries up, numpy sums in its unrolled pairwise path),
+    some of them, unless normalized, so faint that a nonzero prune threshold
+    empties them."""
+    comps = []
+    for i in draw(st.permutations(range(12)))[: draw(st.integers(1, 8))]:
+        n = draw(st.sampled_from([1, 1, 2, 3, 5, 8, 9, 16]))
+        pdf = draw(mixture(2, max_n=n, min_n=n))
+        if normalized:
+            pdf = gm_normalize(pdf)[0]
+        elif draw(st.integers(0, 4)) == 0:
+            pdf = GaussianMixture(pdf.weights * 1e-6, pdf.means, pdf.covs)
+        r = draw(st.sampled_from([0.3, 0.3, 0.6]) | st.floats(0.01, 0.99))
+        comps.append(BernoulliComponent(r=r, pdf=pdf, id=i))
+    return MultiBernoulliDensity(tuple(comps))
+
+
+class TestSegmentedReduction:
+    """mb_reduce and mb_merge_components reduce all of a density's pdfs in
+    one pass; each pdf must come out exactly as the loop reduces it alone."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(segmented_density(normalized=False), gm_config_case())
+    def test_mb_reduce_matches_per_pdf_loop(self, density, gm_config):
+        got = mb_reduce(density, MbReduceConfig(trunc_threshold=0.0, gm=gm_config))
+        want = []
+        for c in density.components:
+            pdf = reference_gm_reduce(
+                c.pdf, gm_config.prune_threshold, gm_config.merge_threshold,
+                gm_config.max_components,
+            )
+            if pdf.n_components:
+                want.append((c.id, gm_normalize(pdf)[0]))
+        assert [c.id for c in got.components] == [i for i, _ in want]
+        for c, (_, pdf) in zip(got.components, want):
+            assert_mixtures_equal(c.pdf, pdf)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        segmented_density(normalized=True),
+        st.sampled_from([0.5, 4.0, 50.0]),
+        st.none() | gm_config_case(),
+    )
+    def test_mb_merge_components_matches_per_group_loop(self, density, gate, gm_config):
+        got = mb_merge_components(density, gate, gm_config)
+        want = reference_mb_merge(density, gate, gm_config)
+        assert [c.id for c in got.components] == [c.id for c in want.components]
+        assert np.array_equal(got.rs, want.rs)
+        for a, b in zip(got.components, want.components):
+            assert_mixtures_equal(a.pdf, b.pdf)
+
+
 class TestGreedySweep:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(gm_reduce_case())
@@ -184,3 +250,38 @@ def test_caps_break_ties_in_r_toward_lower_id():
     assert [c.id for c in reduced.components] == [1, 3, 7]
     cfg = replace(scenario1(), fusion_max_components=3)
     assert [c.id for c in _condense_for_fusion(density, cfg).components] == [1, 3, 7]
+
+
+def density_with_covariance(cov, weight, r):
+    """Three far-apart tracks; the middle one carries a second Gaussian with
+    the given covariance and weight at its own mean."""
+    good = np.eye(4)
+    mid = GaussianMixture(
+        np.array([1.0 - weight, weight]), np.zeros((2, 4)) + [100.0, 0, 0, 0],
+        np.stack([good, cov]),
+    )
+    return MultiBernoulliDensity((
+        track(0.9, 0.0, 0),
+        BernoulliComponent(r=r, pdf=mid, id=1),
+        track(0.8, 200.0, 2),
+    ))
+
+
+NOT_PD = np.diag([1.0, 1.0, 1.0, -1.0])
+
+
+class TestReductionErrors:
+    def test_non_pd_covariance_in_a_kept_gaussian_raises(self):
+        density = density_with_covariance(NOT_PD, 0.3, 0.7)
+        with pytest.raises(NumericalError):
+            mb_reduce(density, MbReduceConfig())
+        with pytest.raises(NumericalError):
+            mb_merge_components(density, 4.0, GmReduceConfig())
+
+    def test_non_pd_covariance_dropped_before_reduction_is_never_factorized(self):
+        # Its component falls below trunc_threshold.
+        reduced = mb_reduce(density_with_covariance(NOT_PD, 0.3, 1e-6), MbReduceConfig())
+        assert [c.id for c in reduced.components] == [0, 2]
+        # Its Gaussian falls below prune_threshold.
+        reduced = mb_reduce(density_with_covariance(NOT_PD, 1e-7, 0.7), MbReduceConfig())
+        assert [c.pdf.n_components for c in reduced.components] == [1, 1, 1]
