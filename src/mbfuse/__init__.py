@@ -26,10 +26,8 @@ from .errors import (
 )
 from .gm import (
     GaussianMixture,
-    gm_eval,
     gm_normalize,
     gm_pair_product,
-    gm_power,
     gm_reduce,
 )
 from .mb import (
@@ -55,7 +53,6 @@ from .gci import (
     count_hypotheses_nominal,
     enumerate_hypotheses,
     fused_pair_density,
-    gci_divergence,
     naive_gci_mb_fuse,
     pairwise_distances,
 )

@@ -21,13 +21,13 @@ from .errors import (
     DimensionMismatchError,
     IncompatiblePairError,
     IntractableFusionError,
+    NumericalError,
 )
 from .gm import (
     GaussianMixture,
     _batch_cholesky,
     _log_normal,
     _power_parts,
-    gm_pair_log_mass,
     gm_pair_product,
 )
 from .mb import (
@@ -35,13 +35,12 @@ from .mb import (
     MultiBernoulliDensity,
     R_MAX,
     _reduce_pdf,
+    _reduce_stack,
     _stack_gaussians,
     check_density,
 )
 
 DEFAULT_ENUM_CAP = 10**7
-
-_LOG_EPS = -745.0  # below this, exp underflows to 0 in float64
 
 
 @dataclass(frozen=True)
@@ -83,18 +82,6 @@ class GmbDensity:
     n1: int
     n2: int
     swapped: bool = False
-
-
-def gci_divergence(p1: GaussianMixture, p2: GaussianMixture, w: FusionWeights) -> float:
-    """-log integral of p1^w1 * p2^w2, evaluated in log space.
-
-    Large separations give large finite values (e.g. ~1250 for unit
-    Gaussians 100 apart); +inf only when the mass is exactly zero.
-    """
-    log_mass = gm_pair_log_mass(p1, w.w1, p2, w.w2)
-    if log_mass == -np.inf:
-        return np.inf
-    return -log_mass
 
 
 def pairwise_distances(
@@ -158,32 +145,6 @@ def count_hypotheses_nominal(n1: int, n2: int) -> int:
     if n1 > n2:
         raise ValueError("count requires n1 <= n2")
     return 2**n1 * math.perm(n2, n1)
-
-
-def log_q_factor(rs: np.ndarray, members) -> float:
-    """log of Q^I = prod_{l in I} r_l * prod_{l not in I} (1 - r_l)."""
-    rs = np.minimum(np.asarray(rs, dtype=float), R_MAX)
-    members = set(members)
-    total = 0.0
-    for i, r in enumerate(rs):
-        total += math.log(r) if i in members else math.log1p(-r)
-    return total
-
-
-def hypothesis_weight(
-    hyp,
-    mb1: MultiBernoulliDensity,
-    mb2: MultiBernoulliDensity,
-    w: FusionWeights,
-    distances: np.ndarray,
-) -> float:
-    """Unnormalized weight (Q1^I1)^w1 (Q2^theta(I1))^w2 prod exp(-d)."""
-    i1, theta = hyp
-    log_w = w.w1 * log_q_factor(mb1.rs, i1)
-    log_w += w.w2 * log_q_factor(mb2.rs, [theta[l] for l in i1])
-    for l in i1:
-        log_w -= distances[l, theta[l]]
-    return math.exp(log_w) if log_w > _LOG_EPS else 0.0
 
 
 def fused_pair_density(
@@ -298,6 +259,15 @@ def _matching_sums(g: np.ndarray) -> tuple[float, np.ndarray]:
     return float(bwd[0]), pair
 
 
+def _existence_gains(rs, omega):
+    """(log(1 - r), omega * logit r) of existence probabilities clamped below
+    R_MAX; an r of 0 has gain -inf."""
+    r = np.minimum(rs, R_MAX)
+    log_1mr = np.log1p(-r)
+    with np.errstate(divide="ignore"):
+        return log_1mr, omega * (np.log(r) - log_1mr)
+
+
 def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap):
     """Exact pair marginals and log eta over the index sets l1_idx x l2_idx.
 
@@ -318,14 +288,9 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap):
             count=steps,
             cap=cap,
         )
-    r1 = np.minimum([mb1.components[l].r for l in l1_idx], R_MAX)
-    r2 = np.minimum([mb2.components[l].r for l in l2_idx], R_MAX)
-    log_1mr1 = np.log1p(-r1)
-    log_1mr2 = np.log1p(-r2)
+    log_1mr1, gain1 = _existence_gains([mb1.components[l].r for l in l1_idx], w.w1)
+    log_1mr2, gain2 = _existence_gains([mb2.components[l].r for l in l2_idx], w.w2)
     base = w.w1 * log_1mr1.sum() + w.w2 * log_1mr2.sum()
-    with np.errstate(divide="ignore"):
-        gain1 = w.w1 * (np.log(r1) - log_1mr1)
-        gain2 = w.w2 * (np.log(r2) - log_1mr2)
     g = np.exp(gain1[:, None] + gain2[None, :] - distances[np.ix_(l1_idx, l2_idx)])
 
     if g.shape[0] <= g.shape[1]:
@@ -376,6 +341,45 @@ def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
         components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
 
     return MultiBernoulliDensity(tuple(components))
+
+
+def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
+    """Fusion of many 1x1 clusters at once: each (l, l') in pairs is a
+    cluster of its own.
+
+    A lone pair's marginal is g / (1 + g) with g as in
+    cluster_pair_marginals; the subset DP computes it as g*1 over 1 + g*1,
+    which is the same float. Pairs whose marginal is above 1e-300, the rule
+    of _moment_match, are fused in one fused_pair_density call and reduced
+    in one pass. A single pair's mixture needs no reweighting, since
+    _moment_match scales it by m / m = 1. Returns, per pair, the fused
+    component with r = min(marginal, R_MAX) and id 0, or None where the
+    pair is dropped.
+    """
+    out = [None] * len(pairs)
+    if not pairs:
+        return out
+    l1, l2 = np.array(pairs).T
+    _, gain1 = _existence_gains(mb1.rs[l1], w.w1)
+    _, gain2 = _existence_gains(mb2.rs[l2], w.w2)
+    g = np.exp(gain1 + gain2 - distances[l1, l2])
+    marginal = g / (1.0 + g)
+    kept = np.flatnonzero(marginal > 1e-300)
+    if not kept.size:
+        return out
+    fused = [pdf for pdf, _ in fused_pair_density([pairs[i] for i in kept], mb1, mb2, w)]
+    pdfs = _reduce_stack(
+        np.array([pdf.n_components for pdf in fused]),
+        np.concatenate([pdf.weights for pdf in fused]),
+        np.concatenate([pdf.means for pdf in fused]),
+        np.concatenate([pdf.covs for pdf in fused]),
+        gm_config,
+    )
+    for i, pdf in zip(kept, pdfs):
+        if pdf is None:
+            raise NumericalError("a fused pdf has no weight at or above the prune threshold")
+        out[i] = BernoulliComponent(r=min(marginal[i], R_MAX), pdf=pdf, id=0)
+    return out
 
 
 def naive_gci_mb_fuse(

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatchError, NumericalError
 
@@ -89,17 +88,6 @@ def _log_normal(diff: np.ndarray, L: np.ndarray) -> np.ndarray:
     return -0.5 * (diff.shape[-1] * LOG_2PI + logdet + maha)
 
 
-def gm_eval(mix: GaussianMixture, x) -> float:
-    """Evaluate the mixture density at a single state vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (mix.d,):
-        raise DimensionMismatchError(f"x has shape {x.shape}, expected ({mix.d},)")
-    if mix.n_components == 0:
-        return 0.0
-    vals = np.exp(_log_normal(x[None, :] - mix.means, _batch_cholesky(mix.covs)))
-    return float(np.dot(mix.weights, vals))
-
-
 def log_power_mass(covs: np.ndarray, omega: float) -> np.ndarray:
     """log rho(P, w) = log sqrt(det(2 pi P / w) * det(2 pi P)^(-w)) per component."""
     d = covs.shape[-1]
@@ -113,19 +101,6 @@ def _power_parts(weights: np.ndarray, covs: np.ndarray, omega: float):
     with np.errstate(divide="ignore"):
         log_w = omega * np.log(weights) + log_power_mass(covs, omega)
     return log_w, covs / omega
-
-
-def gm_power(mix: GaussianMixture, omega: float) -> GaussianMixture:
-    """Componentwise fractional power; output is unnormalized.
-
-    Each term [a N(m, P)]^w becomes a^w * rho(P, w) * N(m, P / w).
-    """
-    if not (0.0 < omega <= 1.0):
-        raise ValueError(f"omega must be in (0, 1], got {omega}")
-    if mix.n_components == 0:
-        raise ValueError("gm_power requires a nonempty mixture")
-    log_w, covs = _power_parts(mix.weights, mix.covs, omega)
-    return GaussianMixture(np.exp(log_w), mix.means.copy(), covs)
 
 
 def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float):
@@ -151,14 +126,6 @@ def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2:
     covs = S1[:, None] - np.einsum("...ij,...jk->...ik", gain, S1[:, None] * np.ones_like(sig))
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     return log_alpha, means, covs
-
-
-def gm_pair_log_mass(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float) -> float:
-    """log of the total mass of gm_pair_product, computed without underflow."""
-    if p1.n_components == 0 or p2.n_components == 0:
-        return -np.inf
-    log_alpha, _, _ = _pair_product_parts(p1, w1, p2, w2)
-    return float(logsumexp(log_alpha))
 
 
 def gm_pair_product(
@@ -245,8 +212,11 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
     reduced stack as (sizes, weights, means, covs), unnormalized; a segment
     with no weight at or above prune_threshold reduces to size 0. Every
     kept covariance is factorized, so a non-positive-definite one raises
-    NumericalError.
+    NumericalError; a threshold or cap that is negative, below 1 or NaN
+    raises ValueError.
     """
+    if not (prune_threshold >= 0 and merge_threshold >= 0 and max_components >= 1):
+        raise ValueError("invalid reduction parameters")
     keep = weights >= prune_threshold
     w, kept_sizes = weights, sizes
     if not keep.all():
@@ -317,10 +287,6 @@ def gm_reduce(
     (moment-preserving). The cap keeps the heaviest merged components (ties
     to the lower index) in merge order.
     """
-    if prune_threshold < 0 or merge_threshold < 0 or max_components < 1:
-        raise ValueError("invalid reduction parameters")
-    if mix.n_components == 0:
-        return mix
     _, w, m, p = _reduce_segments(
         np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
         prune_threshold, merge_threshold, max_components,

@@ -381,7 +381,7 @@ def mb_merge_components(
     r-proportional weights, so the intensity (PHD) of the density is
     unchanged up to the clamp.
     """
-    if gate <= 0:
+    if not gate > 0:
         raise ValueError("merge gate must be positive")
     comps = sorted(density.components, key=lambda c: (-c.r, c.id))
     if not comps:
@@ -389,12 +389,21 @@ def mb_merge_components(
     dominant = [int(np.argmax(c.pdf.weights)) for c in comps]
     dom_mean = np.array([c.pdf.means[j] for c, j in zip(comps, dominant)])
     dom_cov = np.array([c.pdf.covs[j] for c, j in zip(comps, dominant)])
-    # maha[h, i] = diff^T (P_h + P_i)^-1 diff with diff = m_i - m_h.
+    # within[h, i]: diff^T (P_h + P_i)^-1 diff <= gate with diff = m_i - m_h.
+    # That form is at least |diff|^2 / tr(P_h + P_i), as the largest
+    # eigenvalue of a positive-definite matrix is at most its trace, so only
+    # the pairs with |diff|^2 <= 2 gate tr(P_h + P_i) are solved (the 2 is a
+    # margin for rounding; the diagonal always passes). No other pair can lie
+    # in the gate.
     diff = dom_mean[None, :, :] - dom_mean[:, None, :]
-    sol = np.linalg.solve(dom_cov[:, None] + dom_cov[None, :], diff[..., None])
-    maha = (diff[..., None, :] @ sol)[..., 0, 0]
+    trace = np.trace(dom_cov, axis1=1, axis2=2)
+    near = np.sum(diff**2, axis=-1) <= 2.0 * gate * (trace[:, None] + trace[None, :])
+    h, i = np.nonzero(near)
+    sol = np.linalg.solve(dom_cov[h] + dom_cov[i], diff[h, i, :, None])
+    within = np.zeros(near.shape, dtype=bool)
+    within[h, i] = (diff[h, i, None, :] @ sol)[:, 0, 0] <= gate
 
-    groups = _leader_groups(range(len(comps)), maha <= gate)
+    groups = _leader_groups(range(len(comps)), within)
     # One flat stack of every group's pdfs, group after group, each pdf's
     # weights scaled by its share of the group's summed r.
     r_sums = [sum(comps[i].r for i in g) for g in groups]

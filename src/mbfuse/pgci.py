@@ -3,14 +3,17 @@
 Pipeline: pairwise divergences -> gate -> largest isolated clustering ->
 independent exact fusion inside each two-sided cluster (association
 marginals by a subset DP, no hypothesis enumeration) -> fused components
-concatenated in canonical cluster order. Also provides the
+concatenated in canonical cluster order. The 1x1 clusters, which make up
+nearly all clusters in tracking, are fused together in one batch: a lone
+pair's marginal has the closed form g / (1 + g), so they need no DP, one
+pair-product call and one reduction pass, and the result is bit-identical
+to fusing each alone. Also provides the
 truncation-error bound and hypothesis-count bookkeeping used to verify
 the approximation claims.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -21,6 +24,7 @@ from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute
 from .gci import (
     FusionWeights,
     GmbDensity,
+    _fuse_isolated_pairs,
     _moment_match,
     cluster_pair_marginals,
     count_hypotheses_distinct,
@@ -31,7 +35,6 @@ from .mb import (
     BernoulliComponent,
     MbReduceConfig,
     MultiBernoulliDensity,
-    R_MAX,
     check_density,
     mb_reduce,
 )
@@ -65,21 +68,6 @@ class FusionDiagnostics:
 def cluster_hypothesis_count(cluster: Cluster) -> int:
     n1, n2 = len(cluster.l1), len(cluster.l2)
     return count_hypotheses_distinct(min(n1, n2), max(n1, n2))
-
-
-def cluster_log_eta(
-    cluster: Cluster,
-    mb1: MultiBernoulliDensity,
-    mb2: MultiBernoulliDensity,
-    w: FusionWeights,
-) -> float:
-    """log eta_g for any cluster type; one-sided clusters only carry the
-    empty hypothesis, whose weight is the (1 - r)^omega product."""
-    if cluster.kind == ClusterKind.SENSOR1_ONLY:
-        return w.w1 * sum(math.log1p(-min(mb1.components[l].r, R_MAX)) for l in cluster.l1)
-    if cluster.kind == ClusterKind.SENSOR2_ONLY:
-        return w.w2 * sum(math.log1p(-min(mb2.components[l].r, R_MAX)) for l in cluster.l2)
-    raise ValueError("two-sided clusters need the full fusion path")
 
 
 def fuse_cluster(
@@ -163,13 +151,24 @@ def pgci_fuse(
     lic, _ = compute_lic(distances, gamma)
     t2 = time.perf_counter()
 
+    # 1x1 clusters are fused in one batch; the rest one cluster at a time.
+    clusters = lic.fused_clusters
+    isolated = [len(c.l1) == len(c.l2) == 1 for c in clusters]
+    batch = iter(_fuse_isolated_pairs(
+        [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],
+        mb1, mb2, w, distances, gm_config,
+    ))
     components = []
-    next_id = 0
-    for cluster in lic.fused_clusters:
-        result = fuse_cluster(cluster, mb1, mb2, w, distances, cap=cap, gm_config=gm_config)
-        for comp in result.components:
-            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=next_id))
-            next_id += 1
+    for cluster, one in zip(clusters, isolated):
+        if one:
+            comp = next(batch)
+            fused = [] if comp is None else [comp]
+        else:
+            fused = fuse_cluster(
+                cluster, mb1, mb2, w, distances, cap=cap, gm_config=gm_config
+            ).components
+        for comp in fused:
+            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
     t3 = time.perf_counter()
 
     diag = hypothesis_count_report(mb1, mb2, lic)
@@ -255,7 +254,7 @@ def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
         raise ValueError("multi_sensor_fuse needs at least one posterior")
     if len(posteriors) != len(weights):
         raise ValueError("posteriors and weights must have equal length")
-    if any(v <= 0 for v in weights) or abs(sum(weights) - 1.0) > 1e-9:
+    if not all(v > 0 for v in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
         raise ValueError("weights must be positive and sum to 1")
 
     acc = posteriors[0]

@@ -17,14 +17,12 @@ from mbfuse.gci import (
     count_hypotheses_nominal,
     enumerate_hypotheses,
     fused_pair_density,
-    gci_divergence,
-    hypothesis_weight,
-    log_q_factor,
     naive_gci_mb_fuse,
     pairwise_distances,
 )
 from mbfuse.gm import GaussianMixture
 from mbfuse.mb import BernoulliComponent, MultiBernoulliDensity
+from oracle import gci_divergence, hypothesis_weight, log_q_factor
 
 
 def bern(r, mean, cov, comp_id=0):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mbfuse import GaussianMixture, gm_eval, gm_normalize, gm_pair_product, gm_power, gm_reduce
+from mbfuse import GaussianMixture, gm_normalize, gm_pair_product, gm_reduce
 from mbfuse.errors import NumericalError
-from mbfuse.gm import gm_merge_moments, gm_pair_log_mass
-from oracle import check_spd
+from mbfuse.gm import gm_merge_moments
+from oracle import check_spd, gm_eval, gm_pair_log_mass, gm_power
 
 
 def mix(triples):

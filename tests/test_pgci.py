@@ -29,7 +29,6 @@ from mbfuse.mb import (
 from mbfuse.pgci import (
     DEFAULT_CLUSTER_CAP,
     cluster_hypothesis_count,
-    cluster_log_eta,
     fuse_cluster,
     hypothesis_count_report,
     inter_cluster_hypotheses,
@@ -37,6 +36,7 @@ from mbfuse.pgci import (
     multi_sensor_fuse,
     pgci_fuse,
 )
+from oracle import cluster_log_eta
 
 W = FusionWeights(0.5, 0.5)
 
@@ -277,6 +277,77 @@ class TestSubsetDp:
         assert len(fuse_cluster(cluster, mb1, mb2, W, D, cap=steps).components) == 3
 
 
+def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):
+    """pgci_fuse as a loop of fuse_cluster over every two-sided cluster,
+    1x1 ones included, with fresh ids in cluster order."""
+    distances = pairwise_distances(mb1, mb2, w)
+    if len(mb1) > len(mb2):
+        mb1, mb2, w = mb2, mb1, w.swapped()
+        distances = distances.T
+    lic, _ = compute_lic(distances, gamma)
+    components = []
+    for cluster in lic.fused_clusters:
+        result = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config)
+        for comp in result.components:
+            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
+    return MultiBernoulliDensity(tuple(components))
+
+
+@st.composite
+def mixed_clusters(draw):
+    """Two densities whose components sit in far-apart groups of 0 to 3 per
+    side, so most clusters are 1x1 and some are larger or one-sided.
+
+    Components hold 1 to 3 Gaussians. Some 1x1 groups get existence
+    probabilities of 0 or 1e-300, whose pair marginal falls below the
+    1e-300 at which fusion drops a pair. Returns (mb1, mb2, w, gamma,
+    gm_config).
+    """
+    r = st.sampled_from([0.3, 0.6, 0.9, 0.999]) | st.floats(0.02, 0.98)
+    tiny = st.sampled_from([0.0, 1e-300])
+    var = st.sampled_from([0.5, 1.0, 4.0])
+    sides = ([], [])
+    for g in range(draw(st.integers(1, 8))):
+        center = np.array([1e3 * g, -1e3 * g])
+        sizes = draw(st.sampled_from([(1, 1), (1, 1), (1, 1), (1, 2), (2, 1), (2, 3),
+                                      (3, 2), (1, 0), (0, 1)]))
+        underflow = sizes == (1, 1) and draw(st.integers(0, 5)) == 0
+        for comps, n in zip(sides, sizes):
+            for _ in range(n):
+                j = draw(st.integers(1, 3))
+                means = center + np.array(
+                    draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * j, max_size=2 * j))
+                ).reshape(j, 2)
+                covs = np.array([np.diag([draw(var), draw(var)]) for _ in range(j)])
+                weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=j, max_size=j)))
+                pdf = GaussianMixture(weights / weights.sum(), means, covs)
+                comps.append(BernoulliComponent(
+                    r=draw(tiny if underflow else r), pdf=pdf, id=len(comps)
+                ))
+    w1 = draw(st.floats(0.1, 0.9))
+    gm_config = draw(st.none() | st.builds(
+        GmReduceConfig, st.sampled_from([0.0, 1e-5, 0.05]), st.sampled_from([0.0, 4.0]),
+        st.integers(1, 4),
+    ))
+    mb1, mb2 = (MultiBernoulliDensity(tuple(c)) for c in sides)
+    return mb1, mb2, FusionWeights(w1, 1.0 - w1), draw(st.sampled_from([4.0, 20.0])), gm_config
+
+
+class TestIsolatedPairBatch:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mixed_clusters())
+    def test_pgci_fuse_matches_per_cluster_loop(self, instance):
+        mb1, mb2, w, gamma, gm_config = instance
+        got, _ = pgci_fuse(mb1, mb2, w, gamma, gm_config=gm_config)
+        want = reference_pgci_fuse(mb1, mb2, w, gamma, gm_config)
+        assert [c.id for c in got.components] == [c.id for c in want.components]
+        assert np.array_equal(got.rs, want.rs)
+        for a, b in zip(got.components, want.components):
+            assert np.array_equal(a.pdf.weights, b.pdf.weights)
+            assert np.array_equal(a.pdf.means, b.pdf.means)
+            assert np.array_equal(a.pdf.covs, b.pdf.covs)
+
+
 # (r, mean, cov) of one invalid Bernoulli component per case.
 INVALID_COMPONENTS = {
     "nan-mean": (0.5, [np.nan, 0.0], np.eye(2)),
@@ -399,6 +470,8 @@ class TestMultiSensorFuse:
             multi_sensor_fuse([mb, mb], [0.5], 4.0)
         with pytest.raises(ValueError):
             multi_sensor_fuse([mb, mb], [0.7, 0.7], 4.0)
+        with pytest.raises(ValueError):
+            multi_sensor_fuse([mb], [float("nan")], 4.0)
 
     def test_single_posterior_identity(self):
         rng = np.random.default_rng(62)
@@ -477,3 +550,9 @@ class TestComponentMerge:
     def test_invalid_gate(self):
         with pytest.raises(ValueError):
             mb_merge_components(MultiBernoulliDensity(()), gate=0.0)
+        # Two co-located tracks that gate=4 merges.
+        tracks = MultiBernoulliDensity(
+            (bern(0.5, [0.0, 0.0], comp_id=0), bern(0.4, [0.1, 0.0], comp_id=1))
+        )
+        with pytest.raises(ValueError):
+            mb_merge_components(tracks, gate=float("nan"))

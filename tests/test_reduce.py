@@ -139,18 +139,41 @@ def gm_reduce_case(draw):
 
 @st.composite
 def merge_case(draw):
-    """A 4-D density with tied r, shuffled ids and co-located components."""
+    """A 4-D density with tied r, shuffled ids and co-located components,
+    plus up to two pairs of tracks whose covariances are stretched along
+    the offset between them.
+
+    A stretched pair's squared Mahalanobis distance is `ratio` times the
+    gate. Its covariance trace is close to its largest eigenvalue, so the
+    ratios near 2 straddle the trace bound that mb_merge_components screens
+    pairs with before solving, and those near 1 straddle the gate itself.
+    """
     n = draw(st.integers(1, 9))
-    ids = draw(st.permutations(range(20)))[:n]
+    n_pairs = draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(20)))[:n + 2 * n_pairs]
+    gate = draw(st.sampled_from([0.5, 4.0, 50.0]))
     r = st.sampled_from([0.3, 0.3, 0.6, 0.05]) | st.floats(0.01, 0.99)
     comps = [
         BernoulliComponent(r=draw(r), pdf=gm_normalize(draw(mixture(4, max_n=3)))[0], id=i)
-        for i in ids
+        for i in ids[:n]
     ]
+    for k in range(n_pairs):
+        u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))) + [1, 0, 0, 0]
+        u = u / np.linalg.norm(u)
+        a = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+        b = draw(st.sampled_from([1.0, 100.0]))
+        cov = a * np.eye(4) + b * np.outer(u, u)
+        ratio = draw(st.sampled_from([0.5, 0.99, 1.0, 1.01, 1.9, 1.99, 2.01, 2.1, 3.0]))
+        # Both tracks share cov, and u is its eigenvector of eigenvalue a + b.
+        offset = np.sqrt(ratio * gate * 2.0 * (a + b)) * u
+        start = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4)))
+        for mean, i in ((start, ids[n + 2 * k]), (start + offset, ids[n + 2 * k + 1])):
+            pdf = GaussianMixture.single(mean, cov)
+            comps.append(BernoulliComponent(r=draw(r), pdf=pdf, id=i))
     gm_config = draw(
         st.none() | st.builds(GmReduceConfig, st.just(1e-5), st.just(4.0), st.integers(1, 5))
     )
-    return MultiBernoulliDensity(tuple(comps)), draw(st.sampled_from([0.5, 4.0, 50.0])), gm_config
+    return MultiBernoulliDensity(tuple(comps)), gate, gm_config
 
 
 def gm_config_case():
@@ -268,6 +291,35 @@ def density_with_covariance(cov, weight, r):
 
 
 NOT_PD = np.diag([1.0, 1.0, 1.0, -1.0])
+
+TWO_GAUSSIANS = GaussianMixture(
+    np.array([0.6, 0.4]), np.array([[0.0], [0.5]]), np.array([[[1.0]], [[1.0]]])
+)
+
+
+def mb_reduce_with(**gm):
+    return mb_reduce(
+        density_with_covariance(np.eye(4), 0.3, 0.7), MbReduceConfig(gm=GmReduceConfig(**gm))
+    )
+
+
+# Each used to reduce without error: a NaN prune threshold kept nothing, a
+# NaN merge threshold merged nothing, and mb_reduce checked none of them.
+INVALID_REDUCTIONS = {
+    "gm-prune-nan": lambda: gm_reduce(TWO_GAUSSIANS, np.nan, 4.0, 5),
+    "gm-merge-nan": lambda: gm_reduce(TWO_GAUSSIANS, 0.0, np.nan, 5),
+    "gm-cap-nan": lambda: gm_reduce(TWO_GAUSSIANS, 0.0, 4.0, np.nan),
+    "mb-prune-nan": lambda: mb_reduce_with(prune_threshold=np.nan),
+    "mb-prune-negative": lambda: mb_reduce_with(prune_threshold=-1.0),
+    "mb-merge-nan": lambda: mb_reduce_with(merge_threshold=np.nan),
+    "mb-cap-zero": lambda: mb_reduce_with(max_components=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_REDUCTIONS))
+def test_invalid_reduction_parameters_raise(case):
+    with pytest.raises(ValueError):
+        INVALID_REDUCTIONS[case]()
 
 
 class TestReductionErrors:
