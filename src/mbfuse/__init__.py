@@ -8,8 +8,8 @@ Layers, bottom to top:
 - ``gci``: weighted geometric-mean fusion of two multi-Bernoulli densities:
   exact association marginals by a subset DP, and exhaustive hypothesis
   enumeration (the correctness oracle).
-- ``clustering``: divergence gating, association graph, disjoint-set
-  connected components, largest isolated cluster decomposition.
+- ``clustering``: divergence gating and the largest isolated clustering,
+  the connected components of the bipartite gate graph.
 - ``pgci``: per-cluster fusion that matches the exhaustive result when no
   hypotheses cross clusters, plus the truncation error bound.
 - ``sim``: scenarios, sensor networks, Monte-Carlo driver, OSPA metric.
@@ -51,7 +51,6 @@ from .gci import (
     GmbDensity,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
-    enumerate_hypotheses,
     fused_pair_density,
     naive_gci_mb_fuse,
     pairwise_distances,
@@ -59,11 +58,8 @@ from .gci import (
 from .clustering import (
     Cluster,
     ClusterKind,
-    DisjointSet,
     LargestIsolatedClustering,
     compute_lic,
-    connected_components,
-    gate,
 )
 from .pgci import (
     FusionDiagnostics,

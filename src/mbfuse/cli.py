@@ -117,7 +117,7 @@ def cmd_bench_counts(args: argparse.Namespace) -> int:
         mb1 = _random_mb(rng, n1)
         mb2 = _random_mb(rng, n2)
         dists = pairwise_distances(mb1, mb2, w)
-        lic, _ = compute_lic(dists, args.gamma)
+        lic = compute_lic(dists, args.gamma)
         report = hypothesis_count_report(mb1, mb2, lic)
         print(
             f"{n1},{n2},{report.n_h},{report.n_h_distinct},"
@@ -139,7 +139,7 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
         _, gmb = naive_gci_mb_fuse(mb1, mb2, w, distances=dists)
         if gmb.swapped:
             dists = dists.T
-        lic, _ = compute_lic(dists, args.gamma)
+        lic = compute_lic(dists, args.gamma)
         discarded = inter_cluster_hypotheses(gmb, lic)
         exact, bound = l1_error_bound(gmb, discarded, args.gamma)
         if exact > bound + 1e-12:

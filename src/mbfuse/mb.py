@@ -348,6 +348,8 @@ def mb_reduce(
     """Drop low-existence components, cap the count, reduce each pdf."""
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
+    if not config.max_components >= 1:
+        raise ValueError("component cap must be at least 1")
     kept = _keep_strongest(
         [c for c in density.components if c.r >= config.trunc_threshold], config.max_components
     )

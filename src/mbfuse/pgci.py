@@ -148,7 +148,7 @@ def pgci_fuse(
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
     t1 = time.perf_counter()
-    lic, _ = compute_lic(distances, gamma)
+    lic = compute_lic(distances, gamma)
     t2 = time.perf_counter()
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.

@@ -103,6 +103,15 @@ class ScenarioConfig:
                 raise ConfigError("initial object state outside region")
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
+        # Each check also rejects NaN, which fails every comparison.
+        if not self.fusion_merge_gate > 0:
+            raise ConfigError("fusion merge gate must be positive")
+        if not 0 <= self.fusion_trunc < 1:
+            raise ConfigError("fusion truncation threshold must be in [0, 1)")
+        if not 0 < self.fusion_r_cap <= 1:
+            raise ConfigError("fusion existence cap must be in (0, 1]")
+        if not self.fusion_max_components >= 1:
+            raise ConfigError("fusion component cap must be at least 1")
 
 
 def _connected(adjacency) -> bool:

@@ -131,7 +131,7 @@ def test_criterion_3_l1_truncation_bound():
         D = pairwise_distances(mb1, mb2, W)
         if gmb.swapped:
             D = D.T
-        lic, _ = compute_lic(D, gamma)
+        lic = compute_lic(D, gamma)
         truncated = inter_cluster_hypotheses(gmb, lic)
         if not truncated:
             continue
@@ -192,7 +192,7 @@ def test_criterion_5_eta_factorization():
         mb1, mb2 = separated_mb_pair(n, rng)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         D = pairwise_distances(mb1, mb2, W)
-        lic, _ = compute_lic(D, 4.0)
+        lic = compute_lic(D, 4.0)
         if len(lic.clusters) < 2:
             continue
         checked += 1
@@ -334,7 +334,7 @@ def test_criterion_8_complexity_demonstration():
     t_pgci = time.perf_counter() - t0
 
     D = pairwise_distances(mb1, mb2, W)
-    lic, _ = compute_lic(D, 4.0)
+    lic = compute_lic(D, 4.0)
     rep = hypothesis_count_report(mb1, mb2, lic)
     ratio = rep.n_h_clustered / rep.n_h
     speedup = t_naive / t_pgci

@@ -1,4 +1,4 @@
-"""Association gating, the disjoint-set, and the largest isolated clustering.
+"""Association gating, connected components, and the largest isolated clustering.
 
 Oracles: a breadth-first-search connected-components implementation written
 here, plus hand-worked gate tables.
@@ -8,16 +8,14 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbfuse.clustering import (
     Cluster,
     ClusterKind,
-    DisjointSet,
-    build_graph,
     compute_lic,
     connected_components,
-    form_lic,
-    gate,
 )
 
 INF = np.inf
@@ -48,44 +46,30 @@ class TestGate:
     def test_boundary_is_inside(self):
         # [TRIVIAL] d == gamma is not a bad pair.
         D = np.array([[4.0, 4.0 + 1e-12]])
-        assert gate(D, 4.0) == [{0}]
+        assert compute_lic(D, 4.0).clusters == (
+            Cluster(frozenset({0}), frozenset({0})),
+            Cluster(frozenset(), frozenset({1})),
+        )
 
     def test_infinite_distance_excluded(self):
         D = np.array([[1.0, INF], [INF, 2.0]])
-        assert gate(D, 4.0) == [{0}, {1}]
+        assert compute_lic(D, 4.0).clusters == (
+            Cluster(frozenset({0}), frozenset({0})),
+            Cluster(frozenset({1}), frozenset({1})),
+        )
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            gate(np.zeros((1, 1)), 0.0)
+            compute_lic(np.zeros((1, 1)), 0.0)
 
     def test_nan_threshold_rejected(self):
         # A NaN gamma fails every d <= gamma test, so it would silently
         # drop every pair and fuse to an empty density.
         with pytest.raises(ValueError):
-            gate(np.zeros((1, 1)), float("nan"))
-
-
-class TestGraph:
-    def test_shared_column_makes_edge(self):
-        # Rows 0 and 1 both gate column 0; row 2 is isolated.
-        table = [{0}, {0, 1}, {2}]
-        assert build_graph(table) == {(0, 1)}
-
-    def test_no_shared_columns_no_edges(self):
-        assert build_graph([{0}, {1}, {2}]) == set()
+            compute_lic(np.zeros((1, 1)), float("nan"))
 
 
 class TestDisjointSet:
-    def test_union_find(self):
-        ds = DisjointSet(5)
-        ds.union(0, 1)
-        ds.union(3, 4)
-        assert ds.find(0) == ds.find(1)
-        assert ds.find(3) == ds.find(4)
-        assert ds.find(0) != ds.find(3)
-        ds.union(1, 3)
-        assert ds.find(0) == ds.find(4)
-
     def test_components_vs_bfs_oracle(self):
         # [DERIVED] 1000 random graphs vs an independent BFS implementation.
         rng = np.random.default_rng(2024)
@@ -111,8 +95,8 @@ class TestLic:
                 [INF, 2.0, INF],
             ]
         )
-        lic, table = compute_lic(D, 4.0)
-        assert table == [{0}, set(), {1}]
+        lic = compute_lic(D, 4.0)
+        assert [set(np.flatnonzero(row)) for row in D <= 4.0] == [{0}, set(), {1}]
         assert lic.clusters == (
             Cluster(frozenset({0}), frozenset({0})),
             Cluster(frozenset({1}), frozenset()),
@@ -137,7 +121,7 @@ class TestLic:
                 [INF, 1.0],
             ]
         )
-        lic, _ = compute_lic(D, 4.0)
+        lic = compute_lic(D, 4.0)
         assert lic.clusters == (
             Cluster(frozenset({0, 1, 2}), frozenset({0, 1})),
         )
@@ -149,7 +133,7 @@ class TestLic:
         for _ in range(200):
             n1, n2 = int(rng.integers(1, 8)), int(rng.integers(1, 8))
             D = np.where(rng.random((n1, n2)) < 0.25, rng.uniform(0, 4, (n1, n2)), INF)
-            lic, _ = compute_lic(D, 4.0)
+            lic = compute_lic(D, 4.0)
             seen1, seen2 = set(), set()
             for c in lic.clusters:
                 assert not (c.l1 & seen1) and not (c.l2 & seen2)
@@ -171,7 +155,8 @@ class TestLic:
         for _ in range(100):
             n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             D = np.where(rng.random((n1, n2)) < 0.3, 1.0, INF)
-            lic, table = compute_lic(D, 4.0)
+            lic = compute_lic(D, 4.0)
+            gated = D <= 4.0
             for c in lic.clusters:
                 if len(c.l1) < 2:
                     continue
@@ -180,13 +165,41 @@ class TestLic:
                     (min(relabel[a], relabel[b]), max(relabel[a], relabel[b]))
                     for a in c.l1
                     for b in c.l1
-                    if a != b and table[a] & table[b]
+                    if a != b and np.any(gated[a] & gated[b])
                 }
                 assert len(bfs_components(len(c.l1), edges)) == 1
 
     def test_empty_matrix(self):
-        lic, _ = compute_lic(np.zeros((0, 3)), 4.0)
+        lic = compute_lic(np.zeros((0, 3)), 4.0)
         assert all(c.kind == ClusterKind.SENSOR2_ONLY for c in lic.clusters)
         assert len(lic.clusters) == 3
-        lic, _ = compute_lic(np.zeros((2, 0)), 4.0)
+        lic = compute_lic(np.zeros((2, 0)), 4.0)
         assert all(c.kind == ClusterKind.SENSOR1_ONLY for c in lic.clusters)
+
+
+@st.composite
+def gate_matrix(draw):
+    """A 0-30 x 0-30 distance matrix: a sparse share of entries in the gate
+    [0, 4] (the boundary 4.0 included), the rest NaN, inf, just above 4 or 5."""
+    n1, n2 = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    share = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inside = np.where(rng.random((n1, n2)) < 0.1, 4.0, rng.uniform(0.0, 4.0, (n1, n2)))
+    outside = rng.choice([np.nan, INF, np.nextafter(4.0, INF), 5.0], size=(n1, n2))
+    return np.where(rng.random((n1, n2)) < share, inside, outside)
+
+
+class TestLicProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gate_matrix())
+    def test_clusters_match_bfs_on_bipartite_graph(self, D):
+        # [DERIVED] the clusters, in order, are the BFS components of the
+        # graph on sensor-1 vertices 0..n1-1 and sensor-2 vertices n1..n1+n2-1
+        # whose edges are the gated pairs.
+        n1, n2 = D.shape
+        edges = [(l, n1 + lp) for l in range(n1) for lp in range(n2) if D[l, lp] <= 4.0]
+        want = tuple(
+            Cluster(frozenset(v for v in part if v < n1), frozenset(v - n1 for v in part if v >= n1))
+            for part in bfs_components(n1 + n2, edges)
+        )
+        assert compute_lic(D, 4.0).clusters == want

@@ -128,7 +128,7 @@ class TestEtaFactorization:
             mb1, mb2 = clustered_instance(rng, int(rng.integers(2, 4)))
             _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
             D = pairwise_distances(mb1, mb2, W)
-            lic, _ = compute_lic(D, 4.0)
+            lic = compute_lic(D, 4.0)
             assert len(lic.clusters) >= 2
             from mbfuse.pgci import fuse_cluster
 
@@ -284,7 +284,7 @@ def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
-    lic, _ = compute_lic(distances, gamma)
+    lic = compute_lic(distances, gamma)
     components = []
     for cluster in lic.fused_clusters:
         result = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config)
@@ -404,7 +404,7 @@ class TestHypothesisCounts:
         rng = np.random.default_rng(42)
         mb1, mb2 = clustered_instance(rng, 3, max_per_side=1)
         D = pairwise_distances(mb1, mb2, W)
-        lic, _ = compute_lic(D, 4.0)
+        lic = compute_lic(D, 4.0)
         report = hypothesis_count_report(mb1, mb2, lic)
         assert report.n_h_clustered == 6  # three 1x1 clusters, 2 each
         assert report.n_h_truncated == 8
@@ -427,7 +427,7 @@ class TestErrorBound:
             D = pairwise_distances(mb1, mb2, W)
             if gmb.swapped:
                 D = D.T
-            lic, _ = compute_lic(D, gamma)
+            lic = compute_lic(D, gamma)
             truncated = inter_cluster_hypotheses(gmb, lic)
             if not truncated:
                 continue
@@ -446,7 +446,7 @@ class TestErrorBound:
         D = pairwise_distances(mb1, mb2, W)
         if gmb.swapped:
             D = D.T
-        lic, _ = compute_lic(D, 3.0)
+        lic = compute_lic(D, 3.0)
         truncated = inter_cluster_hypotheses(gmb, lic)
         assert truncated
         _, b1 = l1_error_bound(gmb, truncated, 3.0)

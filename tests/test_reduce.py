@@ -303,6 +303,12 @@ def mb_reduce_with(**gm):
     )
 
 
+def mb_reduce_capped(max_components):
+    return mb_reduce(
+        density_with_covariance(np.eye(4), 0.3, 0.7), MbReduceConfig(max_components=max_components)
+    )
+
+
 # Each used to reduce without error: a NaN prune threshold kept nothing, a
 # NaN merge threshold merged nothing, and mb_reduce checked none of them.
 INVALID_REDUCTIONS = {
@@ -313,6 +319,11 @@ INVALID_REDUCTIONS = {
     "mb-prune-negative": lambda: mb_reduce_with(prune_threshold=-1.0),
     "mb-merge-nan": lambda: mb_reduce_with(merge_threshold=np.nan),
     "mb-cap-zero": lambda: mb_reduce_with(max_components=0),
+    # A density cap of 0 kept no component, -1 dropped only the weakest one,
+    # and NaN failed with a TypeError from the slice.
+    "mb-density-cap-zero": lambda: mb_reduce_capped(0),
+    "mb-density-cap-negative": lambda: mb_reduce_capped(-1),
+    "mb-density-cap-nan": lambda: mb_reduce_capped(np.nan),
 }
 
 

@@ -195,6 +195,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(gamma=float("nan")).validate()
 
+    # An out-of-range fusion setting empties every fused density, or (a NaN
+    # merge gate) fails deep inside the merge, so validation rejects it.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fusion_max_components", 0),
+            ("fusion_max_components", float("nan")),
+            ("fusion_trunc", float("nan")),
+            ("fusion_trunc", 1.0),
+            ("fusion_trunc", -0.1),
+            ("fusion_r_cap", 0.0),
+            ("fusion_r_cap", float("nan")),
+            ("fusion_r_cap", 1.5),
+            ("fusion_merge_gate", float("nan")),
+            ("fusion_merge_gate", 0.0),
+        ],
+    )
+    def test_bad_fusion_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(scenario1(), **{field: value}).validate()
+
     def test_builtin_scenarios_valid(self):
         scenario1().validate()
         scenario2("desk").validate()
