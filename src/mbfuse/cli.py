@@ -7,7 +7,7 @@ Subcommands:
   bound-check    Empirical truncation error against the analytic bound.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 fusion
-intractable under the configured cap.
+intractable under its fixed cap.
 """
 
 from __future__ import annotations
@@ -28,44 +28,31 @@ from .clustering import compute_lic
 from .sim import build_scenario, run_montecarlo
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    path = Path(args.config)
+def _read_config(path: str, options) -> dict:
+    """The [run] section of an INI file, each value cast like its option.
+
+    A key that is not one of the subcommand's ``options`` is an error.
+    """
+    path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.read(path)
     if "run" not in parser:
         raise ConfigError("config file must contain a [run] section")
-    section = parser["run"]
-    for key, cast in (
-        ("scenario", str),
-        ("scale", str),
-        ("seed", int),
-        ("runs", int),
-        ("gamma", float),
-        ("out", str),
-    ):
-        if key in section and getattr(args, key, None) is None:
-            try:
-                setattr(args, key, cast(section[key]))
-            except ValueError as exc:
-                raise ConfigError(f"bad config value for {key}: {exc}") from exc
-
-
-def _fill_defaults(args: argparse.Namespace) -> None:
-    defaults = {
-        "scenario": "scenario1",
-        "scale": "desk",
-        "seed": 1,
-        "runs": 10,
-        "gamma": 4.0,
-        "out": "results",
-    }
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+    known = {key: (cast, choices) for key, cast, _, choices in options}
+    values = {}
+    for key, text in parser["run"].items():
+        if key not in known:
+            raise ConfigError(f"config key {key!r} is not an option of this subcommand")
+        cast, choices = known[key]
+        try:
+            values[key] = cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad config value for {key}: {exc}") from exc
+        if choices and values[key] not in choices:
+            raise ConfigError(f"bad config value for {key}: {text!r} not in {choices}")
+    return values
 
 
 def _random_mb(rng: np.random.Generator, n: int, spread: float = 60.0):
@@ -152,38 +139,47 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# (option, type, default, choices), shared by the subcommands that read them.
+_SCENARIO = (
+    ("scenario", str, "scenario1", ("scenario1", "scenario2")),
+    ("scale", str, "desk", ("desk", "full")),
+)
+_COMMON = (("seed", int, 1, None), ("runs", int, 10, None), ("gamma", float, 4.0, None))
+
+_COMMANDS = {
+    "run": (cmd_run, _SCENARIO + _COMMON + (("out", str, "results", None),)),
+    "compare-oracle": (cmd_compare_oracle, _SCENARIO + _COMMON),
+    "bench-counts": (cmd_bench_counts, _COMMON),
+    "bound-check": (cmd_bound_check, _COMMON),
+}
+
+
+def build_parser(defaults: dict) -> argparse.ArgumentParser:
+    """Each subcommand takes --config plus its own options; ``defaults``
+    (a config file's values) replace the options' built-in defaults."""
     parser = argparse.ArgumentParser(
         prog="mbfuse",
         description="Distributed multi-object tracking with clustered "
         "multi-Bernoulli fusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("run", cmd_run),
-        ("compare-oracle", cmd_compare_oracle),
-        ("bench-counts", cmd_bench_counts),
-        ("bound-check", cmd_bound_check),
-    ):
+    for name, (fn, options) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--scenario", type=str, default=None,
-                       choices=["scenario1", "scenario2"])
-        p.add_argument("--scale", type=str, default=None, choices=["desk", "full"])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--runs", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
+        for key, cast, default, choices in options:
+            p.add_argument(f"--{key}", type=cast, default=defaults.get(key, default),
+                           choices=choices)
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser({}).parse_args(argv)
     try:
-        _apply_config_file(args)
-        _fill_defaults(args)
+        if args.config:
+            # The file's values replace the defaults; flags still win.
+            file_values = _read_config(args.config, _COMMANDS[args.command][1])
+            args = build_parser(file_values).parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

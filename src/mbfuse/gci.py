@@ -40,9 +40,6 @@ from .mb import (
     check_density,
 )
 
-DEFAULT_ENUM_CAP = 10**7
-
-
 @dataclass(frozen=True)
 class FusionWeights:
     w1: float
@@ -268,7 +265,11 @@ def _existence_gains(rs, omega):
         return log_1mr, omega * (np.log(r) - log_1mr)
 
 
-def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap):
+# Largest subset-DP step count, n_l * n_s * 2^n_s, that cluster fusion runs.
+DP_STEP_CAP = 10**6
+
+
+def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     """Exact pair marginals and log eta over the index sets l1_idx x l2_idx.
 
     The Q factors use the index sets as the universe. A hypothesis weighs
@@ -281,12 +282,12 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap):
     """
     n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
     steps = n_l * n_s * 2**n_s
-    if steps > cap:
+    if steps > DP_STEP_CAP:
         raise IntractableFusionError(
             f"fusing components {list(l1_idx)} with {list(l2_idx)} needs "
-            f"{steps} DP steps (cap {cap})",
+            f"{steps} DP steps (cap {DP_STEP_CAP})",
             count=steps,
-            cap=cap,
+            cap=DP_STEP_CAP,
         )
     log_1mr1, gain1 = _existence_gains([mb1.components[l].r for l in l1_idx], w.w1)
     log_1mr2, gain2 = _existence_gains([mb2.components[l].r for l in l2_idx], w.w2)
@@ -382,11 +383,14 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     return out
 
 
+# Largest hypothesis count that exhaustive fusion enumerates.
+ENUM_CAP = 10**7
+
+
 def naive_gci_mb_fuse(
     mb1: MultiBernoulliDensity,
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
-    cap: int = DEFAULT_ENUM_CAP,
     distances: np.ndarray | None = None,
     gm_config=None,
 ) -> tuple[MultiBernoulliDensity, GmbDensity]:
@@ -411,12 +415,12 @@ def naive_gci_mb_fuse(
 
     n1, n2 = len(mb1), len(mb2)
     count = count_hypotheses_distinct(n1, n2)
-    if count > cap:
+    if count > ENUM_CAP:
         raise IntractableFusionError(
             f"fusing components {list(range(n1))} with {list(range(n2))} needs "
-            f"{count} hypotheses (cap {cap})",
+            f"{count} hypotheses (cap {ENUM_CAP})",
             count=count,
-            cap=cap,
+            cap=ENUM_CAP,
         )
     l1_idx, l2_idx = list(range(n1)), list(range(n2))
     hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)

@@ -39,9 +39,6 @@ from .mb import (
     mb_reduce,
 )
 
-DEFAULT_CLUSTER_CAP = 10**6
-
-
 @dataclass
 class ClusterFusionResult:
     components: tuple[BernoulliComponent, ...]
@@ -76,14 +73,13 @@ def fuse_cluster(
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
     distances: np.ndarray,
-    cap: int = DEFAULT_CLUSTER_CAP,
     gm_config=None,
 ) -> ClusterFusionResult:
     """Exact GCI-MB fusion restricted to one two-sided cluster.
 
     Q factors use cluster-local index sets; the global factors of other
     clusters cancel in the per-cluster normalization. The association
-    marginals and eta come from a subset DP whose steps ``cap`` bounds.
+    marginals and eta come from a subset DP whose steps ``DP_STEP_CAP`` bounds.
     Fused components are moment-matched onto the cluster's sensor-1 side;
     eta does not depend on which side that is, and ``pgci_fuse`` fixes one
     orientation for every cluster.
@@ -91,7 +87,7 @@ def fuse_cluster(
     if cluster.kind != ClusterKind.BOTH:
         raise ValueError("fuse_cluster only applies to two-sided clusters")
     l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
-    marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx, cap)
+    marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
     fused = _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config)
     return ClusterFusionResult(
         components=fused.components,
@@ -129,7 +125,6 @@ def pgci_fuse(
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
     gamma: float,
-    cap: int = DEFAULT_CLUSTER_CAP,
     gm_config=None,
 ) -> tuple[MultiBernoulliDensity, FusionDiagnostics]:
     """Gate, cluster, fuse each two-sided cluster, concatenate the results.
@@ -164,9 +159,7 @@ def pgci_fuse(
             comp = next(batch)
             fused = [] if comp is None else [comp]
         else:
-            fused = fuse_cluster(
-                cluster, mb1, mb2, w, distances, cap=cap, gm_config=gm_config
-            ).components
+            fused = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components
         for comp in fused:
             components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
     t3 = time.perf_counter()

@@ -8,7 +8,7 @@ artifact byte for byte.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -34,6 +34,30 @@ from .mb import (
 )
 from .pgci import _fold_pairwise, multi_sensor_fuse
 
+# Mixture and Bernoulli reduction for local filters and fused densities.
+REDUCE_CONFIG = MbReduceConfig()
+
+# Known births (scenarios without a birth_config) start every object present
+# at step 0 with this existence and a covariance of diag(KNOWN_BIRTH_VAR).
+KNOWN_BIRTH_R = 0.9
+KNOWN_BIRTH_VAR = (100.0, 100.0, 25.0, 25.0)
+
+# Exchanged densities are condensed before fusion (local posteriors are
+# untouched): co-located Bernoulli components merge into one track-like
+# component (first moment preserved), then components below CONDENSE_TRUNC
+# are dropped and the count is capped. Without this a filter posterior
+# carries per-object legacy chains that multiply the fusion hypothesis
+# count while adding almost no information.
+# Existence probabilities in exchanged densities are capped so that
+# ln(odds) stays below the association gate gamma: a pair whose
+# divergence exceeds the gate must then carry negligible hypothesis
+# weight, which is the assumption the clustering truncation rests on.
+# With r clamped near 1 (odds ~1e9) an out-of-gate pair could still
+# dominate the empty hypothesis.
+CONDENSE_GATE = 4.0
+CONDENSE_TRUNC = 0.1
+CONDENSE_R_CAP = 0.98
+
 
 @dataclass(frozen=True)
 class ObjectBirth:
@@ -53,32 +77,9 @@ class ScenarioConfig:
     adjacency: tuple[frozenset[int], ...]   # adjacency[i] = neighbors of sensor i
     fusion_node: int
     gamma: float = 4.0
-    truth_seed: int = 12345
     base_seed: int = 1
     birth_config: BirthConfig | None = None         # None -> known births at step 0
-    known_birth_r: float = 0.9
-    known_birth_cov: np.ndarray | None = None
-    reduce_config: MbReduceConfig = field(default_factory=MbReduceConfig)
-    # Exchanged densities are condensed before fusion (local posteriors are
-    # untouched): co-located Bernoulli components merge into one track-like
-    # component (first moment preserved), then components below fusion_trunc
-    # are dropped and the count is capped. Without this a filter posterior
-    # carries per-object legacy chains that multiply the fusion hypothesis
-    # count while adding almost no information.
-    # Existence probabilities in exchanged densities are capped so that
-    # ln(odds) stays below the association gate gamma: a pair whose
-    # divergence exceeds the gate must then carry negligible hypothesis
-    # weight, which is the assumption the clustering truncation rests on.
-    # With r clamped near 1 (odds ~1e9) an out-of-gate pair could still
-    # dominate the empty hypothesis.
-    fusion_merge_gate: float = 4.0
-    fusion_trunc: float = 0.1
-    fusion_r_cap: float = 0.98
     fusion_max_components: int = 100
-    r_threshold: float = 0.5
-    ospa_c: float = 100.0
-    ospa_p: float = 2.0
-    truth_process_noise: bool = False
 
     def validate(self) -> None:
         if self.duration < 1:
@@ -104,12 +105,13 @@ class ScenarioConfig:
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
         # Each check also rejects NaN, which fails every comparison.
-        if not self.fusion_merge_gate > 0:
-            raise ConfigError("fusion merge gate must be positive")
-        if not 0 <= self.fusion_trunc < 1:
-            raise ConfigError("fusion truncation threshold must be in [0, 1)")
-        if not 0 < self.fusion_r_cap <= 1:
-            raise ConfigError("fusion existence cap must be in (0, 1]")
+        for s in self.sensors:
+            if not 0 <= s.p_detect <= 1:
+                raise ConfigError("detection probability must be in [0, 1]")
+            if not 0 <= s.clutter_rate < np.inf:
+                raise ConfigError("clutter rate must be finite and >= 0")
+        if not 0 <= self.motion.p_survival <= 1:
+            raise ConfigError("survival probability must be in [0, 1]")
         if not self.fusion_max_components >= 1:
             raise ConfigError("fusion component cap must be at least 1")
 
@@ -132,19 +134,15 @@ def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
 
 
-def generate_truth(cfg: ScenarioConfig, seed: int) -> list[np.ndarray]:
-    """Per-step arrays of true states; linear propagation, optional process noise."""
-    rng = np.random.default_rng(seed)
-    root = _psd_sqrt(cfg.motion.Q) if cfg.truth_process_noise else None
+def generate_truth(cfg: ScenarioConfig) -> list[np.ndarray]:
+    """Per-step arrays of true states; noise-free linear propagation."""
     tracks = []
     for b in cfg.births:
-        x = np.asarray(b.state, dtype=float).copy()
-        states = {b.birth_step: x.copy()}
+        x = np.asarray(b.state, dtype=float)
+        states = {b.birth_step: x}
         for k in range(b.birth_step + 1, b.death_step):
             x = cfg.motion.F @ x
-            if root is not None:
-                x = x + root @ rng.standard_normal(x.shape[0])
-            states[k] = x.copy()
+            states[k] = x
         tracks.append(states)
     truth = []
     for k in range(cfg.duration):
@@ -187,7 +185,7 @@ def metropolis_weights(adjacency, node: int) -> tuple[float, dict[int, float]]:
 
 def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> float:
     """Optimal sub-pattern assignment distance between two position sets."""
-    if c <= 0 or p < 1:
+    if not (c > 0 and p >= 1):
         raise ValueError("require c > 0 and p >= 1")
     x = np.asarray(x, dtype=float).reshape(-1, 2) if np.size(x) else np.zeros((0, 2))
     y = np.asarray(y, dtype=float).reshape(-1, 2) if np.size(y) else np.zeros((0, 2))
@@ -206,15 +204,13 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
 
 
 def known_birth_components(cfg: ScenarioConfig) -> tuple[BernoulliComponent, ...]:
-    cov = cfg.known_birth_cov
-    if cov is None:
-        cov = np.diag([100.0, 100.0, 25.0, 25.0])
+    cov = np.diag(KNOWN_BIRTH_VAR)
     births = []
     for i, b in enumerate(cfg.births):
         if b.birth_step == 0:
             births.append(
                 BernoulliComponent(
-                    r=cfg.known_birth_r,
+                    r=KNOWN_BIRTH_R,
                     pdf=GaussianMixture.single(np.asarray(b.state, dtype=float), cov),
                     id=i,
                 )
@@ -242,7 +238,7 @@ def run_local_filter(
             )
         predicted = mb_predict(posterior, cfg.motion, births)
         updated = mb_update(predicted, scan, sensor)
-        posterior = mb_reduce(updated, cfg.reduce_config)
+        posterior = mb_reduce(updated, REDUCE_CONFIG)
         out.append(posterior)
         prev_scan = scan
     return out
@@ -292,11 +288,11 @@ class MonteCarloResult:
 
 
 def _condense_for_fusion(mb: MultiBernoulliDensity, cfg) -> MultiBernoulliDensity:
-    merged = mb_merge_components(mb, cfg.fusion_merge_gate, cfg.reduce_config.gm)
+    merged = mb_merge_components(mb, CONDENSE_GATE, REDUCE_CONFIG.gm)
     kept = [
-        BernoulliComponent(r=min(c.r, cfg.fusion_r_cap), pdf=c.pdf, id=c.id)
+        BernoulliComponent(r=min(c.r, CONDENSE_R_CAP), pdf=c.pdf, id=c.id)
         for c in merged.components
-        if c.r >= cfg.fusion_trunc
+        if c.r >= CONDENSE_TRUNC
     ]
     return MultiBernoulliDensity(tuple(_keep_strongest(kept, cfg.fusion_max_components)))
 
@@ -322,7 +318,7 @@ def run_montecarlo(
         raise ConfigError("n_runs must be >= 1")
     cfg.validate()
     T = cfg.duration
-    truth = generate_truth(cfg, cfg.truth_seed)
+    truth = generate_truth(cfg)
     truth_card = np.array([len(t) for t in truth])
 
     ospa_local = np.zeros((n_runs, T))
@@ -349,7 +345,7 @@ def run_montecarlo(
                 densities,
                 weights,
                 cfg.gamma,
-                reduce_config=cfg.reduce_config,
+                reduce_config=REDUCE_CONFIG,
                 return_diagnostics=True,
             )
             t_fuse[run, k] = (time.perf_counter() - t0) * 1e3
@@ -358,23 +354,21 @@ def run_montecarlo(
                 n_h2[run, k] = float(diags[0].n_h_clustered)
 
             truth_pos = truth[k][:, :2] if len(truth[k]) else np.zeros((0, 2))
-            local_est = extract_estimates(posteriors[cfg.fusion_node][k], cfg.r_threshold)
-            fused_est = extract_estimates(fused, cfg.r_threshold)
-            ospa_local[run, k] = ospa(local_est[:, :2], truth_pos, cfg.ospa_c, cfg.ospa_p)
-            ospa_fused[run, k] = ospa(fused_est[:, :2], truth_pos, cfg.ospa_c, cfg.ospa_p)
+            local_est = extract_estimates(posteriors[cfg.fusion_node][k])
+            fused_est = extract_estimates(fused)
+            ospa_local[run, k] = ospa(local_est[:, :2], truth_pos)
+            ospa_fused[run, k] = ospa(fused_est[:, :2], truth_pos)
             card[run, k] = fused_est.shape[0]
 
             if compare_oracle:
                 acc, _ = _fold_pairwise(
                     densities,
                     weights,
-                    lambda a, b, w: naive_gci_mb_fuse(a, b, w, gm_config=cfg.reduce_config.gm),
-                    cfg.reduce_config,
+                    lambda a, b, w: naive_gci_mb_fuse(a, b, w, gm_config=REDUCE_CONFIG.gm),
+                    REDUCE_CONFIG,
                 )
-                naive_est = extract_estimates(acc, cfg.r_threshold)
-                ospa_naive[run, k] = ospa(
-                    naive_est[:, :2], truth_pos, cfg.ospa_c, cfg.ospa_p
-                )
+                naive_est = extract_estimates(acc)
+                ospa_naive[run, k] = ospa(naive_est[:, :2], truth_pos)
 
     return MonteCarloResult(
         steps=np.arange(T),
@@ -418,10 +412,7 @@ def scenario1(seed: int = 1) -> ScenarioConfig:
         sensors=(sensor, sensor),
         adjacency=(frozenset({1}), frozenset({0})),
         fusion_node=0,
-        gamma=4.0,
         base_seed=seed,
-        birth_config=None,
-        reduce_config=MbReduceConfig(trunc_threshold=1e-4, max_components=100),
         fusion_max_components=6,
     )
 
@@ -484,10 +475,8 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
         sensors=sensors,
         adjacency=adjacency,
         fusion_node=fusion_node,
-        gamma=4.0,
         base_seed=seed,
         birth_config=BirthConfig(),
-        reduce_config=MbReduceConfig(trunc_threshold=1e-4, max_components=100),
     )
 
 

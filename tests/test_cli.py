@@ -8,7 +8,7 @@ from mbfuse.cli import main
 from mbfuse.errors import ConfigError, IntractableFusionError
 import mbfuse.cli as cli_mod
 import mbfuse.sim as sim_mod
-from mbfuse.mb import MbReduceConfig, MotionModel, Rectangle, SensorModel
+from mbfuse.mb import MotionModel, Rectangle, SensorModel
 from mbfuse.sim import ObjectBirth, ScenarioConfig
 
 
@@ -28,7 +28,6 @@ def tiny_scenario(seed=1, **overrides) -> ScenarioConfig:
         adjacency=(frozenset({1}), frozenset({0})),
         fusion_node=0,
         base_seed=seed,
-        reduce_config=MbReduceConfig(trunc_threshold=1e-4, max_components=100),
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -99,6 +98,12 @@ class TestExitCodes:
         bad = tmp_path / "bad.ini"
         bad.write_text("[run]\nruns = lots\n")
         assert main(["run", "--config", str(bad)]) == 2
+
+    def test_config_key_the_subcommand_does_not_take(self, tmp_path):
+        # bench-counts writes no files, so an "out" key is a mistake.
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[run]\nruns = 1\nout = {tmp_path / 'x'}\n")
+        assert main(["bench-counts", "--config", str(bad)]) == 2
 
     def test_intractable_maps_to_4(self, fast_scenarios, monkeypatch, tmp_path):
         def boom(*a, **k):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import mbfuse.gci as gci_mod
 from mbfuse.errors import IncompatiblePairError, IntractableFusionError
 from mbfuse.gci import (
     FusionWeights,
@@ -240,12 +241,13 @@ class TestExhaustiveFusion:
             sorted(c.r for c in f21.components), rel=1e-9
         )
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         rng = np.random.default_rng(1)
         mb1 = random_mb(rng, 3)
         mb2 = random_mb(rng, 3)
+        monkeypatch.setattr(gci_mod, "ENUM_CAP", 10)
         with pytest.raises(IntractableFusionError):
-            naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.5, 0.5), cap=10)
+            naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.5, 0.5))
 
     def test_empty_inputs(self):
         rng = np.random.default_rng(2)

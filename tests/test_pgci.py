@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbfuse.gci as gci_mod
 from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.errors import IntractableFusionError, MbFuseError
 from mbfuse.gci import (
@@ -27,7 +28,6 @@ from mbfuse.mb import (
     mb_merge_components,
 )
 from mbfuse.pgci import (
-    DEFAULT_CLUSTER_CAP,
     cluster_hypothesis_count,
     fuse_cluster,
     hypothesis_count_report,
@@ -227,7 +227,7 @@ class TestSubsetDp:
         mb1, mb2, w, cluster = instance
         D = pairwise_distances(mb1, mb2, w)
         l1, l2 = sorted(cluster.l1), sorted(cluster.l2)
-        marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, D, l1, l2, DEFAULT_CLUSTER_CAP)
+        marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, D, l1, l2)
         naive, gmb = naive_gci_mb_fuse(sub_density(mb1, l1), sub_density(mb2, l2), w)
 
         enumerated = {}
@@ -264,17 +264,19 @@ class TestSubsetDp:
             assert a.pdf.means == pytest.approx(b.pdf.means, rel=1e-9, abs=1e-9)
             assert a.pdf.covs == pytest.approx(b.pdf.covs, rel=1e-9)
 
-    def test_cap_bounds_dp_steps(self):
+    def test_cap_bounds_dp_steps(self, monkeypatch):
         rng = np.random.default_rng(72)
         mb1 = random_mb(rng, 3, spread=3.0)
         mb2 = random_mb(rng, 3, spread=3.0)
         D = pairwise_distances(mb1, mb2, W)
         cluster = Cluster(frozenset(range(3)), frozenset(range(3)))
         steps = 3 * 3 * 2**3
+        monkeypatch.setattr(gci_mod, "DP_STEP_CAP", steps - 1)
         with pytest.raises(IntractableFusionError) as err:
-            fuse_cluster(cluster, mb1, mb2, W, D, cap=steps - 1)
+            fuse_cluster(cluster, mb1, mb2, W, D)
         assert (err.value.count, err.value.cap) == (steps, steps - 1)
-        assert len(fuse_cluster(cluster, mb1, mb2, W, D, cap=steps).components) == 3
+        monkeypatch.setattr(gci_mod, "DP_STEP_CAP", steps)
+        assert len(fuse_cluster(cluster, mb1, mb2, W, D).components) == 3
 
 
 def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):

@@ -1,6 +1,7 @@
 """The greedy merge sweep of the reduction layer against plain per-leader
 loops kept as references, the one-pass reduction of a whole density against
-those loops run pdf by pdf, and tie-breaking of the component caps."""
+those loops run pdf by pdf, tie-breaking of the component caps, and the
+condensation of exchanged densities before fusion."""
 
 from dataclasses import replace
 
@@ -273,6 +274,25 @@ def test_caps_break_ties_in_r_toward_lower_id():
     assert [c.id for c in reduced.components] == [1, 3, 7]
     cfg = replace(scenario1(), fusion_max_components=3)
     assert [c.id for c in _condense_for_fusion(density, cfg).components] == [1, 3, 7]
+
+
+def test_condensation_gate_truncation_and_existence_cap():
+    # Unit covariances: two tracks d apart along x lie d^2 / 2 apart under
+    # the merge gate's form diff^T (P_h + P_i)^-1 diff.
+    density = MultiBernoulliDensity((
+        track(0.999, 0.0, 0),                   # capped at 0.98
+        track(0.09, 100.0, 1),                  # below the truncation: dropped
+        track(0.1, 200.0, 2),                   # at the truncation: kept
+        track(0.5, 300.0, 3),
+        track(0.4, 300.0 + np.sqrt(7.8), 4),    # 3.9 from track 3: merged into it
+        track(0.5, 500.0, 5),
+        track(0.4, 500.0 + np.sqrt(8.2), 6),    # 4.1 from track 5: kept apart
+    ))
+    rs = {c.id: c.r for c in _condense_for_fusion(density, scenario1()).components}
+    assert sorted(rs) == [0, 2, 3, 5, 6]
+    assert rs[0] == 0.98
+    assert rs[2] == 0.1
+    assert rs[3] == pytest.approx(0.9)
 
 
 def density_with_covariance(cov, weight, r):

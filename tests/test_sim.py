@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from mbfuse.errors import ConfigError
-from mbfuse.mb import MbReduceConfig, MotionModel, Rectangle, SensorModel
+from mbfuse.mb import MotionModel, Rectangle, SensorModel
 from mbfuse.sim import (
+    KNOWN_BIRTH_R,
     MonteCarloResult,
     ObjectBirth,
     ScenarioConfig,
@@ -42,7 +43,6 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
         sensors=(sensor, sensor),
         adjacency=(frozenset({1}), frozenset({0})),
         fusion_node=0,
-        reduce_config=MbReduceConfig(trunc_threshold=1e-4, max_components=100),
     )
     base.update(overrides)
     return ScenarioConfig(**base)
@@ -51,7 +51,7 @@ def tiny_scenario(**overrides) -> ScenarioConfig:
 class TestTruth:
     def test_noise_free_truth_is_linear(self):
         cfg = tiny_scenario()
-        truth = generate_truth(cfg, seed=1)
+        truth = generate_truth(cfg)
         F = cfg.motion.F
         x = np.array([-100.0, 0.0, 5.0, 0.0])
         for k in range(cfg.duration):
@@ -65,16 +65,9 @@ class TestTruth:
                 ObjectBirth(2, 8, np.array([50.0, 50.0, 0.0, 1.0])),
             )
         )
-        truth = generate_truth(cfg, seed=1)
+        truth = generate_truth(cfg)
         cards = [len(t) for t in truth]
         assert cards == [1, 1, 2, 2, 1, 1, 1, 1]
-
-    def test_truth_seed_reproducible_with_noise(self):
-        cfg = tiny_scenario(truth_process_noise=True)
-        t1 = generate_truth(cfg, seed=5)
-        t2 = generate_truth(cfg, seed=5)
-        for a, b in zip(t1, t2):
-            assert np.array_equal(a, b)
 
 
 class TestMeasurements:
@@ -82,7 +75,7 @@ class TestMeasurements:
         # [DERIVED] with no objects every return is clutter; the empirical
         # mean over 10^4 scans must sit near the Poisson rate of 10.
         cfg = tiny_scenario(births=(), duration=10_000)
-        truth = generate_truth(cfg, seed=1)
+        truth = generate_truth(cfg)
         scans = generate_measurements(truth, cfg.sensors[0], seed=2)
         counts = np.array([len(s) for s in scans])
         assert counts.mean() == pytest.approx(10.0, abs=0.1)
@@ -93,7 +86,7 @@ class TestMeasurements:
             duration=2000,
         )
         clutter_free = dataclasses.replace(cfg.sensors[0], clutter_rate=1e-12)
-        truth = generate_truth(cfg, seed=1)
+        truth = generate_truth(cfg)
         scans = generate_measurements(truth, clutter_free, seed=3)
         rate = np.mean([len(s) for s in scans])
         assert rate == pytest.approx(0.95, abs=0.02)
@@ -104,7 +97,7 @@ class TestMeasurements:
             duration=500,
         )
         clutter_free = dataclasses.replace(cfg.sensors[0], clutter_rate=1e-12)
-        truth = generate_truth(cfg, seed=1)
+        truth = generate_truth(cfg)
         scans = generate_measurements(truth, clutter_free, seed=4)
         zs = np.concatenate([s for s in scans if len(s)])
         assert np.abs(zs.mean(axis=0)) == pytest.approx([0.0, 0.0], abs=2.0)
@@ -166,6 +159,11 @@ class TestOspa:
             ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=0.0)
         with pytest.raises(ValueError):
             ospa(np.zeros((1, 2)), np.zeros((1, 2)), p=0.5)
+        # NaN must be caught here, not by the assignment solver downstream.
+        with pytest.raises(ValueError, match="require c > 0"):
+            ospa(np.zeros((1, 2)), np.ones((2, 2)), c=float("nan"))
+        with pytest.raises(ValueError, match="require c > 0"):
+            ospa(np.zeros((1, 2)), np.ones((2, 2)), p=float("nan"))
 
 
 class TestConfigValidation:
@@ -195,26 +193,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(gamma=float("nan")).validate()
 
-    # An out-of-range fusion setting empties every fused density, or (a NaN
-    # merge gate) fails deep inside the merge, so validation rejects it.
+    # An out-of-range fusion component cap empties every fused density, so
+    # validation rejects it.
     @pytest.mark.parametrize(
         "field, value",
         [
             ("fusion_max_components", 0),
             ("fusion_max_components", float("nan")),
-            ("fusion_trunc", float("nan")),
-            ("fusion_trunc", 1.0),
-            ("fusion_trunc", -0.1),
-            ("fusion_r_cap", 0.0),
-            ("fusion_r_cap", float("nan")),
-            ("fusion_r_cap", 1.5),
-            ("fusion_merge_gate", float("nan")),
-            ("fusion_merge_gate", 0.0),
         ],
     )
     def test_bad_fusion_setting_rejected(self, field, value):
         with pytest.raises(ConfigError):
             dataclasses.replace(scenario1(), **{field: value}).validate()
+
+    # Unchecked, an out-of-range p_detect or p_survival runs to a plausible
+    # but wrong result (p_detect 1.5: fused OSPA 0; p_survival NaN: no
+    # track after step 0), and a negative clutter rate fails deep inside
+    # measurement generation.
+    @pytest.mark.parametrize(
+        "model, field, value",
+        [
+            ("sensor", "p_detect", 1.5),
+            ("sensor", "p_detect", -0.1),
+            ("sensor", "p_detect", float("nan")),
+            ("sensor", "clutter_rate", -1.0),
+            ("sensor", "clutter_rate", float("nan")),
+            ("sensor", "clutter_rate", float("inf")),
+            ("motion", "p_survival", 1.5),
+            ("motion", "p_survival", -0.1),
+            ("motion", "p_survival", float("nan")),
+        ],
+    )
+    def test_bad_model_setting_rejected(self, model, field, value):
+        cfg = scenario1()
+        if model == "sensor":
+            # Only the second sensor is bad: every sensor must be checked.
+            bad = dataclasses.replace(cfg.sensors[1], **{field: value})
+            cfg = dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad))
+        else:
+            cfg = dataclasses.replace(cfg, motion=dataclasses.replace(cfg.motion, **{field: value}))
+        with pytest.raises(ConfigError):
+            cfg.validate()
 
     def test_builtin_scenarios_valid(self):
         scenario1().validate()
@@ -231,7 +250,7 @@ class TestKnownBirths:
         cfg = tiny_scenario()
         comps = known_birth_components(cfg)
         assert len(comps) == 2
-        assert all(c.r == cfg.known_birth_r for c in comps)
+        assert all(c.r == KNOWN_BIRTH_R for c in comps)
         assert comps[0].pdf.means[0] == pytest.approx([-100.0, 0.0, 5.0, 0.0])
         assert comps[0].pdf.covs[0] == pytest.approx(np.diag([100.0, 100.0, 25.0, 25.0]))
 
