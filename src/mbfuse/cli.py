@@ -94,7 +94,16 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_runs_gamma(args: argparse.Namespace) -> None:
+    """Reject a run count below 1 and a gate that is not positive (NaN too)."""
+    if args.runs < 1:
+        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
+    if not args.gamma > 0:
+        raise ConfigError(f"--gamma must be positive, got {args.gamma}")
+
+
 def cmd_bench_counts(args: argparse.Namespace) -> int:
+    _check_runs_gamma(args)
     rng = np.random.default_rng(args.seed)
     w = FusionWeights(0.5, 0.5)
     print("n1,n2,N_H,N_distinct,N_H_prod,N_H_sum")
@@ -114,6 +123,7 @@ def cmd_bench_counts(args: argparse.Namespace) -> int:
 
 
 def cmd_bound_check(args: argparse.Namespace) -> int:
+    _check_runs_gamma(args)
     rng = np.random.default_rng(args.seed)
     w = FusionWeights(0.5, 0.5)
     worst_ratio = 0.0

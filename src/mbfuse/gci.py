@@ -27,7 +27,10 @@ from .gm import (
     GaussianMixture,
     _batch_cholesky,
     _log_normal,
+    _pair_product_parts,
     _power_parts,
+    _segment_rows,
+    _segment_sums,
     gm_pair_product,
 )
 from .mb import (
@@ -351,11 +354,13 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     A lone pair's marginal is g / (1 + g) with g as in
     cluster_pair_marginals; the subset DP computes it as g*1 over 1 + g*1,
     which is the same float. Pairs whose marginal is above 1e-300, the rule
-    of _moment_match, are fused in one fused_pair_density call and reduced
-    in one pass. A single pair's mixture needs no reweighting, since
-    _moment_match scales it by m / m = 1. Returns, per pair, the fused
-    component with r = min(marginal, R_MAX) and id 0, or None where the
-    pair is dropped.
+    of _moment_match, are fused from one flat stack per density: the
+    kernel multiplies only the Gaussian pairs of the kept pairs, each
+    pair's block in row-major order as fused_pair_density slices it, and
+    the fused pdfs are reduced in one pass. A single pair's mixture needs
+    no reweighting, since _moment_match scales it by m / m = 1. Returns,
+    per pair, the fused component with r = min(marginal, R_MAX) and id 0,
+    or None where the pair is dropped.
     """
     out = [None] * len(pairs)
     if not pairs:
@@ -368,14 +373,27 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     kept = np.flatnonzero(marginal > 1e-300)
     if not kept.size:
         return out
-    fused = [pdf for pdf, _ in fused_pair_density([pairs[i] for i in kept], mb1, mb2, w)]
-    pdfs = _reduce_stack(
-        np.array([pdf.n_components for pdf in fused]),
-        np.concatenate([pdf.weights for pdf in fused]),
-        np.concatenate([pdf.means for pdf in fused]),
-        np.concatenate([pdf.covs for pdf in fused]),
-        gm_config,
-    )
+    owner1, *stack1 = _stack_gaussians(mb1.components)
+    owner2, *stack2 = _stack_gaussians(mb2.components)
+    sizes1 = np.bincount(owner1, minlength=len(mb1))
+    sizes2 = np.bincount(owner2, minlength=len(mb2))
+    l1, l2 = l1[kept], l2[kept]
+    n1, n2 = sizes1[l1], sizes2[l2]
+    # Each Gaussian of l pairs with every Gaussian of l' in turn.
+    across = np.repeat(n2, n1)
+    i1 = np.repeat(_segment_rows(np.cumsum(sizes1)[l1] - n1, n1), across)
+    i2 = _segment_rows(np.repeat(np.cumsum(sizes2)[l2] - n2, n1), across)
+    log_alpha, means, covs = _pair_product_parts(stack1, w.w1, stack2, w.w2, i1, i2)
+    sizes = n1 * n2
+    weights = np.exp(log_alpha)
+    mass = _segment_sums(weights, sizes)
+    bad = ~(np.isfinite(mass) & (mass > 0.0))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise IncompatiblePairError(
+            f"fused mass underflow for pair ({l1[k]}, {l2[k]}); pair should have been gated"
+        )
+    pdfs = _reduce_stack(sizes, weights / np.repeat(mass, sizes), means, covs, gm_config)
     for i, pdf in zip(kept, pdfs):
         if pdf is None:
             raise NumericalError("a fused pdf has no weight at or above the prune threshold")

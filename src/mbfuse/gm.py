@@ -103,27 +103,33 @@ def _power_parts(weights: np.ndarray, covs: np.ndarray, omega: float):
     return log_w, covs / omega
 
 
-def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float):
-    """Log-weights, means and covariances of the exponent-weighted pair product.
+def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
+    """Log-weights, means and covariances of the exponent-weighted products
+    of the Gaussian pairs (i1[k], i2[k]).
 
-    Returns (log_alpha (J1, J2), means (J1, J2, d), covs (J1, J2, d, d)).
+    stack1 and stack2 are flat (weights, means, covs) stacks. Each
+    Gaussian is raised to its exponent once; the pairs then gather their
+    parts by index. Returns (log_alpha (K,), means (K, d), covs (K, d, d)).
     """
-    if p1.d != p2.d:
-        raise DimensionMismatchError(f"mixture dimensions differ: {p1.d} vs {p2.d}")
+    a1, m1, P1 = stack1
+    a2, m2, P2 = stack2
+    if m1.shape[1] != m2.shape[1]:
+        raise DimensionMismatchError(f"mixture dimensions differ: {m1.shape[1]} vs {m2.shape[1]}")
     if abs((w1 + w2) - 1.0) > 1e-12:
         raise ValueError(f"fusion weights must sum to 1, got {w1} + {w2}")
-    lw1, S1 = _power_parts(p1.weights, p1.covs, w1)
-    lw2, S2 = _power_parts(p2.weights, p2.covs, w2)
-    sig = S1[:, None] + S2[None, :]
-    diff = p1.means[:, None, :] - p2.means[None, :, :]
-    log_alpha = lw1[:, None] + lw2[None, :] + _log_normal(diff, _batch_cholesky(sig))
+    lw1, S1 = _power_parts(a1, P1, w1)
+    lw2, S2 = _power_parts(a2, P2, w2)
+    S1 = S1[i1]
+    sig = S1 + S2[i2]
+    diff = m1[i1] - m2[i2]
+    log_alpha = lw1[i1] + lw2[i2] + _log_normal(diff, _batch_cholesky(sig))
 
     # Information-form fusion of the omega-scaled covariances:
     # P12 = S1 - S1 (S1 + S2)^-1 S1, m12 = m1 + S1 (S1 + S2)^-1 (m2 - m1).
-    gain = np.linalg.solve(np.swapaxes(sig, -1, -2), np.swapaxes(S1[:, None], -1, -2))
+    gain = np.linalg.solve(np.swapaxes(sig, -1, -2), np.swapaxes(S1, -1, -2))
     gain = np.swapaxes(gain, -1, -2)
-    means = p1.means[:, None, :] + np.einsum("...ij,...j->...i", gain, -diff)
-    covs = S1[:, None] - np.einsum("...ij,...jk->...ik", gain, S1[:, None] * np.ones_like(sig))
+    means = m1[i1] + np.einsum("...ij,...j->...i", gain, -diff)
+    covs = S1 - np.einsum("...ij,...jk->...ik", gain, S1)
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     return log_alpha, means, covs
 
@@ -131,17 +137,16 @@ def _pair_product_parts(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2:
 def gm_pair_product(
     p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float
 ) -> GaussianMixture:
-    """Double-sum mixture for p1^w1 * p2^w2 (unnormalized, J1*J2 components)."""
+    """Double-sum mixture for p1^w1 * p2^w2 (unnormalized, J1*J2 components,
+    p1's index major)."""
     if p1.n_components == 0 or p2.n_components == 0:
         return GaussianMixture.empty(p1.d)
-    log_alpha, means, covs = _pair_product_parts(p1, w1, p2, w2)
-    j1, j2 = log_alpha.shape
-    d = p1.d
-    return GaussianMixture(
-        np.exp(log_alpha).reshape(j1 * j2),
-        means.reshape(j1 * j2, d),
-        covs.reshape(j1 * j2, d, d),
+    j1, j2 = p1.n_components, p2.n_components
+    log_alpha, means, covs = _pair_product_parts(
+        (p1.weights, p1.means, p1.covs), w1, (p2.weights, p2.means, p2.covs), w2,
+        np.repeat(np.arange(j1), j2), np.tile(np.arange(j2), j1),
     )
+    return GaussianMixture(np.exp(log_alpha), means, covs)
 
 
 def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:
@@ -201,6 +206,12 @@ def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         seg = sizes == n
         sums[seg] = values[starts[seg, None] + np.arange(n)].sum(axis=1)
     return sums
+
+
+def _segment_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The rows starts[k], ..., starts[k] + sizes[k] - 1 of every segment k,
+    concatenated in order."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
 def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_threshold,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InvalidDensityError, NumericalError
 from .gm import (
     GaussianMixture, _batch_cholesky, _leader_groups, _log_normal, _reduce_segments,
-    _segment_sums, gm_normalize, gm_reduce,
+    _segment_rows, _segment_sums, gm_normalize, gm_reduce,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -205,18 +205,13 @@ def _stack_gaussians(components):
     owner[j] is the position in components of the component that Gaussian
     j belongs to. There must be at least one component.
     """
-    owner, alpha, means, covs = [], [], [], []
-    for i, comp in enumerate(components):
-        pdf = comp.pdf
-        owner.append(np.full(pdf.n_components, i))
-        alpha.append(pdf.weights)
-        means.append(pdf.means)
-        covs.append(pdf.covs)
+    pdfs = [comp.pdf for comp in components]
+    sizes = [pdf.n_components for pdf in pdfs]
     return (
-        np.concatenate(owner),
-        np.concatenate(alpha),
-        np.concatenate(means),
-        np.concatenate(covs),
+        np.repeat(np.arange(len(pdfs)), sizes),
+        np.concatenate([pdf.weights for pdf in pdfs]),
+        np.concatenate([pdf.means for pdf in pdfs]),
+        np.concatenate([pdf.covs for pdf in pdfs]),
     )
 
 
@@ -388,9 +383,16 @@ def mb_merge_components(
     comps = sorted(density.components, key=lambda c: (-c.r, c.id))
     if not comps:
         return MultiBernoulliDensity(())
-    dominant = [int(np.argmax(c.pdf.weights)) for c in comps]
-    dom_mean = np.array([c.pdf.means[j] for c, j in zip(comps, dominant)])
-    dom_cov = np.array([c.pdf.covs[j] for c, j in zip(comps, dominant)])
+    owner, weights, means, covs = _stack_gaussians(comps)
+    sizes = np.bincount(owner, minlength=len(comps))
+    if not sizes.all():
+        raise InvalidDensityError("a component's pdf holds no Gaussian")
+    starts = np.cumsum(sizes) - sizes
+    # Dominant Gaussian of each component: the first of its heaviest.
+    heaviest = np.maximum.reduceat(weights, starts)
+    top = np.flatnonzero(weights == heaviest[owner])
+    dominant = top[np.searchsorted(owner[top], np.arange(len(comps)))]
+    dom_mean, dom_cov = means[dominant], covs[dominant]
     # within[h, i]: diff^T (P_h + P_i)^-1 diff <= gate with diff = m_i - m_h.
     # That form is at least |diff|^2 / tr(P_h + P_i), as the largest
     # eigenvalue of a positive-definite matrix is at most its trace, so only
@@ -406,14 +408,20 @@ def mb_merge_components(
     within[h, i] = (diff[h, i, None, :] @ sol)[:, 0, 0] <= gate
 
     groups = _leader_groups(range(len(comps)), within)
-    # One flat stack of every group's pdfs, group after group, each pdf's
-    # weights scaled by its share of the group's summed r.
+    # One flat stack of every group's pdfs, group after group, gathered from
+    # the density's stack, each pdf's weights scaled by its share of the
+    # group's summed r. The sums add left to right, as a loop over the
+    # group would.
     r_sums = [sum(comps[i].r for i in g) for g in groups]
-    absorbed = [comps[i] for g in groups for i in g]
-    share = np.array([comps[i].r / r_sum for g, r_sum in zip(groups, r_sums) for i in g])
-    sizes = np.array([sum(comps[i].pdf.n_components for i in g) for g in groups])
-    owner, weights, means, covs = _stack_gaussians(absorbed)
-    pdfs = _reduce_stack(sizes, weights * share[owner], means, covs, gm_config)
+    members = np.array([len(g) for g in groups])
+    absorbed = np.concatenate(groups)
+    n = sizes[absorbed]
+    rows = _segment_rows(starts[absorbed], n)
+    share = np.array([comps[i].r for i in absorbed]) / np.repeat(r_sums, members)
+    pdfs = _reduce_stack(
+        np.add.reduceat(n, np.cumsum(members) - members),
+        weights[rows] * np.repeat(share, n), means[rows], covs[rows], gm_config,
+    )
     if any(pdf is None for pdf in pdfs):
         raise NumericalError("a merged pdf has no weight at or above the prune threshold")
     merged = [

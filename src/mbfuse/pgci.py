@@ -5,10 +5,11 @@ independent exact fusion inside each two-sided cluster (association
 marginals by a subset DP, no hypothesis enumeration) -> fused components
 concatenated in canonical cluster order. The 1x1 clusters, which make up
 nearly all clusters in tracking, are fused together in one batch: a lone
-pair's marginal has the closed form g / (1 + g), so they need no DP, one
-pair-product call and one reduction pass, and the result is bit-identical
-to fusing each alone. Also provides the
-truncation-error bound and hypothesis-count bookkeeping used to verify
+pair's marginal has the closed form g / (1 + g), so they need no DP. The
+batch multiplies only the Gaussian pairs of its own pairs, gathered from
+one stack per density in one kernel call, and reduces the fused pdfs in
+one pass; the result is bit-identical to fusing each alone. Also provides
+the truncation-error bound and hypothesis-count bookkeeping used to verify
 the approximation claims.
 """
 

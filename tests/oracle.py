@@ -65,7 +65,11 @@ def gm_pair_log_mass(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: fl
     """log of the total mass of gm_pair_product, computed without underflow."""
     if p1.n_components == 0 or p2.n_components == 0:
         return -np.inf
-    log_alpha, _, _ = _pair_product_parts(p1, w1, p2, w2)
+    j1, j2 = p1.n_components, p2.n_components
+    log_alpha, _, _ = _pair_product_parts(
+        (p1.weights, p1.means, p1.covs), w1, (p2.weights, p2.means, p2.covs), w2,
+        np.repeat(np.arange(j1), j2), np.tile(np.arange(j2), j1),
+    )
     return float(logsumexp(log_alpha))
 
 

@@ -112,6 +112,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "run_montecarlo", boom)
         assert main(["run", "--runs", "1", "--out", str(tmp_path / "x")]) == 4
 
+    @pytest.mark.parametrize("command", ["bench-counts", "bound-check"])
+    @pytest.mark.parametrize(
+        "option", [("--runs", "0"), ("--runs", "-3"), ("--gamma", "nan"), ("--gamma", "-1"),
+                   ("--gamma", "0")],
+        ids="=".join,
+    )
+    def test_bad_runs_or_gamma_maps_to_2(self, command, option, capsys):
+        assert main([command, *option]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -14,6 +14,7 @@ import mbfuse.gci as gci_mod
 from mbfuse.errors import IncompatiblePairError, IntractableFusionError
 from mbfuse.gci import (
     FusionWeights,
+    _fuse_isolated_pairs,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
     enumerate_hypotheses,
@@ -189,8 +190,12 @@ class TestSingleComponentFusion:
     def test_incompatible_pair_raises(self):
         mb1 = mbd(bern(0.5, [0.0], [[1.0]]))
         mb2 = mbd(bern(0.5, [200.0], [[1.0]]))
+        w = FusionWeights(0.5, 0.5)
         with pytest.raises(IncompatiblePairError):
-            fused_pair_density([(0, 0)], mb1, mb2, FusionWeights(0.5, 0.5))[0]
+            fused_pair_density([(0, 0)], mb1, mb2, w)[0]
+        # The 1x1 batch checks its pair masses too; a zero distance keeps the pair.
+        with pytest.raises(IncompatiblePairError):
+            _fuse_isolated_pairs([(0, 0)], mb1, mb2, w, np.zeros((1, 1)), None)
 
 
 class TestExhaustiveFusion:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mbfuse.gci as gci_mod
+import mbfuse.gm as gm_mod
 from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.errors import IntractableFusionError, MbFuseError
 from mbfuse.gci import (
@@ -350,6 +351,42 @@ class TestIsolatedPairBatch:
             assert np.array_equal(a.pdf.covs, b.pdf.covs)
 
 
+    def test_all_1x1_fusion_multiplies_only_its_gaussian_pairs(self, monkeypatch):
+        # Far-apart groups of one component per side, each pdf of 1 to 4
+        # Gaussians near the group's center, so every cluster is 1x1.
+        rng = np.random.default_rng(5)
+        sides = ([], [])
+        for g in range(6):
+            for comps in sides:
+                j = int(rng.integers(1, 5))
+                means = np.array([1e3 * g, -1e3 * g]) + rng.uniform(-1.0, 1.0, (j, 2))
+                pdf = GaussianMixture(np.full(j, 1.0 / j), means, np.tile(np.eye(2), (j, 1, 1)))
+                comps.append(BernoulliComponent(r=rng.uniform(0.2, 0.9), pdf=pdf, id=g))
+        mb1, mb2 = (MultiBernoulliDensity(tuple(c)) for c in sides)
+
+        def cross_product(*args, **kwargs):
+            raise AssertionError("a 1x1 cluster went through the cross-product path")
+
+        monkeypatch.setattr(gm_mod, "gm_pair_product", cross_product)
+        monkeypatch.setattr(gci_mod, "gm_pair_product", cross_product)
+        monkeypatch.setattr(gci_mod, "fused_pair_density", cross_product)
+        pair_counts = []
+        kernel = gci_mod._pair_product_parts
+
+        def counting_kernel(stack1, w1, stack2, w2, i1, i2):
+            pair_counts.append(len(i1))
+            return kernel(stack1, w1, stack2, w2, i1, i2)
+
+        monkeypatch.setattr(gci_mod, "_pair_product_parts", counting_kernel)
+        fused, diag = pgci_fuse(mb1, mb2, W, gamma=4.0)
+        assert diag.cluster_sizes == [(1, 1)] * 6
+        assert len(fused) == 6
+        assert pair_counts == [sum(
+            a.pdf.n_components * b.pdf.n_components
+            for a, b in zip(mb1.components, mb2.components)
+        )]
+
+
 # (r, mean, cov) of one invalid Bernoulli component per case.
 INVALID_COMPONENTS = {
     "nan-mean": (0.5, [np.nan, 0.0], np.eye(2)),
@@ -548,6 +585,14 @@ class TestComponentMerge:
         )
         assert len(merged) == 1
         assert merged.components[0].pdf.n_components <= 2
+
+    @pytest.mark.parametrize("r_empty", [0.3, 0.5])
+    def test_component_without_gaussians_raises(self, r_empty):
+        # Whether the empty pdf sorts first or last, it has no dominant Gaussian.
+        empty = BernoulliComponent(r=r_empty, pdf=GaussianMixture.empty(2), id=1)
+        mb = MultiBernoulliDensity((bern(0.4, [0.0, 0.0], comp_id=0), empty))
+        with pytest.raises(MbFuseError):
+            mb_merge_components(mb)
 
     def test_invalid_gate(self):
         with pytest.raises(ValueError):

@@ -142,16 +142,20 @@ def gm_reduce_case(draw):
 def merge_case(draw):
     """A 4-D density with tied r, shuffled ids and co-located components,
     plus up to two pairs of tracks whose covariances are stretched along
-    the offset between them.
+    the offset between them, and possibly a crowd of 8 to 12 faint tracks
+    at one spot.
 
     A stretched pair's squared Mahalanobis distance is `ratio` times the
     gate. Its covariance trace is close to its largest eigenvalue, so the
     ratios near 2 straddle the trace bound that mb_merge_components screens
     pairs with before solving, and those near 1 straddle the gate itself.
+    A crowd merges into one group whose r sum has 8 or more terms, where
+    numpy's unrolled summation adds in another order than a loop.
     """
     n = draw(st.integers(1, 9))
     n_pairs = draw(st.integers(0, 2))
-    ids = draw(st.permutations(range(20)))[:n + 2 * n_pairs]
+    n_crowd = draw(st.sampled_from([0, 0, 8, 9, 12]))
+    ids = draw(st.permutations(range(40)))[:n + 2 * n_pairs + n_crowd]
     gate = draw(st.sampled_from([0.5, 4.0, 50.0]))
     r = st.sampled_from([0.3, 0.3, 0.6, 0.05]) | st.floats(0.01, 0.99)
     comps = [
@@ -171,6 +175,11 @@ def merge_case(draw):
         for mean, i in ((start, ids[n + 2 * k]), (start + offset, ids[n + 2 * k + 1])):
             pdf = GaussianMixture.single(mean, cov)
             comps.append(BernoulliComponent(r=draw(r), pdf=pdf, id=i))
+    center = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4)))
+    for i in ids[n + 2 * n_pairs:]:
+        mean = center + np.array(draw(st.lists(st.floats(-1e-3, 1e-3), min_size=4, max_size=4)))
+        pdf = GaussianMixture.single(mean, draw(st.sampled_from([1.0, 4.0])) * np.eye(4))
+        comps.append(BernoulliComponent(r=draw(st.floats(1e-3, 0.1)), pdf=pdf, id=i))
     gm_config = draw(
         st.none() | st.builds(GmReduceConfig, st.just(1e-5), st.just(4.0), st.integers(1, 5))
     )
