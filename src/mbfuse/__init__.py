@@ -3,8 +3,9 @@
 Layers, bottom to top:
 
 - ``gm``: Gaussian-mixture algebra (powers, pairwise products, reduction).
-- ``mb``: multi-Bernoulli density, motion and sensor models, the
-  cardinality-balanced filter recursion.
+- ``mb``: multi-Bernoulli density (one flat stack of its Gaussians), motion
+  and sensor models, the cardinality-balanced filter recursion batched over
+  the stack.
 - ``gci``: weighted geometric-mean fusion of two multi-Bernoulli densities:
   exact association marginals by a subset DP, and exhaustive hypothesis
   enumeration (the correctness oracle).

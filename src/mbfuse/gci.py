@@ -39,7 +39,7 @@ from .mb import (
     R_MAX,
     _reduce_pdf,
     _reduce_stack,
-    _stack_gaussians,
+    _take,
     check_density,
 )
 
@@ -92,8 +92,10 @@ def pairwise_distances(
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2))
 
-    o1, a1, m1, p1 = _stack_gaussians(mb1.components)
-    o2, a2, m2, p2 = _stack_gaussians(mb2.components)
+    _, _, sizes1, a1, m1, p1 = mb1.stack
+    _, _, sizes2, a2, m2, p2 = mb2.stack
+    o1 = np.repeat(np.arange(n1), sizes1)
+    o2 = np.repeat(np.arange(n2), sizes2)
     lw1, s1 = _power_parts(a1, p1, w.w1)
     lw2, s2 = _power_parts(a2, p2, w.w2)
     if m1.shape[1] != m2.shape[1]:
@@ -165,11 +167,10 @@ def fused_pair_density(
 
     def stack(mb, idx):
         # One mixture of the Gaussians of components idx, and each one's rows in it.
-        owner, weights, means, covs = _stack_gaussians([mb.components[l] for l in idx])
-        pos = np.arange(len(idx))
-        starts = np.searchsorted(owner, pos)
-        ends = np.searchsorted(owner, pos, side="right")
-        return GaussianMixture(weights, means, covs), dict(zip(idx, zip(starts, ends)))
+        _, _, n, *gaussians = _take(mb, idx, mb.rs).stack
+        ends = np.cumsum(n)
+        spans = zip((ends - n).tolist(), ends.tolist())
+        return GaussianMixture(*gaussians), dict(zip(idx, spans))
 
     p1, spans1 = stack(mb1, sorted({l for l, _ in pairs}))
     p2, spans2 = stack(mb2, sorted({lp for _, lp in pairs}))
@@ -292,8 +293,8 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
             count=steps,
             cap=DP_STEP_CAP,
         )
-    log_1mr1, gain1 = _existence_gains([mb1.components[l].r for l in l1_idx], w.w1)
-    log_1mr2, gain2 = _existence_gains([mb2.components[l].r for l in l2_idx], w.w2)
+    log_1mr1, gain1 = _existence_gains(mb1.rs[l1_idx], w.w1)
+    log_1mr2, gain2 = _existence_gains(mb2.rs[l2_idx], w.w2)
     base = w.w1 * log_1mr1.sum() + w.w2 * log_1mr2.sum()
     g = np.exp(gain1[:, None] + gain2[None, :] - distances[np.ix_(l1_idx, l2_idx)])
 
@@ -313,8 +314,9 @@ def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
     """First-order moment matching of the fused GMB density onto l1_idx.
 
     marginals maps (l, l') to the normalized weight of the hypotheses that
-    associate l with l'. Fused components take ids 0, 1, ... by position
-    in l1_idx; one that no pair carries weight to is dropped.
+    associate l with l'. Returns the fused components; they take ids 0, 1,
+    ... by position in l1_idx, and one that no pair carries weight to is
+    dropped.
     """
     # Marginals below ~1e-300 can pair with densities whose product mass
     # already underflowed to zero; drop them instead of dividing by zero.
@@ -344,7 +346,7 @@ def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
         pdf = _reduce_pdf(mixture, gm_config)
         components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
 
-    return MultiBernoulliDensity(tuple(components))
+    return tuple(components)
 
 
 def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
@@ -373,10 +375,8 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     kept = np.flatnonzero(marginal > 1e-300)
     if not kept.size:
         return out
-    owner1, *stack1 = _stack_gaussians(mb1.components)
-    owner2, *stack2 = _stack_gaussians(mb2.components)
-    sizes1 = np.bincount(owner1, minlength=len(mb1))
-    sizes2 = np.bincount(owner2, minlength=len(mb2))
+    _, _, sizes1, *stack1 = mb1.stack
+    _, _, sizes2, *stack2 = mb2.stack
     l1, l2 = l1[kept], l2[kept]
     n1, n2 = sizes1[l1], sizes2[l2]
     # Each Gaussian of l pairs with every Gaussian of l' in turn.
@@ -393,10 +393,13 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
         raise IncompatiblePairError(
             f"fused mass underflow for pair ({l1[k]}, {l2[k]}); pair should have been gated"
         )
-    pdfs = _reduce_stack(sizes, weights / np.repeat(mass, sizes), means, covs, gm_config)
-    for i, pdf in zip(kept, pdfs):
-        if pdf is None:
-            raise NumericalError("a fused pdf has no weight at or above the prune threshold")
+    sizes, weights, means, covs = _reduce_stack(
+        sizes, weights / np.repeat(mass, sizes), means, covs, gm_config
+    )
+    if not sizes.all():
+        raise NumericalError("a fused pdf has no weight at or above the prune threshold")
+    for i, n, e in zip(kept, sizes.tolist(), np.cumsum(sizes).tolist()):
+        pdf = GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e])
         out[i] = BernoulliComponent(r=min(marginal[i], R_MAX), pdf=pdf, id=0)
     return out
 
@@ -451,7 +454,7 @@ def naive_gci_mb_fuse(
             key = (l, theta[l])
             marginals[key] = marginals.get(key, 0.0) + wn
 
-    fused_mb = _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config)
+    fused_mb = MultiBernoulliDensity(_moment_match(marginals, l1_idx, mb1, mb2, w, gm_config))
     gmb = GmbDensity(
         hypotheses=[
             FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))

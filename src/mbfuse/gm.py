@@ -214,6 +214,15 @@ def _segment_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
 
 
+def _segment_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Index into values of the first maximum of each consecutive segment, as
+    np.argmax picks it within the segment; no segment may be empty."""
+    owner = np.repeat(np.arange(sizes.shape[0]), sizes)
+    heaviest = np.maximum.reduceat(values, np.cumsum(sizes) - sizes)
+    top = np.flatnonzero(values == heaviest[owner])
+    return top[np.searchsorted(owner[top], np.arange(sizes.shape[0]))]
+
+
 def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_threshold,
                      max_components):
     """Reduce every segment of a flat stack on its own, in one pass, by

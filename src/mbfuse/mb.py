@@ -1,22 +1,32 @@
 """Multi-Bernoulli posterior model and the local GM cardinality-balanced filter.
 
+A density is one flat stack: the ids, existence probabilities r and pdf
+sizes of its components, and the weights, means and covariances of all
+their Gaussians, each component's Gaussians stored consecutively. The
+stack's arrays are read-only, so densities share them freely.
+``.components`` is a view of the stack, built the first time something
+reads it and cached.
+
 Each sensor node runs this filter independently: predict with a nearly
 constant velocity model, update against the scan with constant detection
-probability and uniform clutter intensity, then truncate. The update is
-vectorized over all (Bernoulli component, Gaussian component) pairs and
-all measurements of a scan at once.
+probability and uniform clutter intensity, then truncate. Predict and
+update are batched over the whole stack: one F P F^T for every Gaussian,
+and one update of all (Gaussian, measurement) pairs of a scan, whose
+measurement components join the stack as one block. Truncation, the
+component caps and the reductions work on the stack as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDensityError, NumericalError
+from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
     GaussianMixture, _batch_cholesky, _leader_groups, _log_normal, _reduce_segments,
-    _segment_rows, _segment_sums, gm_normalize, gm_reduce,
+    _segment_argmax, _segment_rows, _segment_sums, gm_normalize, gm_reduce,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -36,29 +46,111 @@ class BernoulliComponent:
     id: int
 
 
-@dataclass(frozen=True)
-class MultiBernoulliDensity:
-    components: tuple[BernoulliComponent, ...] = ()
+class _Stack(NamedTuple):
+    ids: np.ndarray      # (n,) int
+    rs: np.ndarray       # (n,)
+    sizes: np.ndarray    # (n,) int, Gaussians per component
+    weights: np.ndarray  # (J,), J = sizes.sum()
+    means: np.ndarray    # (J, d)
+    covs: np.ndarray     # (J, d, d)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        ids = [c.id for c in self.components]
-        if len(set(ids)) != len(ids):
+
+class MultiBernoulliDensity:
+    """Multi-Bernoulli density held as one flat stack (see the module docstring).
+
+    The constructor stacks the given components once; ``.components``
+    returns them as views into the stack.
+    """
+
+    __slots__ = ("stack", "_components")
+
+    def __init__(self, components=()):
+        components = tuple(components)
+        ids = np.array([c.id for c in components], dtype=np.int64)
+        if np.unique(ids).size != ids.size:
             raise ValueError("component ids must be unique within a density")
+        pdfs = [c.pdf for c in components]
+        if len({pdf.d for pdf in pdfs}) > 1:
+            raise DimensionMismatchError("component pdfs differ in dimension")
+        d = pdfs[0].d if pdfs else 0
+        self._adopt(_Stack(
+            ids,
+            np.array([c.r for c in components], dtype=float),
+            np.array([pdf.n_components for pdf in pdfs], dtype=np.int64),
+            np.concatenate([pdf.weights for pdf in pdfs] or [np.zeros(0)]),
+            np.concatenate([pdf.means for pdf in pdfs] or [np.zeros((0, d))]),
+            np.concatenate([pdf.covs for pdf in pdfs] or [np.zeros((0, d, d))]),
+        ))
+
+    @classmethod
+    def _from_stack(cls, ids, rs, sizes, weights, means, covs) -> "MultiBernoulliDensity":
+        """The density of a stack, taken as it is, without checks."""
+        self = object.__new__(cls)
+        self._adopt(_Stack(ids, rs, sizes, weights, means, covs))
+        return self
+
+    def _adopt(self, stack: _Stack) -> None:
+        for a in stack:
+            a.setflags(write=False)
+        self.stack = stack
+        self._components = None
+
+    @property
+    def components(self) -> tuple[BernoulliComponent, ...]:
+        if self._components is None:
+            ids, rs, sizes, weights, means, covs = self.stack
+            ends = np.cumsum(sizes).tolist()
+            self._components = tuple(
+                BernoulliComponent(
+                    r=r, pdf=GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]), id=i,
+                )
+                for i, r, n, e in zip(ids.tolist(), rs.tolist(), sizes.tolist(), ends)
+            )
+        return self._components
 
     def __len__(self) -> int:
-        return len(self.components)
+        return self.stack.ids.shape[0]
+
+    def __repr__(self) -> str:
+        return f"MultiBernoulliDensity({self.components!r})"
 
     @property
     def rs(self) -> np.ndarray:
-        return np.array([c.r for c in self.components], dtype=float)
+        return self.stack.rs
 
     @property
     def expected_cardinality(self) -> float:
-        return float(self.rs.sum()) if self.components else 0.0
+        return float(self.rs.sum()) if len(self) else 0.0
 
     def next_id(self) -> int:
-        return 1 + max((c.id for c in self.components), default=-1)
+        return int(self.stack.ids.max()) + 1 if len(self) else 0
+
+
+def _take(density: MultiBernoulliDensity, idx, rs) -> MultiBernoulliDensity:
+    """The components idx of density, in that order, with existence rs[idx]."""
+    ids, _, sizes, weights, means, covs = density.stack
+    rows = _segment_rows((np.cumsum(sizes) - sizes)[idx], sizes[idx])
+    return MultiBernoulliDensity._from_stack(
+        ids[idx], rs[idx], sizes[idx], weights[rows], means[rows], covs[rows]
+    )
+
+
+def _concat(a: MultiBernoulliDensity, b: MultiBernoulliDensity) -> MultiBernoulliDensity:
+    """b's components stacked after a's."""
+    if not len(a) or not len(b):
+        return b if len(b) else a
+    return MultiBernoulliDensity._from_stack(
+        *(np.concatenate(parts) for parts in zip(a.stack, b.stack))
+    )
+
+
+def _strongest(ids, rs, idx, cap):
+    """The cap positions of idx with the highest r (ties to the lower id), in
+    id order; idx itself if it holds at most cap."""
+    if idx.size <= cap:
+        return idx
+    top = idx[np.lexsort((ids[idx], -rs[idx]))[:cap]]
+    return top[np.argsort(ids[top])]
 
 
 @dataclass(frozen=True)
@@ -150,30 +242,24 @@ class MbReduceConfig:
     gm: GmReduceConfig = field(default_factory=GmReduceConfig)
 
 
-def _clamp_r(r: float) -> float:
-    return min(max(float(r), 0.0), R_MAX)
-
-
 def mb_predict(
     prior: MultiBernoulliDensity,
     motion: MotionModel,
     births=(),
 ) -> MultiBernoulliDensity:
     """Survival-scaled existence, linear-Gaussian pdf propagation, births appended."""
-    out = []
-    for comp in prior.components:
-        pdf = comp.pdf
-        means = pdf.means @ motion.F.T
-        covs = motion.F @ pdf.covs @ motion.F.T + motion.Q[None, :, :]
-        out.append(
-            BernoulliComponent(
-                r=_clamp_r(motion.p_survival * comp.r),
-                pdf=GaussianMixture(pdf.weights.copy(), means, covs),
-                id=comp.id,
-            )
-        )
-    out.extend(births)
-    return MultiBernoulliDensity(tuple(out))
+    ids, rs, sizes, weights, means, covs = prior.stack
+    if len(ids):
+        rs = np.clip(motion.p_survival * rs, 0.0, R_MAX)
+        means = means @ motion.F.T
+        covs = motion.F @ covs @ motion.F.T + motion.Q[None, :, :]
+    predicted = MultiBernoulliDensity._from_stack(ids, rs, sizes, weights, means, covs)
+    if not births:
+        return predicted
+    predicted = _concat(predicted, MultiBernoulliDensity(births))
+    if np.unique(predicted.stack.ids).size != len(predicted):
+        raise ValueError("component ids must be unique within a density")
+    return predicted
 
 
 def adaptive_birth(
@@ -199,32 +285,18 @@ def adaptive_birth(
     return tuple(births)
 
 
-def _stack_gaussians(components):
-    """Stack every Gaussian of every component; returns (owner, alpha, means, covs).
-
-    owner[j] is the position in components of the component that Gaussian
-    j belongs to. There must be at least one component.
-    """
-    pdfs = [comp.pdf for comp in components]
-    sizes = [pdf.n_components for pdf in pdfs]
-    return (
-        np.repeat(np.arange(len(pdfs)), sizes),
-        np.concatenate([pdf.weights for pdf in pdfs]),
-        np.concatenate([pdf.means for pdf in pdfs]),
-        np.concatenate([pdf.covs for pdf in pdfs]),
-    )
-
-
 def check_density(density: MultiBernoulliDensity) -> None:
-    """Raise InvalidDensityError unless every r lies in [0, 1], every
-    Gaussian weight, mean and covariance entry is finite, and every
-    covariance is symmetric within SYM_TOL times its largest entry."""
-    if not density.components:
+    """Raise InvalidDensityError unless every r lies in [0, 1], every pdf
+    holds a Gaussian, every Gaussian weight, mean and covariance entry is
+    finite, and every covariance is symmetric within SYM_TOL times its
+    largest entry."""
+    if not len(density):
         return
-    rs = density.rs
+    _, rs, sizes, weights, means, covs = density.stack
     if not np.all((rs >= 0.0) & (rs <= 1.0)):
         raise InvalidDensityError(f"existence probabilities {rs} not all in [0, 1]")
-    _, weights, means, covs = _stack_gaussians(density.components)
+    if not sizes.all():
+        raise InvalidDensityError("a component's pdf holds no Gaussian")
     if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
         raise InvalidDensityError("density holds a non-finite weight, mean or covariance")
     scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
@@ -237,25 +309,28 @@ def mb_update(
     scan: np.ndarray,
     sensor: SensorModel,
 ) -> MultiBernoulliDensity:
-    """Cardinality-balanced MB update: legacy tracks plus one track per measurement."""
+    """Cardinality-balanced MB update: legacy tracks plus one track per measurement.
+
+    The measurement tracks follow the legacy ones, in scan order, each
+    with a pdf of one updated Gaussian per predicted Gaussian.
+    """
     scan = np.asarray(scan, dtype=float).reshape(-1, sensor.H.shape[0])
     if not np.isfinite(scan).all():
         raise NumericalError("scan holds a non-finite measurement")
     p_d = sensor.p_detect
     kappa = sensor.clutter_density
 
+    ids, rs, sizes, alpha, means, covs = predicted.stack
     # Clamped like the fusion Q factors: r = 1 with p_d = 1 would divide 0 by 0.
-    rs = np.minimum(predicted.rs, R_MAX)
-    legacy = []
-    for comp, r in zip(predicted.components, rs):
-        r_l = _clamp_r(r * (1.0 - p_d) / (1.0 - r * p_d))
-        legacy.append(BernoulliComponent(r=r_l, pdf=comp.pdf, id=comp.id))
-
+    rs = np.minimum(rs, R_MAX)
+    legacy = MultiBernoulliDensity._from_stack(
+        ids, np.clip(rs * (1.0 - p_d) / (1.0 - rs * p_d), 0.0, R_MAX), sizes, alpha, means, covs,
+    )
     n_meas = scan.shape[0]
-    if n_meas == 0 or len(predicted) == 0 or p_d == 0.0:
-        return MultiBernoulliDensity(tuple(legacy))
+    if n_meas == 0 or len(ids) == 0 or p_d == 0.0:
+        return legacy
 
-    owner, alpha, means, covs = _stack_gaussians(predicted.components)
+    owner = np.repeat(np.arange(len(ids)), sizes)
     H, R = sensor.H, sensor.R
 
     z_pred = means @ H.T                                   # (N, dz)
@@ -270,31 +345,44 @@ def mb_update(
     log_q = _log_normal(innov, L[:, None])                 # (N, M)
     q_gauss = alpha[:, None] * np.exp(log_q)               # per-Gaussian likelihoods
 
-    n_comp = len(predicted)
-    q_comp = np.zeros((n_comp, n_meas))
+    q_comp = np.zeros((len(ids), n_meas))
     np.add.at(q_comp, owner, q_gauss)
 
     denom_leg = 1.0 - rs * p_d
     num_terms = rs * (1.0 - rs) * p_d / denom_leg**2       # (n_comp,)
     den_terms = rs * p_d / denom_leg
+    # One dot per measurement column: a single matrix product sums in
+    # another order.
+    num = np.array([np.dot(num_terms, q) for q in q_comp.T])
+    den = kappa + np.array([np.dot(den_terms, q) for q in q_comp.T])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_u = np.where(den > 0, np.clip(num / den, 0.0, R_MAX), 0.0)
 
-    means_upd = means[:, None, :] + np.einsum("nij,nmj->nmi", K, innov)  # (N, M, dx)
-    gauss_scale = (rs / denom_leg)[owner] * p_d            # (N,)
+    # Row m holds measurement m's weights; a C-contiguous row sums as its
+    # own 1-D array would.
+    w = np.ascontiguousarray((((rs / denom_leg)[owner] * p_d)[:, None] * q_gauss).T)
+    mass = w.sum(axis=1)
+    kept = np.flatnonzero(~(r_u <= 0.0) & np.isfinite(mass) & (mass > 0.0))
+    if not kept.size:
+        return legacy
 
-    next_id = predicted.next_id()
-    updated = []
-    for m in range(n_meas):
-        num = float(np.dot(num_terms, q_comp[:, m]))
-        den = kappa + float(np.dot(den_terms, q_comp[:, m]))
-        r_u = _clamp_r(num / den) if den > 0 else 0.0
-        w = gauss_scale * q_gauss[:, m]
-        if r_u <= 0.0 or w.sum() <= 0.0 or not np.isfinite(w.sum()):
-            continue
-        pdf, _ = gm_normalize(GaussianMixture(w, means_upd[:, m, :], covs_upd))
-        updated.append(BernoulliComponent(r=r_u, pdf=pdf, id=next_id))
-        next_id += 1
-
-    return MultiBernoulliDensity(tuple(legacy) + tuple(updated))
+    # K innov, laid out (measurement, Gaussian), summed term by term: for a
+    # 2-D measurement that is np.einsum("nij,nmj->nmi") bit for bit, at a
+    # fraction of its cost.
+    innov = np.swapaxes(innov[:, kept], 0, 1)[:, :, None, :]
+    shift = K[:, :, 0] * innov[..., 0]
+    for j in range(1, K.shape[2]):
+        shift = shift + K[:, :, j] * innov[..., j]
+    n, d = means.shape
+    updated = MultiBernoulliDensity._from_stack(
+        predicted.next_id() + np.arange(kept.size),
+        r_u[kept],
+        np.full(kept.size, n),
+        (w[kept] / mass[kept, None]).reshape(-1),
+        (means + shift).reshape(-1, d),
+        np.broadcast_to(covs_upd, (kept.size, n, d, d)).reshape(-1, d, d),
+    )
+    return _concat(legacy, updated)
 
 
 def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> GaussianMixture:
@@ -304,12 +392,12 @@ def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> Gaussian
     return gm_normalize(pdf)[0]
 
 
-def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None) -> list:
+def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None):
     """_reduce_pdf of every pdf of a flat stack, in one pass.
 
     The stack holds the pdfs as consecutive segments of the given sizes.
-    Returns one normalized pdf per segment, or None for a segment that
-    reduction leaves empty.
+    Returns the stack (sizes, weights, means, covs) of the normalized
+    reduced pdfs; a segment that reduction leaves empty has size 0.
     """
     if config is not None:
         sizes, weights, means, covs = _reduce_segments(
@@ -319,47 +407,34 @@ def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None) ->
     mass = _segment_sums(weights, sizes)[sizes > 0]
     if not np.all(np.isfinite(mass) & (mass > 0.0)):
         raise NumericalError(f"cannot normalize mixtures with total weights {mass}")
-    weights = weights / np.repeat(mass, sizes[sizes > 0])
-    ends = np.cumsum(sizes)
-    return [
-        GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]) if n else None
-        for n, e in zip(sizes, ends)
-    ]
-
-
-def _keep_strongest(components, max_components: int) -> list[BernoulliComponent]:
-    """The max_components components of highest r (ties to the lower id), in id
-    order; a sequence within the cap is returned in its own order."""
-    if len(components) <= max_components:
-        return list(components)
-    top = sorted(components, key=lambda c: (-c.r, c.id))[:max_components]
-    return sorted(top, key=lambda c: c.id)
+    return sizes, weights / np.repeat(mass, sizes[sizes > 0]), means, covs
 
 
 def mb_reduce(
     density: MultiBernoulliDensity,
     config: MbReduceConfig,
 ) -> MultiBernoulliDensity:
-    """Drop low-existence components, cap the count, reduce each pdf."""
+    """Drop low-existence components, cap the count, reduce each pdf.
+
+    Raises InvalidDensityError for a component whose pdf holds no Gaussian.
+    """
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
     if not config.max_components >= 1:
         raise ValueError("component cap must be at least 1")
-    kept = _keep_strongest(
-        [c for c in density.components if c.r >= config.trunc_threshold], config.max_components
-    )
-    if not kept:
+    ids, rs, sizes, *_ = density.stack
+    if not sizes.all():
+        raise InvalidDensityError("a component's pdf holds no Gaussian")
+    kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
+                      config.max_components)
+    if not kept.size:
         return MultiBernoulliDensity(())
-    owner, weights, means, covs = _stack_gaussians(kept)
-    sizes = np.bincount(owner, minlength=len(kept))
-    pdfs = _reduce_stack(sizes, weights, means, covs, config.gm)
-    return MultiBernoulliDensity(
-        tuple(
-            BernoulliComponent(r=c.r, pdf=pdf, id=c.id)
-            for c, pdf in zip(kept, pdfs)
-            # A pdf with no weight at or above the prune threshold reduces to nothing.
-            if pdf is not None
-        )
+    ids, rs, *stack = _take(density, kept, rs).stack
+    sizes, weights, means, covs = _reduce_stack(*stack, config.gm)
+    # A pdf with no weight at or above the prune threshold reduces to nothing.
+    alive = sizes > 0
+    return MultiBernoulliDensity._from_stack(
+        ids[alive], rs[alive], sizes[alive], weights, means, covs
     )
 
 
@@ -380,18 +455,15 @@ def mb_merge_components(
     """
     if not gate > 0:
         raise ValueError("merge gate must be positive")
-    comps = sorted(density.components, key=lambda c: (-c.r, c.id))
-    if not comps:
+    ids, rs, sizes, weights, means, covs = density.stack
+    if not len(ids):
         return MultiBernoulliDensity(())
-    owner, weights, means, covs = _stack_gaussians(comps)
-    sizes = np.bincount(owner, minlength=len(comps))
     if not sizes.all():
         raise InvalidDensityError("a component's pdf holds no Gaussian")
-    starts = np.cumsum(sizes) - sizes
-    # Dominant Gaussian of each component: the first of its heaviest.
-    heaviest = np.maximum.reduceat(weights, starts)
-    top = np.flatnonzero(weights == heaviest[owner])
-    dominant = top[np.searchsorted(owner[top], np.arange(len(comps)))]
+    # Components strongest first, ties in r to the lower id; the dominant
+    # Gaussian of each is the first of its heaviest.
+    order = np.lexsort((ids, -rs))
+    dominant = _segment_argmax(weights, sizes)[order]
     dom_mean, dom_cov = means[dominant], covs[dominant]
     # within[h, i]: diff^T (P_h + P_i)^-1 diff <= gate with diff = m_i - m_h.
     # That form is at least |diff|^2 / tr(P_h + P_i), as the largest
@@ -407,29 +479,29 @@ def mb_merge_components(
     within = np.zeros(near.shape, dtype=bool)
     within[h, i] = (diff[h, i, None, :] @ sol)[:, 0, 0] <= gate
 
-    groups = _leader_groups(range(len(comps)), within)
+    # Groups as positions in the density, in the id order of their leaders.
+    groups = sorted((order[g] for g in _leader_groups(range(len(ids)), within)),
+                    key=lambda g: ids[g[0]])
     # One flat stack of every group's pdfs, group after group, gathered from
     # the density's stack, each pdf's weights scaled by its share of the
     # group's summed r. The sums add left to right, as a loop over the
     # group would.
-    r_sums = [sum(comps[i].r for i in g) for g in groups]
+    r_list = rs.tolist()
+    r_sums = [sum(r_list[i] for i in g.tolist()) for g in groups]
     members = np.array([len(g) for g in groups])
     absorbed = np.concatenate(groups)
     n = sizes[absorbed]
-    rows = _segment_rows(starts[absorbed], n)
-    share = np.array([comps[i].r for i in absorbed]) / np.repeat(r_sums, members)
-    pdfs = _reduce_stack(
+    rows = _segment_rows((np.cumsum(sizes) - sizes)[absorbed], n)
+    share = rs[absorbed] / np.repeat(r_sums, members)
+    sizes, weights, means, covs = _reduce_stack(
         np.add.reduceat(n, np.cumsum(members) - members),
         weights[rows] * np.repeat(share, n), means[rows], covs[rows], gm_config,
     )
-    if any(pdf is None for pdf in pdfs):
+    if not sizes.all():
         raise NumericalError("a merged pdf has no weight at or above the prune threshold")
-    merged = [
-        BernoulliComponent(r=_clamp_r(r_sum), pdf=pdf, id=comps[g[0]].id)
-        for g, r_sum, pdf in zip(groups, r_sums, pdfs)
-    ]
-    merged.sort(key=lambda c: c.id)
-    return MultiBernoulliDensity(tuple(merged))
+    return MultiBernoulliDensity._from_stack(
+        ids[[g[0] for g in groups]], np.clip(r_sums, 0.0, R_MAX), sizes, weights, means, covs,
+    )
 
 
 def extract_estimates(density: MultiBernoulliDensity, r_threshold: float = 0.5) -> np.ndarray:
@@ -439,15 +511,9 @@ def extract_estimates(density: MultiBernoulliDensity, r_threshold: float = 0.5) 
     """
     if not (0.0 < r_threshold < 1.0):
         raise ValueError("r_threshold must be in (0, 1)")
-    states = []
-    for comp in density.components:
-        if comp.r > r_threshold and comp.pdf.n_components > 0:
-            j = int(np.argmax(comp.pdf.weights))
-            states.append(comp.pdf.means[j])
-    if not states:
-        d = 4
-        for comp in density.components:
-            d = comp.pdf.d
-            break
-        return np.zeros((0, d))
-    return np.array(states)
+    ids, rs, sizes, weights, means, _ = density.stack
+    sel = np.flatnonzero((rs > r_threshold) & (sizes > 0))
+    if not sel.size:
+        return np.zeros((0, means.shape[1] if len(ids) else 4))
+    rows = _segment_rows((np.cumsum(sizes) - sizes)[sel], sizes[sel])
+    return means[rows[_segment_argmax(weights[rows], sizes[sel])]]

@@ -17,7 +17,8 @@ from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
     BernoulliComponent,
-    _keep_strongest,
+    _strongest,
+    _take,
     mb_merge_components,
     BirthConfig,
     GaussianMixture,
@@ -289,12 +290,10 @@ class MonteCarloResult:
 
 def _condense_for_fusion(mb: MultiBernoulliDensity, cfg) -> MultiBernoulliDensity:
     merged = mb_merge_components(mb, CONDENSE_GATE, REDUCE_CONFIG.gm)
-    kept = [
-        BernoulliComponent(r=min(c.r, CONDENSE_R_CAP), pdf=c.pdf, id=c.id)
-        for c in merged.components
-        if c.r >= CONDENSE_TRUNC
-    ]
-    return MultiBernoulliDensity(tuple(_keep_strongest(kept, cfg.fusion_max_components)))
+    ids, rs, *_ = merged.stack
+    capped = np.minimum(rs, CONDENSE_R_CAP)
+    kept = _strongest(ids, capped, np.flatnonzero(rs >= CONDENSE_TRUNC), cfg.fusion_max_components)
+    return _take(merged, kept, capped)
 
 
 def _fusion_inputs(cfg, posteriors_by_sensor, k):

@@ -1,7 +1,9 @@
 """Reference math that the package's vectorized code is checked against.
 
 These are direct formulas kept for the tests only; the package itself
-never calls them.
+never calls them. The filter references work one Bernoulli component at a
+time, on the component objects, where the package works on a density's
+flat stack.
 """
 
 import math
@@ -18,8 +20,11 @@ from mbfuse.gm import (
     _log_normal,
     _pair_product_parts,
     _power_parts,
+    gm_merge_moments,
+    gm_normalize,
 )
-from mbfuse.mb import R_MAX, MultiBernoulliDensity
+from mbfuse.mb import R_MAX, BernoulliComponent, MultiBernoulliDensity, adaptive_birth
+from mbfuse.sim import CONDENSE_GATE, CONDENSE_R_CAP, CONDENSE_TRUNC, REDUCE_CONFIG
 
 _LOG_EPS = -745.0  # below this, exp underflows to 0 in float64
 
@@ -124,3 +129,229 @@ def cluster_log_eta(
     if cluster.kind == ClusterKind.SENSOR2_ONLY:
         return w.w2 * sum(math.log1p(-min(mb2.components[l].r, R_MAX)) for l in cluster.l2)
     raise ValueError("two-sided clusters need the full fusion path")
+
+
+def gm_reduce(mix, prune_threshold, merge_threshold, max_components):
+    """gm_reduce as a loop: the heaviest alive component (argmax, so ties go
+    to the lower index) absorbs every alive one within merge_threshold,
+    with one solve per leader; the cap keeps the heaviest (ties to the
+    lower index) in merge order."""
+    if mix.n_components == 0:
+        return mix
+    keep = mix.weights >= prune_threshold
+    if not np.any(keep):
+        return GaussianMixture.empty(mix.d)
+    total = mix.total_weight
+    w = mix.weights[keep]
+    w = w * (total / w.sum())
+    means = mix.means[keep]
+    covs = mix.covs[keep]
+
+    out_w, out_m, out_p = [], [], []
+    alive = np.ones(w.shape[0], dtype=bool)
+    while np.any(alive):
+        idx = np.flatnonzero(alive)
+        j = idx[np.argmax(w[idx])]
+        diff = means[idx] - means[j][None, :]
+        L = np.linalg.cholesky(covs[j])
+        sol = np.linalg.solve(L, diff.T).T
+        dist_sq = np.sum(sol**2, axis=1)
+        grab = idx[dist_sq <= merge_threshold]
+        mw, mm, mp = gm_merge_moments(w[grab], means[grab], covs[grab])
+        out_w.append(mw)
+        out_m.append(mm)
+        out_p.append(mp)
+        alive[grab] = False
+
+    out_w = np.array(out_w)
+    out_m = np.array(out_m)
+    out_p = np.array(out_p)
+    if out_w.shape[0] > max_components:
+        top = np.sort(np.argsort(-out_w, kind="stable")[:max_components])
+        out_w, out_m, out_p = out_w[top], out_m[top], out_p[top]
+    return GaussianMixture(out_w, out_m, out_p)
+
+
+def _clamp_r(r: float) -> float:
+    return min(max(float(r), 0.0), R_MAX)
+
+
+def stack_gaussians(components):
+    """Stack every Gaussian of every component; returns (owner, alpha, means, covs).
+
+    owner[j] is the position in components of the component that Gaussian
+    j belongs to. There must be at least one component.
+    """
+    pdfs = [comp.pdf for comp in components]
+    sizes = [pdf.n_components for pdf in pdfs]
+    return (
+        np.repeat(np.arange(len(pdfs)), sizes),
+        np.concatenate([pdf.weights for pdf in pdfs]),
+        np.concatenate([pdf.means for pdf in pdfs]),
+        np.concatenate([pdf.covs for pdf in pdfs]),
+    )
+
+
+def keep_strongest(components, max_components):
+    """The max_components components of highest r (ties to the lower id), in id
+    order; a sequence within the cap is returned in its own order."""
+    if len(components) <= max_components:
+        return list(components)
+    top = sorted(components, key=lambda c: (-c.r, c.id))[:max_components]
+    return sorted(top, key=lambda c: c.id)
+
+
+def mb_predict(prior, motion, births=()):
+    """Survival-scaled existence, linear-Gaussian pdf propagation, births appended."""
+    out = []
+    for comp in prior.components:
+        pdf = comp.pdf
+        means = pdf.means @ motion.F.T
+        covs = motion.F @ pdf.covs @ motion.F.T + motion.Q[None, :, :]
+        out.append(
+            BernoulliComponent(
+                r=_clamp_r(motion.p_survival * comp.r),
+                pdf=GaussianMixture(pdf.weights.copy(), means, covs),
+                id=comp.id,
+            )
+        )
+    out.extend(births)
+    return MultiBernoulliDensity(tuple(out))
+
+
+def mb_update(predicted, scan, sensor):
+    """Cardinality-balanced MB update: legacy tracks plus one track per measurement."""
+    scan = np.asarray(scan, dtype=float).reshape(-1, sensor.H.shape[0])
+    p_d = sensor.p_detect
+    kappa = sensor.clutter_density
+
+    rs = np.minimum(predicted.rs, R_MAX)
+    legacy = []
+    for comp, r in zip(predicted.components, rs):
+        r_l = _clamp_r(r * (1.0 - p_d) / (1.0 - r * p_d))
+        legacy.append(BernoulliComponent(r=r_l, pdf=comp.pdf, id=comp.id))
+
+    n_meas = scan.shape[0]
+    if n_meas == 0 or len(predicted) == 0 or p_d == 0.0:
+        return MultiBernoulliDensity(tuple(legacy))
+
+    owner, alpha, means, covs = stack_gaussians(predicted.components)
+    H, R = sensor.H, sensor.R
+
+    z_pred = means @ H.T
+    S = H @ covs @ H.T + R[None, :, :]
+    L = _batch_cholesky(S)
+    K = np.linalg.solve(np.swapaxes(S, -1, -2), (covs @ H.T).swapaxes(-1, -2))
+    K = np.swapaxes(K, -1, -2)
+    covs_upd = covs - K @ H @ covs
+    covs_upd = 0.5 * (covs_upd + np.swapaxes(covs_upd, -1, -2))
+
+    innov = scan[None, :, :] - z_pred[:, None, :]
+    log_q = _log_normal(innov, L[:, None])
+    q_gauss = alpha[:, None] * np.exp(log_q)
+
+    q_comp = np.zeros((len(predicted), n_meas))
+    np.add.at(q_comp, owner, q_gauss)
+
+    denom_leg = 1.0 - rs * p_d
+    num_terms = rs * (1.0 - rs) * p_d / denom_leg**2
+    den_terms = rs * p_d / denom_leg
+
+    means_upd = means[:, None, :] + np.einsum("nij,nmj->nmi", K, innov)
+    gauss_scale = (rs / denom_leg)[owner] * p_d
+
+    next_id = predicted.next_id()
+    updated = []
+    for m in range(n_meas):
+        num = float(np.dot(num_terms, q_comp[:, m]))
+        den = kappa + float(np.dot(den_terms, q_comp[:, m]))
+        r_u = _clamp_r(num / den) if den > 0 else 0.0
+        w = gauss_scale * q_gauss[:, m]
+        if r_u <= 0.0 or w.sum() <= 0.0 or not np.isfinite(w.sum()):
+            continue
+        pdf, _ = gm_normalize(GaussianMixture(w, means_upd[:, m, :], covs_upd))
+        updated.append(BernoulliComponent(r=r_u, pdf=pdf, id=next_id))
+        next_id += 1
+
+    return MultiBernoulliDensity(tuple(legacy) + tuple(updated))
+
+
+def _reduced(pdf, gm_config):
+    """pdf reduced by the loop above, unnormalized; unchanged when gm_config is None."""
+    if gm_config is None:
+        return pdf
+    return gm_reduce(
+        pdf, gm_config.prune_threshold, gm_config.merge_threshold, gm_config.max_components
+    )
+
+
+def mb_reduce(density, config):
+    """Drop low-existence components, cap the count, reduce each pdf."""
+    kept = keep_strongest(
+        [c for c in density.components if c.r >= config.trunc_threshold], config.max_components
+    )
+    out = []
+    for c in kept:
+        pdf = _reduced(c.pdf, config.gm)
+        # A pdf with no weight at or above the prune threshold reduces to nothing.
+        if pdf.n_components:
+            out.append(BernoulliComponent(r=c.r, pdf=gm_normalize(pdf)[0], id=c.id))
+    return MultiBernoulliDensity(tuple(out))
+
+
+def mb_merge_components(density, gate, gm_config):
+    """mb_merge_components as a loop: the strongest remaining component
+    (ties to the lower id) absorbs every remaining one in its gate, with one
+    solve per pair."""
+    remaining = sorted(density.components, key=lambda c: (-c.r, c.id))
+    merged = []
+    while remaining:
+        head = remaining[0]
+        j = int(np.argmax(head.pdf.weights))
+        mean_h = head.pdf.means[j]
+        cov_h = head.pdf.covs[j]
+        absorbed, rest = [head], []
+        for comp in remaining[1:]:
+            i = int(np.argmax(comp.pdf.weights))
+            diff = comp.pdf.means[i] - mean_h
+            maha = diff @ np.linalg.solve(cov_h + comp.pdf.covs[i], diff)
+            (absorbed if maha <= gate else rest).append(comp)
+        r_sum = sum(c.r for c in absorbed)
+        weights = np.concatenate([c.r / r_sum * c.pdf.weights for c in absorbed])
+        means = np.concatenate([c.pdf.means for c in absorbed])
+        covs = np.concatenate([c.pdf.covs for c in absorbed])
+        pdf, _ = gm_normalize(_reduced(GaussianMixture(weights, means, covs), gm_config))
+        merged.append(BernoulliComponent(r=min(r_sum, R_MAX), pdf=pdf, id=head.id))
+        remaining = rest
+    merged.sort(key=lambda c: c.id)
+    return MultiBernoulliDensity(tuple(merged))
+
+
+def condense_for_fusion(density, cfg):
+    """Condensation of an exchanged density: merge, truncate, cap r, cap the count."""
+    merged = mb_merge_components(density, CONDENSE_GATE, REDUCE_CONFIG.gm)
+    kept = [
+        BernoulliComponent(r=min(c.r, CONDENSE_R_CAP), pdf=c.pdf, id=c.id)
+        for c in merged.components
+        if c.r >= CONDENSE_TRUNC
+    ]
+    return MultiBernoulliDensity(tuple(keep_strongest(kept, cfg.fusion_max_components)))
+
+
+def run_local_filter(scans, cfg, sensor):
+    """sim.run_local_filter's recursion on the references above (adaptive
+    births only)."""
+    posterior = MultiBernoulliDensity(())
+    prev_scan = None
+    out = []
+    for scan in scans:
+        births = (
+            adaptive_birth(prev_scan, cfg.birth_config, start_id=posterior.next_id())
+            if prev_scan is not None
+            else ()
+        )
+        predicted = mb_predict(posterior, cfg.motion, births)
+        posterior = mb_reduce(mb_update(predicted, scan, sensor), REDUCE_CONFIG)
+        out.append(posterior)
+        prev_scan = scan
+    return out

@@ -7,6 +7,7 @@ from mbfuse import (
     BernoulliComponent,
     BirthConfig,
     GaussianMixture,
+    InvalidDensityError,
     MbReduceConfig,
     MotionModel,
     MultiBernoulliDensity,
@@ -192,6 +193,20 @@ class TestMbReduce:
     def test_empty_density_passthrough(self):
         reduced = mb_reduce(MultiBernoulliDensity(()), MbReduceConfig())
         assert len(reduced) == 0
+
+    def test_component_without_gaussians_raises(self):
+        # It used to be dropped without notice.
+        empty = BernoulliComponent(r=0.9, pdf=GaussianMixture.empty(4), id=1)
+        density = MultiBernoulliDensity((single_component(0.9), empty))
+        with pytest.raises(InvalidDensityError):
+            mb_reduce(density, MbReduceConfig())
+
+    def test_pdf_pruned_to_nothing_is_dropped(self):
+        faint = GaussianMixture(np.array([1e-6, 1e-6]), np.zeros((2, 4)), np.stack([np.eye(4)] * 2))
+        density = MultiBernoulliDensity(
+            (single_component(0.9), BernoulliComponent(r=0.9, pdf=faint, id=1))
+        )
+        assert [c.id for c in mb_reduce(density, MbReduceConfig()).components] == [0]
 
 
 class TestExtractEstimates:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mbfuse.gci as gci_mod
 import mbfuse.gm as gm_mod
 from mbfuse.clustering import Cluster, compute_lic
-from mbfuse.errors import IntractableFusionError, MbFuseError
+from mbfuse.errors import IntractableFusionError, InvalidDensityError, MbFuseError
 from mbfuse.gci import (
     FusionWeights,
     cluster_pair_marginals,
@@ -413,6 +413,14 @@ class TestInputValidation:
         bad = MultiBernoulliDensity((bern(r, mean, cov),))
         with pytest.raises(MbFuseError):
             FUSERS[fuser](good, bad)
+
+    @pytest.mark.parametrize("fuser", sorted(FUSERS))
+    def test_component_without_gaussians_raises(self, fuser):
+        # pgci_fuse used to drop it: its divergence is inf, so it never gates.
+        good = MultiBernoulliDensity((bern(0.9, [0.0, 0.0]),))
+        empty = BernoulliComponent(r=0.9, pdf=GaussianMixture.empty(2), id=0)
+        with pytest.raises(InvalidDensityError):
+            FUSERS[fuser](MultiBernoulliDensity((empty,)), good)
 
 
 class TestHypothesisCounts:

@@ -11,94 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfuse.errors import NumericalError
-from mbfuse.gm import GaussianMixture, gm_merge_moments, gm_normalize, gm_reduce
+from mbfuse.gm import GaussianMixture, gm_normalize, gm_reduce
 from mbfuse.mb import (
     BernoulliComponent,
     GmReduceConfig,
     MbReduceConfig,
     MultiBernoulliDensity,
-    R_MAX,
     mb_merge_components,
     mb_reduce,
 )
 from mbfuse.sim import _condense_for_fusion, scenario1
-
-
-def reference_gm_reduce(mix, prune_threshold, merge_threshold, max_components):
-    """gm_reduce as a loop: the heaviest alive component (argmax, so ties go
-    to the lower index) absorbs every alive one within merge_threshold,
-    with one solve per leader; the cap keeps the heaviest (ties to the
-    lower index) in merge order."""
-    if mix.n_components == 0:
-        return mix
-    keep = mix.weights >= prune_threshold
-    if not np.any(keep):
-        return GaussianMixture.empty(mix.d)
-    total = mix.total_weight
-    w = mix.weights[keep]
-    w = w * (total / w.sum())
-    means = mix.means[keep]
-    covs = mix.covs[keep]
-
-    out_w, out_m, out_p = [], [], []
-    alive = np.ones(w.shape[0], dtype=bool)
-    while np.any(alive):
-        idx = np.flatnonzero(alive)
-        j = idx[np.argmax(w[idx])]
-        diff = means[idx] - means[j][None, :]
-        L = np.linalg.cholesky(covs[j])
-        sol = np.linalg.solve(L, diff.T).T
-        dist_sq = np.sum(sol**2, axis=1)
-        grab = idx[dist_sq <= merge_threshold]
-        mw, mm, mp = gm_merge_moments(w[grab], means[grab], covs[grab])
-        out_w.append(mw)
-        out_m.append(mm)
-        out_p.append(mp)
-        alive[grab] = False
-
-    out_w = np.array(out_w)
-    out_m = np.array(out_m)
-    out_p = np.array(out_p)
-    if out_w.shape[0] > max_components:
-        top = np.sort(np.argsort(-out_w, kind="stable")[:max_components])
-        out_w, out_m, out_p = out_w[top], out_m[top], out_p[top]
-    return GaussianMixture(out_w, out_m, out_p)
-
-
-def reference_mb_merge(density, gate, gm_config):
-    """mb_merge_components as a loop: the strongest remaining component
-    (ties to the lower id) absorbs every remaining one in its gate, with one
-    solve per pair."""
-    remaining = sorted(density.components, key=lambda c: (-c.r, c.id))
-    merged = []
-    while remaining:
-        head = remaining[0]
-        j = int(np.argmax(head.pdf.weights))
-        mean_h = head.pdf.means[j]
-        cov_h = head.pdf.covs[j]
-        absorbed, rest = [head], []
-        for comp in remaining[1:]:
-            i = int(np.argmax(comp.pdf.weights))
-            diff = comp.pdf.means[i] - mean_h
-            maha = diff @ np.linalg.solve(cov_h + comp.pdf.covs[i], diff)
-            (absorbed if maha <= gate else rest).append(comp)
-        r_sum = sum(c.r for c in absorbed)
-        weights = np.concatenate([c.r / r_sum * c.pdf.weights for c in absorbed])
-        means = np.concatenate([c.pdf.means for c in absorbed])
-        covs = np.concatenate([c.pdf.covs for c in absorbed])
-        pdf = GaussianMixture(weights, means, covs)
-        if gm_config is not None:
-            pdf = reference_gm_reduce(
-                pdf,
-                gm_config.prune_threshold,
-                gm_config.merge_threshold,
-                gm_config.max_components,
-            )
-        pdf, _ = gm_normalize(pdf)
-        merged.append(BernoulliComponent(r=min(r_sum, R_MAX), pdf=pdf, id=head.id))
-        remaining = rest
-    merged.sort(key=lambda c: c.id)
-    return MultiBernoulliDensity(tuple(merged))
+from oracle import gm_reduce as reference_gm_reduce
+from oracle import mb_merge_components as reference_mb_merge
 
 
 def assert_mixtures_equal(a, b):
