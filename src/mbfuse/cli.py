@@ -7,7 +7,7 @@ Subcommands:
   bound-check    Empirical truncation error against the analytic bound.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure, 4 fusion
-intractable under its fixed cap.
+intractable under its fixed cap, 5 truncation bound violated (bound-check).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
         exact, bound = l1_error_bound(gmb, discarded, args.gamma)
         if exact > bound + 1e-12:
             print(f"BOUND VIOLATED: exact={exact} bound={bound}")
-            return 3
+            return 5
         if bound > 0:
             worst_ratio = max(worst_ratio, exact / bound)
     print(f"checked {args.runs} instances, bound holds; worst exact/bound "

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -404,6 +403,30 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     return out
 
 
+def _logsumexp(values) -> float:
+    """log(sum(exp(values))) over a 1-D sequence; -inf when it is empty.
+
+    Follows scipy 1.17's ``logsumexp`` (no weights) operation for operation,
+    so the two agree bit for bit: every entry equal to the maximum is taken
+    out of the sum of shifted exponentials, which is divided by their count,
+    and a non-finite result falls back to the direct log of the sum.
+    """
+    a = np.asarray(values, dtype=float).reshape(-1)
+    if a.size == 0:
+        return -math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        count = float(np.count_nonzero(at_max))
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+        if s != 0:
+            s = s / count
+        out = np.log1p(s) + np.log(count) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return float(out)
+
+
 # Largest hypothesis count that exhaustive fusion enumerates.
 ENUM_CAP = 10**7
 
@@ -445,7 +468,7 @@ def naive_gci_mb_fuse(
         )
     l1_idx, l2_idx = list(range(n1)), list(range(n2))
     hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
-    log_eta = float(logsumexp(log_ws))
+    log_eta = _logsumexp(log_ws)
     norm_ws = np.exp(log_ws - log_eta)
 
     marginals: dict[tuple[int, int], float] = {}

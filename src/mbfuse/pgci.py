@@ -19,13 +19,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute_lic
 from .gci import (
     FusionWeights,
     GmbDensity,
     _fuse_isolated_pairs,
+    _logsumexp,
     _moment_match,
     cluster_pair_marginals,
     count_hypotheses_distinct,
@@ -188,7 +188,7 @@ def l1_error_bound(
     if not discarded:
         return 0.0, 0.0
     exact_mass = 2.0 * sum(h.w for h in discarded)
-    log_a = logsumexp([h.log_k for h in discarded]) + np.log(2.0) - gmb_full.log_eta
+    log_a = _logsumexp([h.log_k for h in discarded]) + np.log(2.0) - gmb_full.log_eta
     bound = float(np.exp(log_a - gamma))
     return exact_mass, bound
 

@@ -3,15 +3,20 @@
 Everything is driven by integer seed sequences through
 numpy.random.default_rng so that a config plus its seeds reproduces every
 artifact byte for byte.
+
+OSPA's optimal assignment comes from an in-package solver: a pure-Python
+port of the shortest-augmenting-path algorithm (Crouse, IEEE TAES 2016) as
+scipy's ``linear_sum_assignment`` implements it, step for step, so it picks
+the same columns, ties included, and the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
@@ -184,12 +189,87 @@ def metropolis_weights(adjacency, node: int) -> tuple[float, dict[int, float]]:
     return self_w, neighbor_w
 
 
+def _assign_columns(cost: np.ndarray) -> list[int]:
+    """Column of each row in a minimum-cost assignment; rows <= columns.
+
+    A port of scipy's ``rectangular_lsap`` (Crouse, IEEE TAES 2016): the
+    same scan order, tie rule and dual updates, so it returns the columns
+    that ``linear_sum_assignment(cost)[1]`` returns, ties included.
+    """
+    nr, nc = cost.shape
+    if not (cost > -math.inf).all():   # NaN fails the comparison too
+        raise ValueError("matrix contains invalid numeric entries")
+    rows = cost.tolist()
+    inf = math.inf
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # Shortest augmenting path from row cur, by Dijkstra on reduced costs.
+        min_val = 0.0
+        # Reverse order makes a constant cost matrix give the identity.
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [inf] * nc
+        rows_seen, cols_seen = [], []
+        i = cur
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = inf
+            rows_seen.append(i)
+            ci, ui = rows[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                # On a tie prefer a free column: it ends the path.
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> float:
-    """Optimal sub-pattern assignment distance between two position sets."""
+    """Optimal sub-pattern assignment distance between two position sets.
+
+    A position with an infinite coordinate lies beyond the cutoff of every
+    finite one; a NaN coordinate raises ``ValueError``.
+    """
     if not (c > 0 and p >= 1):
         raise ValueError("require c > 0 and p >= 1")
     x = np.asarray(x, dtype=float).reshape(-1, 2) if np.size(x) else np.zeros((0, 2))
     y = np.asarray(y, dtype=float).reshape(-1, 2) if np.size(y) else np.zeros((0, 2))
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("positions must not be NaN")
     m, n = x.shape[0], y.shape[0]
     if m == 0 and n == 0:
         return 0.0
@@ -199,8 +279,8 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
         x, y, m, n = y, x, n, m
     dists = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
     cost = np.minimum(dists, c) ** p
-    rows, cols = linear_sum_assignment(cost)
-    total = cost[rows, cols].sum() + c**p * (n - m)
+    cols = _assign_columns(cost)
+    total = cost[np.arange(m), cols].sum() + c**p * (n - m)
     return float((total / n) ** (1.0 / p))
 
 

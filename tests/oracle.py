@@ -3,12 +3,14 @@
 These are direct formulas kept for the tests only; the package itself
 never calls them. The filter references work one Bernoulli component at a
 time, on the component objects, where the package works on a density's
-flat stack.
+flat stack. The OSPA and log-sum-exp references call scipy, which the
+package itself does not import.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from mbfuse.clustering import Cluster, ClusterKind
@@ -355,3 +357,22 @@ def run_local_filter(scans, cfg, sensor):
         out.append(posterior)
         prev_scan = scan
     return out
+
+
+def ospa(x, y, c=100.0, p=2.0) -> float:
+    """OSPA distance (Schuhmacher et al., IEEE TSP 2008) with scipy's
+    assignment solver; position sets are (k, 2) arrays."""
+    x = np.asarray(x, dtype=float).reshape(-1, 2)
+    y = np.asarray(y, dtype=float).reshape(-1, 2)
+    m, n = x.shape[0], y.shape[0]
+    if m == 0 and n == 0:
+        return 0.0
+    if m == 0 or n == 0:
+        return float(c)
+    if m > n:
+        x, y, m, n = y, x, n, m
+    dists = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    cost = np.minimum(dists, c) ** p
+    rows, cols = linear_sum_assignment(cost)
+    total = cost[rows, cols].sum() + c**p * (n - m)
+    return float((total / n) ** (1.0 / p))

@@ -149,3 +149,9 @@ class TestBoundCheck:
     def test_bound_holds_on_random_instances(self, capsys):
         assert main(["bound-check", "--runs", "50", "--seed", "2"]) == 0
         assert "bound holds" in capsys.readouterr().out
+
+    def test_violated_bound_maps_to_5(self, monkeypatch, capsys):
+        # 3 is a numerical failure; a violated bound has its own code.
+        monkeypatch.setattr(cli_mod, "l1_error_bound", lambda *a: (0.5, 0.25))
+        assert main(["bound-check", "--runs", "3"]) == 5
+        assert "BOUND VIOLATED" in capsys.readouterr().out

@@ -9,12 +9,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import mbfuse.gci as gci_mod
 from mbfuse.errors import IncompatiblePairError, IntractableFusionError
 from mbfuse.gci import (
     FusionWeights,
     _fuse_isolated_pairs,
+    _logsumexp,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
     enumerate_hypotheses,
@@ -274,3 +278,42 @@ class TestFusionWeights:
             FusionWeights(0.3, 0.3)
         w = FusionWeights(0.25, 0.75)
         assert w.swapped() == FusionWeights(0.75, 0.25)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# Log-weights as fusion produces them: a few repeated values (tied maxima),
+# -inf for a hypothesis of zero weight, and values far apart in magnitude.
+log_weight = st.one_of(
+    st.sampled_from([-np.inf, -745.0, -3.5, 0.0, 1.25, 700.0]),
+    st.floats(-800.0, 800.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestLogSumExp:
+    """gci._logsumexp equals scipy.special.logsumexp bit for bit."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(log_weight, max_size=12))
+    def test_equals_scipy(self, values):
+        assert same_bits(_logsumexp(values), logsumexp(np.array(values, dtype=float)))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [2.5],
+            [-np.inf],
+            [-np.inf, -np.inf, -np.inf],
+            [1.0, 1.0, 1.0],
+            [0.3, -np.inf, 0.3, -2.0],
+            [-np.inf, -1e-3, -np.inf],
+            [710.0, 710.0, 1.0],
+        ],
+        ids=["empty", "one", "one_neg_inf", "all_neg_inf", "all_tied", "tied_max_and_neg_inf",
+             "neg_inf_around_one", "overflowing_sum"],
+    )
+    def test_edge_cases_equal_scipy(self, values):
+        assert same_bits(_logsumexp(values), logsumexp(np.array(values, dtype=float)))

@@ -5,7 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+import oracle
 from mbfuse.errors import ConfigError
 from mbfuse.mb import MotionModel, Rectangle, SensorModel
 from mbfuse.sim import (
@@ -13,6 +17,7 @@ from mbfuse.sim import (
     MonteCarloResult,
     ObjectBirth,
     ScenarioConfig,
+    _assign_columns,
     build_scenario,
     generate_measurements,
     generate_truth,
@@ -126,6 +131,35 @@ class TestMetropolisWeights:
             metropolis_weights((frozenset(),), 3)
 
 
+@st.composite
+def position_pair(draw):
+    """(x, y, c, p) for OSPA: sets of up to 12 positions each, drawn on an
+    integer lattice (many tied distances), with duplicated points, in
+    general position, or with one set wholly beyond the cutoff."""
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    c = draw(st.sampled_from([1.0, 2.5, 100.0]))
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    kind = draw(st.sampled_from(["lattice", "duplicates", "general", "beyond"]))
+
+    def points(k, coord):
+        return np.array(draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k)),
+                        dtype=float).reshape(k, 2)
+
+    if kind == "lattice":
+        lattice = st.integers(-3, 3)
+        x, y = points(m, lattice), points(n, lattice)
+    elif kind == "duplicates":
+        base = points(3, st.integers(-4, 4))
+        x = base[draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))].reshape(m, 2)
+        y = base[draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))].reshape(n, 2)
+    else:
+        general = st.floats(-150.0, 150.0, allow_nan=False)
+        x, y = points(m, general), points(n, general)
+        if kind == "beyond":
+            y = y + 10.0 * (c + 300.0)
+    return x, y, c, p
+
+
 class TestOspa:
     def test_axioms_and_hand_values(self):
         # [TRIVIAL] both empty; one empty; identity.
@@ -164,6 +198,63 @@ class TestOspa:
             ospa(np.zeros((1, 2)), np.ones((2, 2)), c=float("nan"))
         with pytest.raises(ValueError, match="require c > 0"):
             ospa(np.zeros((1, 2)), np.ones((2, 2)), p=float("nan"))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_nan_position_raises(self, side):
+        sets = {"x": np.zeros((2, 2)), "y": np.ones((3, 2))}
+        sets[side][1, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ospa(sets["x"], sets["y"])
+        # Also when the other set is empty, where nothing is solved.
+        with pytest.raises(ValueError, match="NaN"):
+            ospa(sets[side], np.zeros((0, 2)))
+
+    def test_infinite_position_counts_cutoff(self):
+        x = np.array([[0.0, 0.0], [np.inf, 0.0]])
+        y = np.array([[3.0, 4.0], [1.0, -np.inf]])
+        assert ospa(x, y) == np.sqrt((25.0 + 100.0**2) / 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(position_pair())
+    def test_equals_scipy_reference_bit_for_bit(self, case):
+        x, y, c, p = case
+        assert ospa(x, y, c, p) == oracle.ospa(x, y, c, p)
+
+
+@st.composite
+def tie_heavy_cost(draw):
+    """A rows <= columns matrix of small integers, of tenths (whose sums tie
+    only up to rounding, so the order of each addition shows), or of one
+    constant."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(m, 12))
+    kind = draw(st.sampled_from(["integers", "tenths", "constant"]))
+    if kind == "constant":
+        return np.full((m, n), float(draw(st.integers(0, 3))))
+    top, scale = (2, 1.0) if kind == "integers" else (9, 10.0)
+    entries = draw(st.lists(st.integers(0, top), min_size=m * n, max_size=m * n))
+    return np.array(entries, dtype=float).reshape(m, n) / scale
+
+
+class TestAssignColumns:
+    """The in-package solver picks scipy's assignment, ties included."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tie_heavy_cost())
+    def test_columns_equal_scipy_on_ties(self, cost):
+        assert _assign_columns(cost) == linear_sum_assignment(cost)[1].tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 9), (12, 12)])
+    def test_constant_matrix_gives_identity_like_scipy(self, shape):
+        cost = np.full(shape, 7.0)
+        assert _assign_columns(cost) == list(range(shape[0]))
+        assert _assign_columns(cost) == linear_sum_assignment(cost)[1].tolist()
+
+    def test_invalid_entries_raise(self):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _assign_columns(np.array([[0.0, np.nan]]))
+        with pytest.raises(ValueError, match="infeasible"):
+            _assign_columns(np.full((2, 2), np.inf))
 
 
 class TestConfigValidation:
