@@ -33,7 +33,6 @@ from .gm import (
 )
 from .mb import (
     BernoulliComponent,
-    BirthConfig,
     GmReduceConfig,
     MbReduceConfig,
     MotionModel,

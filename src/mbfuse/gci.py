@@ -359,21 +359,19 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     kernel multiplies only the Gaussian pairs of the kept pairs, each
     pair's block in row-major order as fused_pair_density slices it, and
     the fused pdfs are reduced in one pass. A single pair's mixture needs
-    no reweighting, since _moment_match scales it by m / m = 1. Returns,
-    per pair, the fused component with r = min(marginal, R_MAX) and id 0,
-    or None where the pair is dropped.
+    no reweighting, since _moment_match scales it by m / m = 1. Returns
+    the density of the fused components, one per kept pair in the order of
+    pairs, each with r = min(marginal, R_MAX) and the pair's position in
+    pairs as its id.
     """
-    out = [None] * len(pairs)
-    if not pairs:
-        return out
-    l1, l2 = np.array(pairs).T
+    l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     _, gain1 = _existence_gains(mb1.rs[l1], w.w1)
     _, gain2 = _existence_gains(mb2.rs[l2], w.w2)
     g = np.exp(gain1 + gain2 - distances[l1, l2])
     marginal = g / (1.0 + g)
     kept = np.flatnonzero(marginal > 1e-300)
     if not kept.size:
-        return out
+        return MultiBernoulliDensity(())
     _, _, sizes1, *stack1 = mb1.stack
     _, _, sizes2, *stack2 = mb2.stack
     l1, l2 = l1[kept], l2[kept]
@@ -397,10 +395,9 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     )
     if not sizes.all():
         raise NumericalError("a fused pdf has no weight at or above the prune threshold")
-    for i, n, e in zip(kept, sizes.tolist(), np.cumsum(sizes).tolist()):
-        pdf = GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e])
-        out[i] = BernoulliComponent(r=min(marginal[i], R_MAX), pdf=pdf, id=0)
-    return out
+    return MultiBernoulliDensity._from_stack(
+        kept, np.minimum(marginal[kept], R_MAX), sizes, weights, means, covs
+    )
 
 
 def _logsumexp(values) -> float:

@@ -12,8 +12,10 @@ constant velocity model, update against the scan with constant detection
 probability and uniform clutter intensity, then truncate. Predict and
 update are batched over the whole stack: one F P F^T for every Gaussian,
 and one update of all (Gaussian, measurement) pairs of a scan, whose
-measurement components join the stack as one block. Truncation, the
-component caps and the reductions work on the stack as well.
+measurement components join the stack as one block. Births are built as a
+stack of one-Gaussian components and appended as one block. Truncation,
+the component caps and the reductions work on the stack as well, so the
+filter builds no component object.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ R_MAX = 1.0 - 1e-9
 
 # Relative tolerance of the covariance symmetry check in check_density.
 SYM_TOL = 1e-9
+
+# Adaptive births: each measurement of a scan of n seeds a component of
+# existence min(BIRTH_R_MAX, BIRTH_RATE / n) at zero velocity, with a
+# standard deviation of 10 in every coordinate.
+BIRTH_R_MAX = 0.03
+BIRTH_RATE = 0.1
+BIRTH_COV = np.diag([100.0, 100.0, 100.0, 100.0])
 
 
 @dataclass(frozen=True)
@@ -135,12 +144,31 @@ def _take(density: MultiBernoulliDensity, idx, rs) -> MultiBernoulliDensity:
     )
 
 
-def _concat(a: MultiBernoulliDensity, b: MultiBernoulliDensity) -> MultiBernoulliDensity:
-    """b's components stacked after a's."""
-    if not len(a) or not len(b):
-        return b if len(b) else a
+def _concat(first: MultiBernoulliDensity, *rest: MultiBernoulliDensity) -> MultiBernoulliDensity:
+    """The densities' components stacked one after another."""
+    full = [d for d in (first, *rest) if len(d)]
+    if len(full) <= 1:
+        return full[0] if full else first
     return MultiBernoulliDensity._from_stack(
-        *(np.concatenate(parts) for parts in zip(a.stack, b.stack))
+        *(np.concatenate(parts) for parts in zip(*(d.stack for d in full)))
+    )
+
+
+def _rows(a, width: int, error: type[Exception]) -> np.ndarray:
+    """a as an (n, width) float array, (0, width) if it is empty; error if
+    it is a non-empty array of another shape."""
+    a = np.asarray(a, dtype=float)
+    if a.size and (a.ndim != 2 or a.shape[1] != width):
+        raise error(f"expected an array of shape (n, {width}), got {a.shape}")
+    return a.reshape(-1, width)
+
+
+def _single_gaussians(ids, r, means, cov) -> MultiBernoulliDensity:
+    """The density whose component ids[i] has existence r and pdf N(means[i], cov)."""
+    n = means.shape[0]
+    return MultiBernoulliDensity._from_stack(
+        np.asarray(ids, dtype=np.int64), np.full(n, r), np.ones(n, dtype=np.int64),
+        np.ones(n), means, np.repeat(cov[None], n, axis=0),
     )
 
 
@@ -221,14 +249,6 @@ class SensorModel:
 
 
 @dataclass(frozen=True)
-class BirthConfig:
-    r_max: float = 0.03
-    rate: float = 0.1
-    sigma_pos: float = 10.0
-    sigma_vel: float = 10.0
-
-
-@dataclass(frozen=True)
 class GmReduceConfig:
     prune_threshold: float = 1e-5
     merge_threshold: float = 4.0
@@ -245,7 +265,7 @@ class MbReduceConfig:
 def mb_predict(
     prior: MultiBernoulliDensity,
     motion: MotionModel,
-    births=(),
+    births: MultiBernoulliDensity | None = None,
 ) -> MultiBernoulliDensity:
     """Survival-scaled existence, linear-Gaussian pdf propagation, births appended."""
     ids, rs, sizes, weights, means, covs = prior.stack
@@ -254,35 +274,23 @@ def mb_predict(
         means = means @ motion.F.T
         covs = motion.F @ covs @ motion.F.T + motion.Q[None, :, :]
     predicted = MultiBernoulliDensity._from_stack(ids, rs, sizes, weights, means, covs)
-    if not births:
+    if births is None or not len(births):
         return predicted
-    predicted = _concat(predicted, MultiBernoulliDensity(births))
+    predicted = _concat(predicted, births)
     if np.unique(predicted.stack.ids).size != len(predicted):
         raise ValueError("component ids must be unique within a density")
     return predicted
 
 
-def adaptive_birth(
-    prev_scan: np.ndarray,
-    params: BirthConfig,
-    start_id: int = 0,
-) -> tuple[BernoulliComponent, ...]:
-    """One birth component per previous-scan measurement, zero-velocity prior."""
-    prev_scan = np.asarray(prev_scan, dtype=float).reshape(-1, 2)
+def adaptive_birth(prev_scan: np.ndarray, start_id: int = 0) -> MultiBernoulliDensity:
+    """One birth component per previous-scan measurement, zero-velocity prior,
+    with ids from start_id on."""
+    prev_scan = _rows(prev_scan, 2, DimensionMismatchError)
     n = prev_scan.shape[0]
-    if n == 0:
-        return ()
-    r_b = min(params.r_max, params.rate / max(1, n))
-    cov = np.diag(
-        [params.sigma_pos**2, params.sigma_pos**2, params.sigma_vel**2, params.sigma_vel**2]
+    return _single_gaussians(
+        start_id + np.arange(n), min(BIRTH_R_MAX, BIRTH_RATE / max(1, n)),
+        np.hstack([prev_scan, np.zeros((n, 2))]), BIRTH_COV,
     )
-    births = []
-    for i, z in enumerate(prev_scan):
-        mean = np.array([z[0], z[1], 0.0, 0.0])
-        births.append(
-            BernoulliComponent(r=r_b, pdf=GaussianMixture.single(mean, cov), id=start_id + i)
-        )
-    return tuple(births)
 
 
 def check_density(density: MultiBernoulliDensity) -> None:
@@ -312,9 +320,10 @@ def mb_update(
     """Cardinality-balanced MB update: legacy tracks plus one track per measurement.
 
     The measurement tracks follow the legacy ones, in scan order, each
-    with a pdf of one updated Gaussian per predicted Gaussian.
+    with a pdf of one updated Gaussian per predicted Gaussian. A non-empty
+    scan is an (m, dz) array; another shape raises DimensionMismatchError.
     """
-    scan = np.asarray(scan, dtype=float).reshape(-1, sensor.H.shape[0])
+    scan = _rows(scan, sensor.H.shape[0], DimensionMismatchError)
     if not np.isfinite(scan).all():
         raise NumericalError("scan holds a non-finite measurement")
     p_d = sensor.p_detect

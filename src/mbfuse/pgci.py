@@ -8,13 +8,17 @@ nearly all clusters in tracking, are fused together in one batch: a lone
 pair's marginal has the closed form g / (1 + g), so they need no DP. The
 batch multiplies only the Gaussian pairs of its own pairs, gathered from
 one stack per density in one kernel call, and reduces the fused pdfs in
-one pass; the result is bit-identical to fusing each alone. Also provides
+one pass; the result is bit-identical to fusing each alone. The batch
+returns one stacked density, and each larger cluster a density of its
+moment-matched components; one stable gather by cluster position puts
+them in canonical order. Also provides
 the truncation-error bound and hypothesis-count bookkeeping used to verify
 the approximation claims.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,6 +40,8 @@ from .mb import (
     BernoulliComponent,
     MbReduceConfig,
     MultiBernoulliDensity,
+    _concat,
+    _take,
     check_density,
     mb_reduce,
 )
@@ -57,10 +63,6 @@ class FusionDiagnostics:
     t_distance_s: float = 0.0
     t_cluster_s: float = 0.0
     t_fuse_s: float = 0.0
-
-    @property
-    def t_total_s(self) -> float:
-        return self.t_distance_s + self.t_cluster_s + self.t_fuse_s
 
 
 def cluster_hypothesis_count(cluster: Cluster) -> int:
@@ -107,15 +109,11 @@ def hypothesis_count_report(
     n_h_distinct = count_hypotheses_distinct(n1, n2)
     fused = lic.fused_clusters
     per_cluster = [cluster_hypothesis_count(c) for c in fused]
-    n_trunc = 1
-    for c in per_cluster:
-        n_trunc *= c
-    n_clustered = sum(per_cluster)
     return FusionDiagnostics(
         n_h=n_h,
         n_h_distinct=n_h_distinct,
-        n_h_truncated=n_trunc,
-        n_h_clustered=n_clustered,
+        n_h_truncated=math.prod(per_cluster),
+        n_h_clustered=sum(per_cluster),
         cluster_sizes=[(len(c.l1), len(c.l2)) for c in fused],
     )
 
@@ -147,28 +145,31 @@ def pgci_fuse(
     t2 = time.perf_counter()
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.
+    # Each part is tagged with its clusters' positions, and one stable
+    # gather puts the parts in cluster order.
     clusters = lic.fused_clusters
-    isolated = [len(c.l1) == len(c.l2) == 1 for c in clusters]
-    batch = iter(_fuse_isolated_pairs(
+    isolated = np.array([len(c.l1) == len(c.l2) == 1 for c in clusters], dtype=bool)
+    batch = _fuse_isolated_pairs(
         [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],
         mb1, mb2, w, distances, gm_config,
-    ))
-    components = []
-    for cluster, one in zip(clusters, isolated):
-        if one:
-            comp = next(batch)
-            fused = [] if comp is None else [comp]
-        else:
-            fused = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components
-        for comp in fused:
-            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
+    )
+    parts, tags = [batch], [np.flatnonzero(isolated)[batch.stack.ids]]
+    for g in np.flatnonzero(~isolated).tolist():
+        result = fuse_cluster(clusters[g], mb1, mb2, w, distances, gm_config=gm_config)
+        parts.append(MultiBernoulliDensity(result.components))
+        tags.append(np.full(len(parts[-1]), g))
+    fused = _concat(*parts)
+    if len(fused):
+        if len(parts) > 1:
+            fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
+        fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
     t3 = time.perf_counter()
 
     diag = hypothesis_count_report(mb1, mb2, lic)
     diag.t_distance_s = t1 - t0
     diag.t_cluster_s = t2 - t1
     diag.t_fuse_s = t3 - t2
-    return MultiBernoulliDensity(tuple(components)), diag
+    return fused, diag
 
 
 def l1_error_bound(
@@ -183,7 +184,6 @@ def l1_error_bound(
     unnormalized weights over eta, so the bound depends on gamma only
     through the exponential factor.
     """
-    exact_mass = 0.0
     discarded = [h for h in gmb_full.hypotheses if h.pairs in truncated]
     if not discarded:
         return 0.0, 0.0
@@ -195,18 +195,12 @@ def l1_error_bound(
 
 def inter_cluster_hypotheses(gmb_full: GmbDensity, lic: LargestIsolatedClustering) -> set:
     """Pair-tuple keys of every hypothesis containing a cross-cluster pair."""
-    cluster_of_l1: dict[int, int] = {}
-    cluster_of_l2: dict[int, int] = {}
-    for g, cluster in enumerate(lic.clusters):
-        for l in cluster.l1:
-            cluster_of_l1[l] = g
-        for lp in cluster.l2:
-            cluster_of_l2[lp] = g
-    keys = set()
-    for h in gmb_full.hypotheses:
-        if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in h.pairs):
-            keys.add(h.pairs)
-    return keys
+    cluster_of_l1 = {l: g for g, c in enumerate(lic.clusters) for l in c.l1}
+    cluster_of_l2 = {lp: g for g, c in enumerate(lic.clusters) for lp in c.l2}
+    return {
+        h.pairs for h in gmb_full.hypotheses
+        if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in h.pairs)
+    }
 
 
 def multi_sensor_fuse(

@@ -21,12 +21,11 @@ import numpy as np
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
-    BernoulliComponent,
+    _rows,
+    _single_gaussians,
     _strongest,
     _take,
     mb_merge_components,
-    BirthConfig,
-    GaussianMixture,
     MbReduceConfig,
     MotionModel,
     MultiBernoulliDensity,
@@ -43,7 +42,7 @@ from .pgci import _fold_pairwise, multi_sensor_fuse
 # Mixture and Bernoulli reduction for local filters and fused densities.
 REDUCE_CONFIG = MbReduceConfig()
 
-# Known births (scenarios without a birth_config) start every object present
+# Known births (scenarios without adaptive births) start every object present
 # at step 0 with this existence and a covariance of diag(KNOWN_BIRTH_VAR).
 KNOWN_BIRTH_R = 0.9
 KNOWN_BIRTH_VAR = (100.0, 100.0, 25.0, 25.0)
@@ -84,7 +83,7 @@ class ScenarioConfig:
     fusion_node: int
     gamma: float = 4.0
     base_seed: int = 1
-    birth_config: BirthConfig | None = None         # None -> known births at step 0
+    adaptive_births: bool = False       # False -> known births at step 0
     fusion_max_components: int = 100
 
     def validate(self) -> None:
@@ -103,9 +102,12 @@ class ScenarioConfig:
                     raise ConfigError("adjacency must be symmetric")
         if n > 1 and not _connected(self.adjacency):
             raise ConfigError("sensor network must be connected")
+        _check_rectangle(self.region, "scenario region")
         for b in self.births:
             if not (0 <= b.birth_step < b.death_step <= self.duration):
                 raise ConfigError("birth step must precede death step within duration")
+            if not np.isfinite(np.asarray(b.state, dtype=float)).all():
+                raise ConfigError("initial object state must be finite")
             if not self.region.contains(b.state[:2]):
                 raise ConfigError("initial object state outside region")
         if not self.gamma > 0:
@@ -116,10 +118,17 @@ class ScenarioConfig:
                 raise ConfigError("detection probability must be in [0, 1]")
             if not 0 <= s.clutter_rate < np.inf:
                 raise ConfigError("clutter rate must be finite and >= 0")
+            _check_rectangle(s.region, "sensor region")
         if not 0 <= self.motion.p_survival <= 1:
             raise ConfigError("survival probability must be in [0, 1]")
         if not self.fusion_max_components >= 1:
             raise ConfigError("fusion component cap must be at least 1")
+
+
+def _check_rectangle(rect: Rectangle, what: str) -> None:
+    # A NaN bound fails every comparison; an infinite one gives an infinite area.
+    if not (rect.xmin < rect.xmax and rect.ymin < rect.ymax and rect.area < np.inf):
+        raise ConfigError(f"{what} must be finite with xmin < xmax and ymin < ymax")
 
 
 def _connected(adjacency) -> bool:
@@ -261,13 +270,13 @@ def _assign_columns(cost: np.ndarray) -> list[int]:
 def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> float:
     """Optimal sub-pattern assignment distance between two position sets.
 
-    A position with an infinite coordinate lies beyond the cutoff of every
-    finite one; a NaN coordinate raises ``ValueError``.
+    Each non-empty set is an (n, 2) array. A position with an infinite
+    coordinate lies beyond the cutoff of every finite one; a NaN coordinate
+    or a set of another shape raises ``ValueError``.
     """
     if not (c > 0 and p >= 1):
         raise ValueError("require c > 0 and p >= 1")
-    x = np.asarray(x, dtype=float).reshape(-1, 2) if np.size(x) else np.zeros((0, 2))
-    y = np.asarray(y, dtype=float).reshape(-1, 2) if np.size(y) else np.zeros((0, 2))
+    x, y = _rows(x, 2, ValueError), _rows(y, 2, ValueError)
     if np.isnan(x).any() or np.isnan(y).any():
         raise ValueError("positions must not be NaN")
     m, n = x.shape[0], y.shape[0]
@@ -284,19 +293,12 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
     return float((total / n) ** (1.0 / p))
 
 
-def known_birth_components(cfg: ScenarioConfig) -> tuple[BernoulliComponent, ...]:
-    cov = np.diag(KNOWN_BIRTH_VAR)
-    births = []
-    for i, b in enumerate(cfg.births):
-        if b.birth_step == 0:
-            births.append(
-                BernoulliComponent(
-                    r=KNOWN_BIRTH_R,
-                    pdf=GaussianMixture.single(np.asarray(b.state, dtype=float), cov),
-                    id=i,
-                )
-            )
-    return tuple(births)
+def known_birth_components(cfg: ScenarioConfig) -> MultiBernoulliDensity:
+    """One component per object present at step 0; its id is the object's
+    position in cfg.births."""
+    ids = [i for i, b in enumerate(cfg.births) if b.birth_step == 0]
+    means = np.array([cfg.births[i].state for i in ids], dtype=float).reshape(-1, 4)
+    return _single_gaussians(ids, KNOWN_BIRTH_R, means, np.diag(KNOWN_BIRTH_VAR))
 
 
 def run_local_filter(
@@ -306,17 +308,13 @@ def run_local_filter(
 ) -> list[MultiBernoulliDensity]:
     """GM cardinality-balanced MB filter over one sensor's scan sequence."""
     posterior = MultiBernoulliDensity(())
-    prev_scan = None
+    prev_scan = np.zeros((0, 2))    # no adaptive births before the first scan
     out = []
     for k, scan in enumerate(scans):
-        if cfg.birth_config is None:
-            births = known_birth_components(cfg) if k == 0 else ()
+        if cfg.adaptive_births:
+            births = adaptive_birth(prev_scan, start_id=posterior.next_id())
         else:
-            births = (
-                adaptive_birth(prev_scan, cfg.birth_config, start_id=posterior.next_id())
-                if prev_scan is not None
-                else ()
-            )
+            births = known_birth_components(cfg) if k == 0 else None
         predicted = mb_predict(posterior, cfg.motion, births)
         updated = mb_update(predicted, scan, sensor)
         posterior = mb_reduce(updated, REDUCE_CONFIG)
@@ -555,7 +553,7 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
         adjacency=adjacency,
         fusion_node=fusion_node,
         base_seed=seed,
-        birth_config=BirthConfig(),
+        adaptive_births=True,
     )
 
 

@@ -1,9 +1,9 @@
 """Reference math that the package's vectorized code is checked against.
 
 These are direct formulas kept for the tests only; the package itself
-never calls them. The filter references work one Bernoulli component at a
-time, on the component objects, where the package works on a density's
-flat stack. The OSPA and log-sum-exp references call scipy, which the
+never calls them. The filter, birth and fusion-assembly references work
+one Bernoulli component at a time, on the component objects, where the
+package works on a density's flat stack. The OSPA and log-sum-exp references call scipy, which the
 package itself does not import.
 """
 
@@ -13,9 +13,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from mbfuse.clustering import Cluster, ClusterKind
+from mbfuse.clustering import Cluster, ClusterKind, compute_lic
 from mbfuse.errors import DimensionMismatchError, NumericalError
-from mbfuse.gci import FusionWeights
+from mbfuse.gci import FusionWeights, _fuse_isolated_pairs, pairwise_distances
 from mbfuse.gm import (
     GaussianMixture,
     _batch_cholesky,
@@ -25,8 +25,11 @@ from mbfuse.gm import (
     gm_merge_moments,
     gm_normalize,
 )
-from mbfuse.mb import R_MAX, BernoulliComponent, MultiBernoulliDensity, adaptive_birth
-from mbfuse.sim import CONDENSE_GATE, CONDENSE_R_CAP, CONDENSE_TRUNC, REDUCE_CONFIG
+from mbfuse.mb import R_MAX, BernoulliComponent, MultiBernoulliDensity
+from mbfuse.pgci import fuse_cluster
+from mbfuse.sim import (
+    CONDENSE_GATE, CONDENSE_R_CAP, CONDENSE_TRUNC, KNOWN_BIRTH_R, KNOWN_BIRTH_VAR, REDUCE_CONFIG,
+)
 
 _LOG_EPS = -745.0  # below this, exp underflows to 0 in float64
 
@@ -340,6 +343,42 @@ def condense_for_fusion(density, cfg):
     return MultiBernoulliDensity(tuple(keep_strongest(kept, cfg.fusion_max_components)))
 
 
+def adaptive_birth(prev_scan, start_id=0):
+    """One birth component object per previous-scan measurement, zero-velocity
+    prior: existence min(0.03, 0.1 / n) for n measurements, standard
+    deviation 10 in position and velocity."""
+    prev_scan = np.asarray(prev_scan, dtype=float).reshape(-1, 2)
+    n = prev_scan.shape[0]
+    if n == 0:
+        return ()
+    r_b = min(0.03, 0.1 / max(1, n))
+    cov = np.diag([10.0**2, 10.0**2, 10.0**2, 10.0**2])
+    births = []
+    for i, z in enumerate(prev_scan):
+        mean = np.array([z[0], z[1], 0.0, 0.0])
+        births.append(
+            BernoulliComponent(r=r_b, pdf=GaussianMixture.single(mean, cov), id=start_id + i)
+        )
+    return tuple(births)
+
+
+def known_birth_components(cfg):
+    """One component object per object present at step 0, with the object's
+    position in cfg.births as its id."""
+    cov = np.diag(KNOWN_BIRTH_VAR)
+    births = []
+    for i, b in enumerate(cfg.births):
+        if b.birth_step == 0:
+            births.append(
+                BernoulliComponent(
+                    r=KNOWN_BIRTH_R,
+                    pdf=GaussianMixture.single(np.asarray(b.state, dtype=float), cov),
+                    id=i,
+                )
+            )
+    return tuple(births)
+
+
 def run_local_filter(scans, cfg, sensor):
     """sim.run_local_filter's recursion on the references above (adaptive
     births only)."""
@@ -348,7 +387,7 @@ def run_local_filter(scans, cfg, sensor):
     out = []
     for scan in scans:
         births = (
-            adaptive_birth(prev_scan, cfg.birth_config, start_id=posterior.next_id())
+            adaptive_birth(prev_scan, start_id=posterior.next_id())
             if prev_scan is not None
             else ()
         )
@@ -357,6 +396,41 @@ def run_local_filter(scans, cfg, sensor):
         out.append(posterior)
         prev_scan = scan
     return out
+
+
+def isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
+    """The 1x1 batch cut into the fused component of each pair, None where
+    the pair is dropped; each component has id 0."""
+    out = [None] * len(pairs)
+    for comp in _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config).components:
+        out[comp.id] = BernoulliComponent(r=comp.r, pdf=comp.pdf, id=0)
+    return out
+
+
+def pgci_fuse(mb1, mb2, w, gamma, gm_config=None):
+    """pgci_fuse's density assembled one component object at a time: the
+    1x1 batch's component or the cluster's fused components, cluster by
+    cluster, each rebuilt with a fresh id."""
+    distances = pairwise_distances(mb1, mb2, w)
+    if len(mb1) > len(mb2):
+        mb1, mb2, w = mb2, mb1, w.swapped()
+        distances = distances.T
+    clusters = compute_lic(distances, gamma).fused_clusters
+    isolated = [len(c.l1) == len(c.l2) == 1 for c in clusters]
+    batch = iter(isolated_pairs(
+        [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],
+        mb1, mb2, w, distances, gm_config,
+    ))
+    components = []
+    for cluster, one in zip(clusters, isolated):
+        if one:
+            comp = next(batch)
+            fused = [] if comp is None else [comp]
+        else:
+            fused = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components
+        for comp in fused:
+            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
+    return MultiBernoulliDensity(tuple(components))
 
 
 def ospa(x, y, c=100.0, p=2.0) -> float:

@@ -5,7 +5,7 @@ import pytest
 
 from mbfuse import (
     BernoulliComponent,
-    BirthConfig,
+    DimensionMismatchError,
     GaussianMixture,
     InvalidDensityError,
     MbReduceConfig,
@@ -69,7 +69,7 @@ class TestMbPredict:
     def test_births_appended_to_empty_prior(self):
         m = MotionModel.ncv(1.0, 5.0, 0.98)
         births = (single_component(0.03, cid=0), single_component(0.03, cid=1))
-        predicted = mb_predict(MultiBernoulliDensity(()), m, births)
+        predicted = mb_predict(MultiBernoulliDensity(()), m, MultiBernoulliDensity(births))
         assert len(predicted) == 2
 
     def test_count_is_prior_plus_births(self):
@@ -78,7 +78,7 @@ class TestMbPredict:
             (single_component(0.5, cid=0), single_component(0.4, cid=1))
         )
         births = (single_component(0.03, cid=2),)
-        assert len(mb_predict(prior, m, births)) == 3
+        assert len(mb_predict(prior, m, MultiBernoulliDensity(births))) == 3
 
 
 class TestMbUpdate:
@@ -126,6 +126,20 @@ class TestMbUpdate:
             for c in updated.components:
                 assert 0.0 <= c.r < 1.0
 
+    # Reshaped to (-1, 2), a (3, 4) scan became 6 measurement tracks.
+    @pytest.mark.parametrize("shape", [(3, 4), (2,), (4,), (3, 1), (3, 2, 1)])
+    def test_scan_of_wrong_shape_raises(self, shape):
+        prior = MultiBernoulliDensity((single_component(0.5),))
+        with pytest.raises(DimensionMismatchError):
+            mb_update(prior, np.zeros(shape), make_sensor())
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (0, 4)])
+    def test_empty_scan_of_any_shape_is_empty(self, shape):
+        prior = MultiBernoulliDensity((single_component(0.5),))
+        updated = mb_update(prior, np.zeros(shape), make_sensor())
+        assert len(updated) == 1
+        assert updated.components[0].r == pytest.approx(1.0 / 21.0)
+
     def test_certain_object_with_certain_detection(self):
         # r = 1 and p_D = 1 made the legacy update divide 0 by 0.
         sensor = make_sensor(p_detect=1.0)
@@ -155,17 +169,17 @@ class TestMbUpdate:
 
 class TestAdaptiveBirth:
     def test_empty_scan_no_births(self):
-        assert adaptive_birth(np.zeros((0, 2)), BirthConfig()) == ()
+        assert len(adaptive_birth(np.zeros((0, 2)))) == 0
 
     def test_single_measurement_r(self):
-        births = adaptive_birth(np.array([[10.0, 20.0]]), BirthConfig())
+        births = adaptive_birth(np.array([[10.0, 20.0]])).components
         assert len(births) == 1
         assert births[0].r == pytest.approx(0.03)
         np.testing.assert_allclose(births[0].pdf.means[0], [10.0, 20.0, 0.0, 0.0])
 
     def test_rate_split_over_measurements(self):
         scan = np.arange(20.0).reshape(10, 2)
-        births = adaptive_birth(scan, BirthConfig())
+        births = adaptive_birth(scan).components
         assert len(births) == 10
         assert all(b.r == pytest.approx(0.01) for b in births)
 

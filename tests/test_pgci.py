@@ -37,6 +37,7 @@ from mbfuse.pgci import (
     multi_sensor_fuse,
     pgci_fuse,
 )
+import oracle
 from oracle import cluster_log_eta
 
 W = FusionWeights(0.5, 0.5)
@@ -296,10 +297,16 @@ def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):
     return MultiBernoulliDensity(tuple(components))
 
 
+# Group shapes (components on side 1, on side 2) of mixed_clusters.
+MIXED = [(1, 1), (1, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 0), (0, 1)]
+NO_1X1 = [shape for shape in MIXED if shape != (1, 1)]
+
+
 @st.composite
-def mixed_clusters(draw):
-    """Two densities whose components sit in far-apart groups of 0 to 3 per
-    side, so most clusters are 1x1 and some are larger or one-sided.
+def mixed_clusters(draw, shapes=MIXED, min_groups=1):
+    """Two densities whose components sit in far-apart groups of the given
+    shapes, min_groups to 8 of them, each group one cluster. By default
+    most clusters are 1x1 and some are larger or one-sided.
 
     Components hold 1 to 3 Gaussians. Some 1x1 groups get existence
     probabilities of 0 or 1e-300, whose pair marginal falls below the
@@ -310,10 +317,9 @@ def mixed_clusters(draw):
     tiny = st.sampled_from([0.0, 1e-300])
     var = st.sampled_from([0.5, 1.0, 4.0])
     sides = ([], [])
-    for g in range(draw(st.integers(1, 8))):
+    for g in range(draw(st.integers(min_groups, 8))):
         center = np.array([1e3 * g, -1e3 * g])
-        sizes = draw(st.sampled_from([(1, 1), (1, 1), (1, 1), (1, 2), (2, 1), (2, 3),
-                                      (3, 2), (1, 0), (0, 1)]))
+        sizes = draw(st.sampled_from(shapes))
         underflow = sizes == (1, 1) and draw(st.integers(0, 5)) == 0
         for comps, n in zip(sides, sizes):
             for _ in range(n):
@@ -385,6 +391,62 @@ class TestIsolatedPairBatch:
             a.pdf.n_components * b.pdf.n_components
             for a, b in zip(mb1.components, mb2.components)
         )]
+
+
+def assert_identical(got, want):
+    """Every stack array equal in dtype, shape and value, empty ones too."""
+    for name, a, b in zip(want.stack._fields, got.stack, want.stack):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestAssemblyAgainstReference:
+    """pgci_fuse's stable gather against oracle.pgci_fuse, which assembles
+    the same parts one component object at a time."""
+
+    def check(self, instance):
+        mb1, mb2, w, gamma, gm_config = instance
+        got, diag = pgci_fuse(mb1, mb2, w, gamma, gm_config=gm_config)
+        assert_identical(got, oracle.pgci_fuse(mb1, mb2, w, gamma, gm_config))
+        return got, diag
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_clusters([(1, 1)]))
+    def test_all_1x1(self, instance):
+        self.check(instance)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_clusters(NO_1X1))
+    def test_no_1x1_cluster(self, instance):
+        _, diag = self.check(instance)
+        assert (1, 1) not in diag.cluster_sizes
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_clusters())
+    def test_mixed(self, instance):
+        self.check(instance)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(mixed_clusters([(1, 0), (0, 1)], min_groups=0))
+    def test_empty_and_one_sided(self, instance):
+        got, _ = self.check(instance)
+        assert len(got) == 0
+
+    def test_dropped_pairs_leave_gaps_in_the_batch(self):
+        # Five 1x1 clusters and one 2x2; the second and fourth pairs carry
+        # r = 0 on one side, so the batch keeps pairs 0, 2 and 4 only.
+        rs1 = [0.8, 0.0, 0.7, 0.9, 0.6, 0.5, 0.4]
+        rs2 = [0.7, 0.8, 0.6, 0.0, 0.9, 0.5, 0.6]
+        groups = [0, 1, 2, 3, 4, 5, 5]
+        mb1, mb2 = (
+            MultiBernoulliDensity(tuple(
+                bern(r, [1e3 * g + 0.5 * side * (i % 2), 0.0], comp_id=i)
+                for i, (r, g) in enumerate(zip(rs, groups))
+            ))
+            for side, rs in enumerate((rs1, rs2))
+        )
+        got, diag = self.check((mb1, mb2, W, 4.0, GmReduceConfig()))
+        assert diag.cluster_sizes == [(1, 1)] * 5 + [(2, 2)]
+        assert got.stack.ids.tolist() == list(range(5))
 
 
 # (r, mean, cov) of one invalid Bernoulli component per case.

@@ -188,6 +188,20 @@ class TestOspa:
         x, y = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
         assert ospa(x, y) == pytest.approx(ospa(y, x), rel=1e-12)
 
+    # Reshaped to (n, 2), a (3, 4) set read as 6 positions at the origin and
+    # gave 0.0 against 6 others there.
+    @pytest.mark.parametrize("shape", [(3, 4), (6,), (2,), (3, 1), (3, 2, 1), (1, 3)])
+    def test_set_of_wrong_shape_raises(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            ospa(np.zeros(shape), np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            ospa(np.zeros((6, 2)), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 2), (0, 4), (2, 0)])
+    def test_empty_set_of_any_shape_is_empty(self, shape):
+        assert ospa(np.zeros(shape), np.zeros((0, 2))) == 0.0
+        assert ospa(np.zeros(shape), np.ones((1, 2))) == 100.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=0.0)
@@ -326,6 +340,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    # Unchecked, a NaN velocity ends in NumericalError inside the filter, a
+    # zero-area sensor region in a ZeroDivisionError from the clutter
+    # density, and an inverted one in numpy's "high - low < 0".
+    @pytest.mark.parametrize("state", [
+        [-250.0, -250.0, float("nan"), 3.0],
+        [-250.0, -250.0, 5.0, float("inf")],
+        [-250.0, float("nan"), 5.0, 3.0],
+    ])
+    def test_non_finite_birth_state_rejected(self, state):
+        cfg = scenario1()
+        births = (dataclasses.replace(cfg.births[0], state=np.array(state)),) + cfg.births[1:]
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, births=births).validate()
+
+    BAD_RECTANGLES = [
+        Rectangle(0.0, 0.0, -500.0, 500.0),             # zero area
+        Rectangle(-500.0, 500.0, 500.0, 500.0),
+        Rectangle(500.0, -500.0, -500.0, 500.0),        # inverted
+        Rectangle(-500.0, 500.0, 500.0, -500.0),
+        Rectangle(-500.0, float("inf"), -500.0, 500.0),
+        Rectangle(float("-inf"), float("inf"), -500.0, 500.0),
+        Rectangle(-500.0, 500.0, float("nan"), 500.0),
+    ]
+
+    @pytest.mark.parametrize("region", BAD_RECTANGLES)
+    def test_bad_sensor_region_rejected(self, region):
+        cfg = scenario1()
+        # Only the second sensor is bad: every sensor must be checked.
+        bad = dataclasses.replace(cfg.sensors[1], region=region)
+        with pytest.raises(ConfigError, match="sensor region"):
+            dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad)).validate()
+
+    @pytest.mark.parametrize("region", BAD_RECTANGLES)
+    def test_bad_scenario_region_rejected(self, region):
+        # The match makes sure the region check, not the birth check, rejects it.
+        births = (ObjectBirth(0, 65, np.array([0.0, 0.0, 1.0, 1.0])),)
+        cfg = dataclasses.replace(scenario1(), region=region, births=births)
+        with pytest.raises(ConfigError, match="scenario region"):
+            cfg.validate()
+
     def test_builtin_scenarios_valid(self):
         scenario1().validate()
         scenario2("desk").validate()
@@ -339,7 +393,7 @@ class TestConfigValidation:
 class TestKnownBirths:
     def test_components_built_from_step0_births(self):
         cfg = tiny_scenario()
-        comps = known_birth_components(cfg)
+        comps = known_birth_components(cfg).components
         assert len(comps) == 2
         assert all(c.r == KNOWN_BIRTH_R for c in comps)
         assert comps[0].pdf.means[0] == pytest.approx([-100.0, 0.0, 5.0, 0.0])
@@ -349,7 +403,7 @@ class TestKnownBirths:
         cfg = tiny_scenario(
             births=(ObjectBirth(3, 8, np.array([0.0, 0.0, 1.0, 0.0])),)
         )
-        assert known_birth_components(cfg) == ()
+        assert len(known_birth_components(cfg)) == 0
 
 
 class TestMonteCarlo:

@@ -1,5 +1,6 @@
-"""The flat-stack filter chain against the per-component references in
-oracle.py, bit for bit, and the read-only stack arrays."""
+"""The flat-stack filter chain and births against the per-component
+references in oracle.py, bit for bit; the read-only stack arrays; and a
+filter and a 1x1 fusion that build no component object."""
 
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from mbfuse.gci import FusionWeights
 from mbfuse.gm import GaussianMixture
 from mbfuse.mb import (
     R_MAX,
@@ -19,16 +21,20 @@ from mbfuse.mb import (
     MultiBernoulliDensity,
     Rectangle,
     SensorModel,
+    adaptive_birth,
     mb_merge_components,
     mb_predict,
     mb_reduce,
     mb_update,
 )
+from mbfuse.pgci import pgci_fuse
 from mbfuse.sim import (
     CONDENSE_R_CAP,
+    ObjectBirth,
     _condense_for_fusion,
     generate_measurements,
     generate_truth,
+    known_birth_components,
     run_local_filter,
     scenario1,
     scenario2,
@@ -84,8 +90,8 @@ def filter_step(draw):
     n_prior, n_births = draw(st.integers(0, 7)), draw(st.integers(0, 3))
     ids = draw(st.permutations(range(20)))
     prior = MultiBernoulliDensity(draw(components(ids[:n_prior])))
-    births = draw(components(ids[n_prior:n_prior + n_births]))
-    near = [c.pdf.means[0, :2] for c in prior.components + births]
+    births = MultiBernoulliDensity(draw(components(ids[n_prior:n_prior + n_births])))
+    near = [c.pdf.means[0, :2] for c in prior.components + births.components]
     points = []
     for _ in range(draw(st.integers(0, 6))):
         if near and draw(st.booleans()):
@@ -121,7 +127,7 @@ class TestAgainstReference:
     def test_filter_chain(self, case):
         prior, births, scan, sensor, config = case
         predicted = mb_predict(prior, MOTION, births)
-        assert_same(predicted, oracle.mb_predict(prior, MOTION, births))
+        assert_same(predicted, oracle.mb_predict(prior, MOTION, births.components))
         updated = mb_update(predicted, scan, sensor)
         assert_same(updated, oracle.mb_update(predicted, scan, sensor))
         reduced = mb_reduce(updated, config)
@@ -177,6 +183,58 @@ class TestAgainstReference:
         assert len(got) == len(want) == cfg.duration
         for g, w in zip(got, want):
             assert_same(g, w)
+
+
+class TestBirthsAgainstReference:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(xy(spread=2000.0), max_size=40), st.integers(0, 50))
+    def test_adaptive_birth(self, points, start_id):
+        scan = np.array(points).reshape(-1, 2)
+        got = adaptive_birth(scan, start_id=start_id)
+        assert_same(got, MultiBernoulliDensity(oracle.adaptive_birth(scan, start_id)))
+        assert got.stack.means.shape == (len(points), 4)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 2), xy(), xy(spread=10.0)), max_size=8))
+    def test_known_birth_components(self, objects):
+        births = tuple(
+            ObjectBirth(step, 65, np.concatenate([pos, vel])) for step, pos, vel in objects
+        )
+        cfg = replace(scenario1(), births=births)
+        got = known_birth_components(cfg)
+        assert_same(got, MultiBernoulliDensity(oracle.known_birth_components(cfg)))
+        assert got.stack.ids.tolist() == [i for i, b in enumerate(births) if b.birth_step == 0]
+
+
+class TestNoComponentObjects:
+    def test_filter_and_all_1x1_fusion(self, monkeypatch):
+        # Births, posteriors and the 1x1 batch are built from arrays; any
+        # mixture or component object built on the way fails the test.
+        cfg = scenario2("desk", seed=601)
+        sensor = cfg.sensors[0]
+        scans = generate_measurements(
+            generate_truth(cfg), sensor, np.random.SeedSequence([cfg.base_seed, 0, 0]).entropy
+        )
+        mb1, mb2 = (
+            MultiBernoulliDensity(tuple(
+                BernoulliComponent(r=0.8, pdf=GaussianMixture.single(
+                    [1e3 * i + side, 0.0, 0.0, 0.0], np.eye(4)), id=i)
+                for i in range(6)
+            ))
+            for side in (0.0, 1.0)
+        )
+        built = []
+        for cls in (GaussianMixture, BernoulliComponent):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        posteriors = run_local_filter(scans, cfg, sensor)
+        fused, diag = pgci_fuse(mb1, mb2, FusionWeights(0.5, 0.5), 4.0, GmReduceConfig())
+        assert built == []
+        assert sum(len(p) for p in posteriors) > 0
+        assert diag.cluster_sizes == [(1, 1)] * 6 and len(fused) == 6
 
 
 class TestReadOnlyStack:
