@@ -13,7 +13,6 @@ intractable under its fixed cap, 5 truncation bound violated (bound-check).
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,33 +25,6 @@ from .mb import GaussianMixture, BernoulliComponent, MultiBernoulliDensity
 from .pgci import hypothesis_count_report, inter_cluster_hypotheses, l1_error_bound
 from .clustering import compute_lic
 from .sim import build_scenario, run_montecarlo
-
-
-def _read_config(path: str, options) -> dict:
-    """The [run] section of an INI file, each value cast like its option.
-
-    A key that is not one of the subcommand's ``options`` is an error.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path)
-    if "run" not in parser:
-        raise ConfigError("config file must contain a [run] section")
-    known = {key: (cast, choices) for key, cast, _, choices in options}
-    values = {}
-    for key, text in parser["run"].items():
-        if key not in known:
-            raise ConfigError(f"config key {key!r} is not an option of this subcommand")
-        cast, choices = known[key]
-        try:
-            values[key] = cast(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad config value for {key}: {exc}") from exc
-        if choices and values[key] not in choices:
-            raise ConfigError(f"bad config value for {key}: {text!r} not in {choices}")
-    return values
 
 
 def _random_mb(rng: np.random.Generator, n: int, spread: float = 60.0):
@@ -164,9 +136,7 @@ _COMMANDS = {
 }
 
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
-    """Each subcommand takes --config plus its own options; ``defaults``
-    (a config file's values) replace the options' built-in defaults."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mbfuse",
         description="Distributed multi-object tracking with clustered "
@@ -175,21 +145,15 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, options) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
         for key, cast, default, choices in options:
-            p.add_argument(f"--{key}", type=cast, default=defaults.get(key, default),
-                           choices=choices)
+            p.add_argument(f"--{key}", type=cast, default=default, choices=choices)
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser({}).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            # The file's values replace the defaults; flags still win.
-            file_values = _read_config(args.config, _COMMANDS[args.command][1])
-            args = build_parser(file_values).parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -280,8 +280,9 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     w2 logit r_l' - d[l, l']), where exp(base) is the empty hypothesis'
     weight, so eta and the pair marginals are sums over the partial
     matchings of g; ``_matching_sums`` computes them over subsets of the
-    smaller side instead of enumerating hypotheses. Returns
-    ({(l, l'): marginal}, log eta).
+    smaller side instead of enumerating hypotheses. Returns (marginal,
+    log eta), where marginal[i, j] is the pair marginal of l1_idx[i] and
+    l2_idx[j].
     """
     n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
     steps = n_l * n_s * 2**n_s
@@ -302,48 +303,41 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     else:
         z, pair = _matching_sums(g.T)
         pair = pair.T
-    marginal = pair / z
-    marginals = {
-        (l, lp): marginal[i, j] for i, l in enumerate(l1_idx) for j, lp in enumerate(l2_idx)
-    }
-    return marginals, float(base + np.log(z))
+    return pair / z, float(base + np.log(z))
 
 
-def _moment_match(marginals, l1_idx, mb1, mb2, w, gm_config):
+# Pair marginals at or below this can pair with densities whose product mass
+# already underflowed to zero; fusion drops them instead of dividing by zero.
+MARGINAL_FLOOR = 1e-300
+
+
+def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
     """First-order moment matching of the fused GMB density onto l1_idx.
 
-    marginals maps (l, l') to the normalized weight of the hypotheses that
-    associate l with l'. Returns the fused components; they take ids 0, 1,
-    ... by position in l1_idx, and one that no pair carries weight to is
+    marginal[i, j] is the normalized weight of the hypotheses that associate
+    l1_idx[i] with l2_idx[j]. Returns the fused components; they take ids 0,
+    1, ... by position in l1_idx, and one that no pair carries weight to is
     dropped.
     """
-    # Marginals below ~1e-300 can pair with densities whose product mass
-    # already underflowed to zero; drop them instead of dividing by zero.
-    kept = {key: m for key, m in marginals.items() if m > 1e-300}
-    fused = fused_pair_density(list(kept), mb1, mb2, w)
-    pdfs = {key: pdf for key, (pdf, _) in zip(kept, fused)}
-
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for (l, lp), m in kept.items():
-        by_row.setdefault(l, []).append((lp, m))
+    kept = marginal > MARGINAL_FLOOR
+    pairs = [(l1_idx[i], l2_idx[j]) for i, j in zip(*np.nonzero(kept))]
+    fused = iter(fused_pair_density(pairs, mb1, mb2, w))
 
     components = []
-    for new_id, l in enumerate(l1_idx):
-        pairs = by_row.get(l, [])
-        r = sum(m for _, m in pairs)
-        if r <= 0.0:
+    for i, row in enumerate(marginal):
+        ms = row[kept[i]]
+        if not ms.size:
             continue
-        weights, means, covs = [], [], []
-        for lp, m in sorted(pairs):
-            pdf = pdfs[(l, lp)]
-            weights.append(m / r * pdf.weights)
-            means.append(pdf.means)
-            covs.append(pdf.covs)
+        # Python's sum adds left to right; ndarray.sum pairs terms from 8 up.
+        r = sum(ms)
+        pdfs = [next(fused)[0] for _ in ms]
         mixture = GaussianMixture(
-            np.concatenate(weights), np.concatenate(means), np.concatenate(covs)
+            np.concatenate([m / r * pdf.weights for m, pdf in zip(ms, pdfs)]),
+            np.concatenate([pdf.means for pdf in pdfs]),
+            np.concatenate([pdf.covs for pdf in pdfs]),
         )
         pdf = _reduce_pdf(mixture, gm_config)
-        components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=new_id))
+        components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=i))
 
     return tuple(components)
 
@@ -354,8 +348,8 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
 
     A lone pair's marginal is g / (1 + g) with g as in
     cluster_pair_marginals; the subset DP computes it as g*1 over 1 + g*1,
-    which is the same float. Pairs whose marginal is above 1e-300, the rule
-    of _moment_match, are fused from one flat stack per density: the
+    which is the same float. Pairs whose marginal is above MARGINAL_FLOOR,
+    as in _moment_match, are fused from one flat stack per density: the
     kernel multiplies only the Gaussian pairs of the kept pairs, each
     pair's block in row-major order as fused_pair_density slices it, and
     the fused pdfs are reduced in one pass. A single pair's mixture needs
@@ -369,7 +363,7 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     _, gain2 = _existence_gains(mb2.rs[l2], w.w2)
     g = np.exp(gain1 + gain2 - distances[l1, l2])
     marginal = g / (1.0 + g)
-    kept = np.flatnonzero(marginal > 1e-300)
+    kept = np.flatnonzero(marginal > MARGINAL_FLOOR)
     if not kept.size:
         return MultiBernoulliDensity(())
     _, _, sizes1, *stack1 = mb1.stack
@@ -468,13 +462,14 @@ def naive_gci_mb_fuse(
     log_eta = _logsumexp(log_ws)
     norm_ws = np.exp(log_ws - log_eta)
 
-    marginals: dict[tuple[int, int], float] = {}
+    marginal = np.zeros((n1, n2))
     for (i1, theta), wn in zip(hyps, norm_ws):
         for l in i1:
-            key = (l, theta[l])
-            marginals[key] = marginals.get(key, 0.0) + wn
+            marginal[l, theta[l]] += wn
 
-    fused_mb = MultiBernoulliDensity(_moment_match(marginals, l1_idx, mb1, mb2, w, gm_config))
+    fused_mb = MultiBernoulliDensity(
+        _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config)
+    )
     gmb = GmbDensity(
         hypotheses=[
             FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))

@@ -209,7 +209,6 @@ class MotionModel:
     F: np.ndarray
     Q: np.ndarray
     p_survival: float
-    dt: float = 1.0
 
     @classmethod
     def ncv(cls, dt: float, sigma_v: float, p_survival: float) -> "MotionModel":
@@ -222,7 +221,7 @@ class MotionModel:
                 [dt**3 / 2.0 * i2, dt**2 * i2],
             ]
         )
-        return cls(F=F, Q=Q, p_survival=p_survival, dt=dt)
+        return cls(F=F, Q=Q, p_survival=p_survival)
 
 
 @dataclass(frozen=True)

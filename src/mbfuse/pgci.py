@@ -90,9 +90,9 @@ def fuse_cluster(
     if cluster.kind != ClusterKind.BOTH:
         raise ValueError("fuse_cluster only applies to two-sided clusters")
     l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
-    marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
+    marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
     return ClusterFusionResult(
-        components=_moment_match(marginals, l1_idx, mb1, mb2, w, gm_config),
+        components=_moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config),
         log_eta=log_eta,
         hypothesis_count=cluster_hypothesis_count(cluster),
     )

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
+    SYM_TOL,
     _rows,
     _single_gaussians,
     _strongest,
@@ -103,9 +104,14 @@ class ScenarioConfig:
         if n > 1 and not _connected(self.adjacency):
             raise ConfigError("sensor network must be connected")
         _check_rectangle(self.region, "scenario region")
+        n_x = np.shape(self.motion.F)[0] if np.ndim(self.motion.F) else 0
+        _check_matrix(self.motion.F, (n_x, n_x), "motion F")
+        _check_matrix(self.motion.Q, (n_x, n_x), "motion Q", covariance=True)
         for b in self.births:
             if not (0 <= b.birth_step < b.death_step <= self.duration):
                 raise ConfigError("birth step must precede death step within duration")
+            if np.shape(b.state) != (n_x,):
+                raise ConfigError(f"initial object state must have {n_x} entries, F's dimension")
             if not np.isfinite(np.asarray(b.state, dtype=float)).all():
                 raise ConfigError("initial object state must be finite")
             if not self.region.contains(b.state[:2]):
@@ -119,6 +125,9 @@ class ScenarioConfig:
             if not 0 <= s.clutter_rate < np.inf:
                 raise ConfigError("clutter rate must be finite and >= 0")
             _check_rectangle(s.region, "sensor region")
+            n_z = np.shape(s.H)[0] if np.ndim(s.H) else 0
+            _check_matrix(s.H, (n_z, n_x), "sensor H")
+            _check_matrix(s.R, (n_z, n_z), "sensor R", covariance=True)
         if not 0 <= self.motion.p_survival <= 1:
             raise ConfigError("survival probability must be in [0, 1]")
         if not self.fusion_max_components >= 1:
@@ -129,6 +138,22 @@ def _check_rectangle(rect: Rectangle, what: str) -> None:
     # A NaN bound fails every comparison; an infinite one gives an infinite area.
     if not (rect.xmin < rect.xmax and rect.ymin < rect.ymax and rect.area < np.inf):
         raise ConfigError(f"{what} must be finite with xmin < xmax and ymin < ymax")
+
+
+def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
+    """A model matrix must be finite and of its shape; a covariance must also
+    be symmetric and positive semi-definite within SYM_TOL times its largest
+    entry, so the singular NCV process noise passes."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} must be finite")
+    if not covariance:
+        return
+    tol = SYM_TOL * np.abs(a).max(initial=0.0)
+    if np.abs(a - a.T).max(initial=0.0) > tol or np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
+        raise ConfigError(f"{what} must be symmetric positive semi-definite")
 
 
 def _connected(adjacency) -> bool:

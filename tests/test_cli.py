@@ -1,5 +1,5 @@
-"""Command-line interface: argument handling, config files, exit codes,
-and byte-identical outputs for identical seeds."""
+"""Command-line interface: argument handling, exit codes, and byte-identical
+outputs for identical seeds."""
 
 import numpy as np
 import pytest
@@ -68,43 +68,8 @@ class TestRun:
         assert main(["run", "--runs", "2", "--seed", "2", "--out", str(b)]) == 0
         assert (a / "results.csv").read_bytes() != (b / "results.csv").read_bytes()
 
-    def test_config_file(self, fast_scenarios, tmp_path):
-        out = tmp_path / "from-config"
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[run]\nscenario = scenario1\nruns = 1\nseed = 3\nout = {out}\n")
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert (out / "results.csv").is_file()
-
-    def test_flags_override_config_file(self, fast_scenarios, tmp_path):
-        out_cfg = tmp_path / "cfg-out"
-        out_flag = tmp_path / "flag-out"
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[run]\nruns = 1\nout = {out_cfg}\n")
-        assert main(["run", "--config", str(cfg), "--out", str(out_flag)]) == 0
-        assert (out_flag / "results.csv").is_file()
-        assert not out_cfg.exists()
-
 
 class TestExitCodes:
-    def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 2
-
-    def test_config_without_run_section(self, tmp_path):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[other]\nx = 1\n")
-        assert main(["run", "--config", str(bad)]) == 2
-
-    def test_bad_config_value(self, tmp_path):
-        bad = tmp_path / "bad.ini"
-        bad.write_text("[run]\nruns = lots\n")
-        assert main(["run", "--config", str(bad)]) == 2
-
-    def test_config_key_the_subcommand_does_not_take(self, tmp_path):
-        # bench-counts writes no files, so an "out" key is a mistake.
-        bad = tmp_path / "bad.ini"
-        bad.write_text(f"[run]\nruns = 1\nout = {tmp_path / 'x'}\n")
-        assert main(["bench-counts", "--config", str(bad)]) == 2
-
     def test_intractable_maps_to_4(self, fast_scenarios, monkeypatch, tmp_path):
         def boom(*a, **k):
             raise IntractableFusionError("too many hypotheses", count=10, cap=1)

@@ -56,7 +56,7 @@ class TestMbPredict:
         assert predicted.components[0].r == pytest.approx(0.49)
 
     def test_identity_dynamics_keep_pdf(self):
-        m = MotionModel(F=np.eye(4), Q=np.zeros((4, 4)), p_survival=1.0, dt=1.0)
+        m = MotionModel(F=np.eye(4), Q=np.zeros((4, 4)), p_survival=1.0)
         prior = MultiBernoulliDensity((single_component(0.5, pos=(3.0, -2.0)),))
         predicted = mb_predict(prior, m)
         np.testing.assert_allclose(

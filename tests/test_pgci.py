@@ -229,17 +229,15 @@ class TestSubsetDp:
         mb1, mb2, w, cluster = instance
         D = pairwise_distances(mb1, mb2, w)
         l1, l2 = sorted(cluster.l1), sorted(cluster.l2)
-        marginals, log_eta = cluster_pair_marginals(mb1, mb2, w, D, l1, l2)
+        marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, D, l1, l2)
         naive, gmb = naive_gci_mb_fuse(sub_density(mb1, l1), sub_density(mb2, l2), w)
 
-        enumerated = {}
+        enumerated = np.zeros((len(l1), len(l2)))
         for h in gmb.hypotheses:
             for a, b in h.pairs:
-                i, j = (b, a) if gmb.swapped else (a, b)
-                enumerated[(l1[i], l2[j])] = enumerated.get((l1[i], l2[j]), 0.0) + h.w
-        assert set(marginals) == {(l, lp) for l in l1 for lp in l2}
-        for key, m in marginals.items():
-            assert m == pytest.approx(enumerated.get(key, 0.0), abs=1e-12)
+                enumerated[(b, a) if gmb.swapped else (a, b)] += h.w
+        assert marginal.shape == enumerated.shape
+        assert marginal == pytest.approx(enumerated, abs=1e-12)
         # The abs term only matters where log eta is ~0 (eta ~1); there it
         # is rel 1e-12 on eta.
         assert log_eta == pytest.approx(gmb.log_eta, rel=1e-12, abs=1e-12)

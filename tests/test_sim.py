@@ -354,6 +354,60 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             dataclasses.replace(cfg, births=births).validate()
 
+    # A 3-element state passes the other checks and ends in numpy's "matmul:
+    # ... mismatch in its core dimension" inside generate_truth.
+    @pytest.mark.parametrize("state", [[-250.0, -250.0, 5.0], [-250.0, -250.0, 5.0, 3.0, 0.0]])
+    def test_birth_state_of_wrong_length_rejected(self, state):
+        cfg = scenario1()
+        births = (dataclasses.replace(cfg.births[0], state=np.array(state)),) + cfg.births[1:]
+        with pytest.raises(ConfigError, match="4 entries"):
+            dataclasses.replace(cfg, births=births).validate()
+
+    @staticmethod
+    def with_matrix(cfg, name, value):
+        """cfg with the motion model's F or Q, or the second sensor's H or R,
+        replaced: only the second sensor is bad, so every sensor must be
+        checked."""
+        if name in ("F", "Q"):
+            return dataclasses.replace(cfg, motion=dataclasses.replace(cfg.motion, **{name: value}))
+        bad = dataclasses.replace(cfg.sensors[1], **{name: value})
+        return dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad))
+
+    # Unchecked, Q * nan runs to a fused OSPA of 98.5 (cutoff 100) with no
+    # fused track after step 0, and a NaN in R ends in NumericalError.
+    @pytest.mark.parametrize("name", ["F", "Q", "H", "R"])
+    def test_non_finite_model_matrix_rejected(self, name):
+        cfg = scenario1()
+        model = cfg.motion if name in ("F", "Q") else cfg.sensors[1]
+        value = getattr(model, name).copy()
+        value[0, 0] = float("nan")
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            self.with_matrix(cfg, name, value).validate()
+
+    # Unchecked, F = I_3 ends in numpy's bare ValueError.
+    @pytest.mark.parametrize("name, value", [
+        ("F", np.eye(3)),
+        ("F", np.ones(4)),
+        ("Q", np.eye(3)),
+        ("H", np.eye(2, 3)),
+        ("R", np.eye(3)),
+    ])
+    def test_model_matrix_of_wrong_shape_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="shape"):
+            self.with_matrix(scenario1(), name, value).validate()
+
+    # Unchecked, R = -I ends in NumericalError (exit 3, not 2).
+    @pytest.mark.parametrize("name, value", [
+        ("Q", -np.eye(4)),
+        ("Q", np.diag([1.0, 1.0, 1.0, -1e-3])),
+        ("Q", np.eye(4) + np.triu(np.ones((4, 4)), 1)),
+        ("R", -np.eye(2)),
+        ("R", np.array([[100.0, 1.0], [0.0, 100.0]])),
+    ])
+    def test_covariance_not_symmetric_psd_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be symmetric positive semi-definite"):
+            self.with_matrix(scenario1(), name, value).validate()
+
     BAD_RECTANGLES = [
         Rectangle(0.0, 0.0, -500.0, 500.0),             # zero area
         Rectangle(-500.0, 500.0, 500.0, 500.0),
