@@ -6,6 +6,16 @@ Fractional powers of a mixture are realized componentwise: each weighted
 Gaussian is raised to the exponent on its own, which is accurate when
 components are well separated relative to their covariances (reduction is
 run upstream before every fusion to enforce that).
+
+Reduction (_reduce_segments, under gm_reduce, mb_reduce, condensation and
+fusion) reduces many mixtures at once with no Python per mixture or per
+merged group, and gives each one bit for bit as reducing it alone would:
+every kept covariance is still factorized, so a non-positive-definite one
+raises NumericalError though only the leaders' factors are used; leader
+distance rows are solved with many columns, never one, as a single-column
+solve differs in the last bits; and every weight total is summed as
+_segment_sums sums, as zero-weight padding leaves the merge's contractions
+unchanged but not a row sum of padded weights from 8 entries up.
 """
 
 from __future__ import annotations
@@ -158,7 +168,8 @@ def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:
 
 
 def _leader_groups(order, within) -> list[np.ndarray]:
-    """Greedy leader clustering, the merge rule of every reduction.
+    """Greedy leader clustering, the merge rule of mb_merge_components
+    (_sweep applies the same rule to the Gaussians of a reduction).
 
     Indices are visited in ``order``; each one not yet grouped leads a
     group of itself and every ungrouped j with ``within[lead, j]``. Groups
@@ -182,7 +193,16 @@ def gm_merge_moments(weights, means, covs):
 
     Leading axes, if any, index independent sets that are merged at once.
     """
-    w = weights.sum(axis=-1)
+    return _merge_moments(weights.sum(axis=-1), weights, means, covs)
+
+
+def _merge_moments(w, weights, means, covs):
+    """gm_merge_moments of sets whose total weights w are given.
+
+    A set padded with zero-weight entries merges bit for bit as it does
+    unpadded when the Gaussians have two or more dimensions; its total
+    must not be summed from the padded weights (see _reduce_segments).
+    """
     m = np.einsum("...j,...jd->...d", weights, means) / w[..., None]
     spread = means - m[..., None, :]
     P = (
@@ -192,19 +212,41 @@ def gm_merge_moments(weights, means, covs):
     return w, m, 0.5 * (P + np.swapaxes(P, -1, -2))
 
 
-def _segment_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """ndarray.sum of each consecutive segment of values, bit for bit.
-
-    Segments of equal length are summed as the rows of one block: a row
-    sum takes the same pairwise path as a 1-D sum. np.add.reduceat adds a
-    segment's entries one after another instead, which differs in the last
-    bits from three entries up.
-    """
+def _segment_sums(values: np.ndarray, sizes: np.ndarray, starts=None) -> np.ndarray:
+    """ndarray.sum of each segment values[starts[k]:starts[k] + sizes[k]]
+    of non-negative values, bit for bit; an empty segment sums to 0. The
+    segments are consecutive unless starts is given."""
+    if starts is None:
+        starts = sizes.cumsum() - sizes
+    nonempty = sizes > 0
     sums = np.zeros(sizes.shape[0])
-    starts = np.cumsum(sizes) - sizes
-    for n in set(sizes.tolist()) - {0}:
-        seg = sizes == n
-        sums[seg] = values[starts[seg, None] + np.arange(n)].sum(axis=1)
+    if nonempty.any():
+        rows, valid = _segment_table(starts[nonempty], sizes[nonempty])
+        sums[nonempty] = _row_sums(np.where(valid, values[rows], 0.0), sizes[nonempty])
+    return sums
+
+
+def _row_sums(table: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """ndarray.sum of the first sizes[k] entries of each row k of a table
+    padded with trailing zeros, bit for bit.
+
+    A row sum takes the same path as a 1-D sum. Below 8 entries numpy adds
+    a row's entries one after another, so trailing zeros change nothing;
+    from 8 entries up its pairwise path depends on the length, so those
+    rows are summed one length at a time. np.add.reduceat adds entries in
+    another order, which differs in the last bits from three entries up.
+    Both paths rest on numpy's summation order, which it does not promise:
+    test_segment_sums_match_ndarray_sum pins them on the installed numpy.
+    Summing short rows one length at a time too made the reductions of every
+    benchmark workload slower.
+    """
+    if table.shape[1] < 8:
+        return table.sum(axis=1)
+    width = np.where(sizes < 8, 7, sizes)
+    sums = np.empty(sizes.shape[0])
+    for n in set(width.tolist()):
+        rows = width == n
+        sums[rows] = table[rows, :n].sum(axis=1)
     return sums
 
 
@@ -212,6 +254,15 @@ def _segment_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The rows starts[k], ..., starts[k] + sizes[k] - 1 of every segment k,
     concatenated in order."""
     return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _segment_table(starts: np.ndarray, sizes: np.ndarray):
+    """The rows of every segment k as row k of a table as wide as the
+    largest segment; returns (rows, valid). A short row is padded with its
+    segment's first row, which valid marks False; no segment may be empty."""
+    pos = np.arange(sizes.max())
+    valid = pos < sizes[:, None]
+    return np.where(valid, starts[:, None] + pos, starts[:, None]), valid
 
 
 def _segment_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -223,6 +274,62 @@ def _segment_argmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return top[np.searchsorted(owner[top], np.arange(sizes.shape[0]))]
 
 
+def _sweep(w, means, chol, starts, sizes, merge_threshold):
+    """Greedy leader groups of segments of two or more Gaussians.
+
+    Each segment visits its Gaussians heaviest first (ties to the lower
+    index); each one visited while still free leads a group of itself and
+    every free Gaussian within merge_threshold of it, found from the
+    leader's distance row alone. Returns (rows, valid, label): the segments
+    as a padded table of rows (see _segment_table) and each Gaussian's
+    group number in its segment.
+
+    Many segments sweep together in rounds, one group per segment a round;
+    a lone segment sweeps in a loop over its leaders, which costs less than
+    a round's two-dimensional indexing.
+    """
+    rows, valid = _segment_table(starts, sizes)
+    order = np.where(valid, -w[rows], np.nan).argsort(axis=1, kind="stable")
+    m = means[rows]
+    label = np.zeros(rows.shape, dtype=np.intp)
+    if sizes.shape[0] == 1:
+        free, k = valid[0].copy(), 0
+        m, lab, chol = m[0], label[0], chol[rows[0]]
+        for lead in order[0].tolist():
+            if free[lead]:
+                dist_sq = (np.linalg.solve(chol[lead], (m - m[lead]).T) ** 2).sum(axis=0)
+                grab = free & (dist_sq <= merge_threshold)
+                grab[lead] = True
+                lab[grab] = k
+                free &= ~grab
+                k += 1
+        return rows, valid, label
+    # rank[s, i]: Gaussian i's place in segment s's visit order, or `last`
+    # once it is grouped (padding counts as grouped). Every segment takes
+    # part in rounds 0, 1, ... until it has no free Gaussian, so a group's
+    # number is the round that formed it.
+    last = rows.shape[1]
+    rank = order.argsort(axis=1)
+    rank[~valid] = last
+    active = np.arange(sizes.shape[0])
+    k = 0
+    while active.size:
+        at = np.arange(active.size)
+        ranks = rank[active]
+        lead = ranks.argmin(axis=1)
+        ma = m[active]
+        diff = (ma - ma[at, lead, None]).swapaxes(1, 2)
+        dist_sq = (np.linalg.solve(chol[rows[active, lead]], diff) ** 2).sum(axis=1)
+        grab = (ranks < last) & (dist_sq <= merge_threshold)
+        grab[at, lead] = True
+        s, j = np.nonzero(grab)
+        label[active[s], j] = k
+        rank[active[s], j] = last
+        active = active[(rank[active] < last).any(axis=1)]
+        k += 1
+    return rows, valid, label
+
+
 def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_threshold,
                      max_components):
     """Reduce every segment of a flat stack on its own, in one pass, by
@@ -230,66 +337,98 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
 
     The stack holds consecutive segments of the given sizes. Returns the
     reduced stack as (sizes, weights, means, covs), unnormalized; a segment
-    with no weight at or above prune_threshold reduces to size 0. Every
-    kept covariance is factorized, so a non-positive-definite one raises
-    NumericalError; a threshold or cap that is negative, below 1 or NaN
-    raises ValueError.
+    with no weight at or above prune_threshold reduces to size 0. A
+    threshold or cap that is negative, below 1 or NaN raises ValueError.
+
+    No step runs Python per segment or per group: the greedy sweep runs in
+    rounds over all segments (see _sweep), groups are label arrays, the cap
+    is one batched stable top-k and all groups merge in one call. Python
+    loops only over the distinct lengths of 8 or more among the weight
+    sums, and over group sizes when the Gaussians are scalar. Each output
+    is still bit-identical to the reduction of its segment alone:
+    - every kept covariance is factorized, though only the leaders'
+      factors are used, so a non-positive-definite one raises
+      NumericalError;
+    - a leader's distance row is solved with one column per Gaussian of
+      its padded segment: a single-column solve differs in the last bits
+      from a multi-column one, while extra columns change no bit;
+    - every weight total, of a pruned segment or of a group, is summed
+      as _segment_sums sums (see _row_sums): zero-weight padding leaves
+      the merge's contractions unchanged bit for bit, but not a row sum of
+      padded weights from 8 entries up.
     """
     if not (prune_threshold >= 0 and merge_threshold >= 0 and max_components >= 1):
         raise ValueError("invalid reduction parameters")
     keep = weights >= prune_threshold
-    w, kept_sizes = weights, sizes
+    w = weights
+    starts = sizes.cumsum() - sizes
     if not keep.all():
-        owner = np.repeat(np.arange(sizes.shape[0]), sizes)[keep]
-        kept_sizes = np.bincount(owner, minlength=sizes.shape[0])
+        kept_sizes = np.bincount(np.repeat(np.arange(sizes.shape[0]), sizes)[keep],
+                                 minlength=sizes.shape[0])
         w, means, covs = weights[keep], means[keep], covs[keep]
-        # A segment that lost Gaussians to pruning is rescaled to its own total.
-        cut = (kept_sizes < sizes) & (kept_sizes > 0)
-        scale = np.ones(sizes.shape[0])
-        scale[cut] = _segment_sums(weights, sizes)[cut] / _segment_sums(w, kept_sizes)[cut]
-        w = w * scale[owner]
+        kept_starts = kept_sizes.cumsum() - kept_sizes
+        cut = ((kept_sizes < sizes) & (kept_sizes > 0)).nonzero()[0]
+        if cut.size:
+            # A segment that lost Gaussians to pruning is rescaled to its
+            # own total; only those segments are summed.
+            n = kept_sizes[cut]
+            scale = (_segment_sums(weights, sizes[cut], starts[cut])
+                     / _segment_sums(w, n, kept_starts[cut]))
+            w[_segment_rows(kept_starts[cut], n)] *= np.repeat(scale, n)
+        sizes, starts = kept_sizes, kept_starts
+    if not w.shape[0]:
+        return sizes, w, means, covs
     chol = _batch_cholesky(covs)
-    starts = np.cumsum(kept_sizes) - kept_sizes
 
-    # Leader groups of every segment that keeps two or more Gaussians, as
-    # indices into the kept stack, cut to the segment's cap.
-    grouped = {}
-    for n in set(kept_sizes.tolist()) - {0, 1}:
-        seg = np.flatnonzero(kept_sizes == n)
-        rows = starts[seg, None] + np.arange(n)
-        m = means[rows]
-        # dist_sq[s, j, i]: squared Mahalanobis distance of mean i under
-        # covariance j of segment s.
-        diff = np.swapaxes(m[:, None, :, :] - m[:, :, None, :], -1, -2)
-        dist_sq = np.sum(np.linalg.solve(chol[rows], diff) ** 2, axis=2)
-        for s, r, within in zip(seg, rows, dist_sq <= merge_threshold):
-            groups = [r[g] for g in _leader_groups(np.argsort(-w[r], kind="stable"), within)]
-            if len(groups) > max_components:
-                group_w = np.array([w[g].sum() for g in groups])
-                top = np.sort(np.argsort(-group_w, kind="stable")[:max_components])
-                groups = [groups[i] for i in top]
-            grouped[s] = groups
+    # Each kept Gaussian's group number in its segment; a segment of one
+    # Gaussian is one group.
+    label = np.zeros(w.shape[0], dtype=np.intp)
+    n_groups = np.minimum(sizes, 1)
+    multi = (sizes > 1).nonzero()[0]
+    if multi.size:
+        rows, valid, seg_label = _sweep(w, means, chol, starts[multi], sizes[multi],
+                                        merge_threshold)
+        label[rows[valid]] = seg_label[valid]
+        n_groups[multi] = seg_label.max(axis=1) + 1
+    # Groups numbered segment after segment, each segment's in sweep order,
+    # as a padded table of their members in ascending order.
+    first = n_groups.cumsum() - n_groups
+    group = np.repeat(first, sizes) + label
+    group_sizes = np.bincount(group)
+    members, valid = _segment_table(group_sizes.cumsum() - group_sizes, group_sizes)
+    members = group.argsort(kind="stable")[members]
+    group_w = np.where(valid, w[members], 0.0)
+    totals = _row_sums(group_w, group_sizes)
+    over = (n_groups > max_components).nonzero()[0]
+    if over.size:
+        # A segment over the cap keeps its heaviest groups (ties to the
+        # lower group number) in group order.
+        groups, valid = _segment_table(first[over], n_groups[over])
+        top = np.where(valid, -totals[groups], np.nan).argsort(axis=1, kind="stable")
+        kept = np.ones(totals.shape[0], dtype=bool)
+        kept[groups[valid]] = False
+        kept[np.take_along_axis(groups, top[:, :max_components], axis=1)] = True
+        members, group_w, totals, group_sizes = (
+            members[kept], group_w[kept], totals[kept], group_sizes[kept]
+        )
 
-    out_sizes = np.minimum(kept_sizes, 1)
-    for s, groups in grouped.items():
-        out_sizes[s] = len(groups)
-    out_starts = np.cumsum(out_sizes) - out_sizes
-    # Each output Gaussian merges one group; groups of equal size, across
-    # segments, are merged in one batched call. A segment that keeps one
-    # Gaussian is one group of one.
-    one = kept_sizes == 1
-    by_size = {1: ([out_starts[one]], [starts[one, None]])} if one.any() else {}
-    for s, groups in grouped.items():
-        for at, g in enumerate(groups, start=out_starts[s]):
-            ats, rows = by_size.setdefault(g.shape[0], ([], []))
-            ats.append([at])
-            rows.append(g[None])
-    n_out, d = int(out_sizes.sum()), means.shape[1]
-    out_w, out_m, out_p = np.empty(n_out), np.empty((n_out, d)), np.empty((n_out, d, d))
-    for ats, rows in by_size.values():
-        at, j = np.concatenate(ats), np.concatenate(rows)
-        out_w[at], out_m[at], out_p[at] = gm_merge_moments(w[j], means[j], covs[j])
-    return out_sizes, out_w, out_m, out_p
+    # Each output merges one group, all in one call with the groups padded
+    # by zero weights, except for scalar Gaussians: numpy contracts a scalar
+    # group in a SIMD loop whose order depends on its length, so padding
+    # would change bits, and those groups are merged one size at a time.
+    # Merging one size at a time for every d, the benchmark's 4-D Gaussians
+    # too, made every benchmark workload's reductions slower.
+    if means.shape[1] > 1:
+        out = _merge_moments(totals, group_w, means[members], covs[members])
+    else:
+        n_out = totals.shape[0]
+        out = np.empty(n_out), np.empty((n_out, 1)), np.empty((n_out, 1, 1))
+        for n in set(group_sizes.tolist()):
+            at = group_sizes == n
+            j = members[at, :n]
+            for o, v in zip(out, _merge_moments(totals[at], w[j], means[j], covs[j])):
+                o[at] = v
+    return (np.minimum(n_groups, max_components), *out)
 
 
 def gm_reduce(

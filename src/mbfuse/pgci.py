@@ -19,7 +19,6 @@ the approximation claims.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +59,6 @@ class FusionDiagnostics:
     n_h_truncated: int       # product of per-cluster counts (post truncation)
     n_h_clustered: int       # sum of per-cluster counts
     cluster_sizes: list[tuple[int, int]]
-    t_distance_s: float = 0.0
-    t_cluster_s: float = 0.0
-    t_fuse_s: float = 0.0
 
 
 def cluster_hypothesis_count(cluster: Cluster) -> int:
@@ -135,14 +131,11 @@ def pgci_fuse(
     """
     check_density(mb1)
     check_density(mb2)
-    t0 = time.perf_counter()
     distances = pairwise_distances(mb1, mb2, w)
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
-    t1 = time.perf_counter()
     lic = compute_lic(distances, gamma)
-    t2 = time.perf_counter()
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.
     # Each part is tagged with its clusters' positions, and one stable
@@ -163,13 +156,7 @@ def pgci_fuse(
         if len(parts) > 1:
             fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
         fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
-    t3 = time.perf_counter()
-
-    diag = hypothesis_count_report(mb1, mb2, lic)
-    diag.t_distance_s = t1 - t0
-    diag.t_cluster_s = t2 - t1
-    diag.t_fuse_s = t3 - t2
-    return fused, diag
+    return fused, hypothesis_count_report(mb1, mb2, lic)
 
 
 def l1_error_bound(

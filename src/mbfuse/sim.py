@@ -64,6 +64,11 @@ CONDENSE_GATE = 4.0
 CONDENSE_TRUNC = 0.1
 CONDENSE_R_CAP = 0.98
 
+# The simulator tracks a [px, py, vx, vy] state observed in position: its
+# births, clutter and regions are built for these dimensions only.
+STATE_DIM = 4
+MEAS_DIM = 2
+
 
 @dataclass(frozen=True)
 class ObjectBirth:
@@ -104,14 +109,13 @@ class ScenarioConfig:
         if n > 1 and not _connected(self.adjacency):
             raise ConfigError("sensor network must be connected")
         _check_rectangle(self.region, "scenario region")
-        n_x = np.shape(self.motion.F)[0] if np.ndim(self.motion.F) else 0
-        _check_matrix(self.motion.F, (n_x, n_x), "motion F")
-        _check_matrix(self.motion.Q, (n_x, n_x), "motion Q", covariance=True)
+        _check_matrix(self.motion.F, (STATE_DIM, STATE_DIM), "motion F")
+        _check_matrix(self.motion.Q, (STATE_DIM, STATE_DIM), "motion Q", covariance=True)
         for b in self.births:
             if not (0 <= b.birth_step < b.death_step <= self.duration):
                 raise ConfigError("birth step must precede death step within duration")
-            if np.shape(b.state) != (n_x,):
-                raise ConfigError(f"initial object state must have {n_x} entries, F's dimension")
+            if np.shape(b.state) != (STATE_DIM,):
+                raise ConfigError(f"initial object state must have {STATE_DIM} entries")
             if not np.isfinite(np.asarray(b.state, dtype=float)).all():
                 raise ConfigError("initial object state must be finite")
             if not self.region.contains(b.state[:2]):
@@ -125,9 +129,8 @@ class ScenarioConfig:
             if not 0 <= s.clutter_rate < np.inf:
                 raise ConfigError("clutter rate must be finite and >= 0")
             _check_rectangle(s.region, "sensor region")
-            n_z = np.shape(s.H)[0] if np.ndim(s.H) else 0
-            _check_matrix(s.H, (n_z, n_x), "sensor H")
-            _check_matrix(s.R, (n_z, n_z), "sensor R", covariance=True)
+            _check_matrix(s.H, (MEAS_DIM, STATE_DIM), "sensor H")
+            _check_matrix(s.R, (MEAS_DIM, MEAS_DIM), "sensor R", covariance=True)
         if not 0 <= self.motion.p_survival <= 1:
             raise ConfigError("survival probability must be in [0, 1]")
         if not self.fusion_max_components >= 1:

@@ -1,7 +1,8 @@
 """The greedy merge sweep of the reduction layer against plain per-leader
-loops kept as references, the one-pass reduction of a whole density against
-those loops run pdf by pdf, tie-breaking of the component caps, and the
-condensation of exchanged densities before fusion."""
+loops kept as references, the one-pass reduction of a whole density or of
+a flat stack of mixtures against those loops run pdf by pdf, tie-breaking
+of the component caps, and the condensation of exchanged densities before
+fusion."""
 
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfuse.errors import NumericalError
-from mbfuse.gm import GaussianMixture, gm_normalize, gm_reduce
+from mbfuse.gm import GaussianMixture, _reduce_segments, _segment_sums, gm_normalize, gm_reduce
 from mbfuse.mb import (
     BernoulliComponent,
     GmReduceConfig,
@@ -191,6 +192,104 @@ class TestGreedySweep:
         assert np.array_equal(got.rs, want.rs)
         for a, b in zip(got.components, want.components):
             assert_mixtures_equal(a.pdf, b.pdf)
+
+
+SEGMENT_SIZES = [0, 1, 2, 3, 5, 8, 9, 16, 31, 58, 60]
+
+
+@st.composite
+def segment_stack(draw):
+    """A flat stack of mixtures of 0 to 60 Gaussians (filter reductions
+    reach 58) with its reduction parameters.
+
+    Each segment is one of three kinds: a crowd around a few centres,
+    with weights from a small pool so that ties are common, which merges
+    into a varying number of groups, so segments need different numbers
+    of sweep rounds; a row of far-apart Gaussians of equal weight, each
+    its own group, so a cap below its size must break ties between equal
+    group weights; or a faint one that a nonzero prune threshold empties.
+    """
+    d = draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from(SEGMENT_SIZES))
+        kind = draw(st.sampled_from(["crowd", "crowd", "row", "faint"]))
+        a = rng.normal(size=(n, d, d))
+        covs = a @ np.swapaxes(a, 1, 2) + rng.choice([0.1, 1.0, 4.0]) * np.eye(d)
+        if kind == "row":
+            means = 1000.0 * np.arange(n)[:, None] + np.zeros((n, d))
+            weights = np.full(n, 0.25)
+        else:
+            centres = rng.uniform(-20.0, 20.0, size=(rng.integers(1, 6), d))
+            means = centres[rng.integers(0, centres.shape[0], size=n)]
+            means = means + rng.choice([0.0, 0.5, 3.0]) * rng.normal(size=(n, d))
+            weights = rng.choice([0.25, 0.25, 0.1, 0.15, 0.05, 1e-6], size=n)
+            if kind == "faint":
+                weights = weights * 1e-6
+        segments.append(GaussianMixture(weights, means, covs))
+    return (
+        segments,
+        draw(st.sampled_from([0.0, 1e-5, 0.05])),
+        draw(st.sampled_from([0.0, 1.0, 4.0, 25.0])),
+        draw(st.integers(1, 6)),
+    )
+
+
+def reduce_stack(segments, prune, merge, cap):
+    """_reduce_segments of the segments in one call, split into mixtures."""
+    sizes, w, m, p = _reduce_segments(
+        np.array([s.n_components for s in segments]),
+        np.concatenate([s.weights for s in segments]),
+        np.concatenate([s.means for s in segments]),
+        np.concatenate([s.covs for s in segments]),
+        prune, merge, cap,
+    )
+    cut = np.cumsum(sizes)[:-1]
+    return [GaussianMixture(*parts) for parts in zip(*(np.split(a, cut) for a in (w, m, p)))]
+
+
+class TestStackReduction:
+    """One reduction over a flat stack runs the sweep in rounds across its
+    segments; a lone segment sweeps in a loop over its leaders. Both must
+    give each segment exactly as the reference loop reduces it."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(segment_stack())
+    def test_stack_matches_reference_per_segment(self, case):
+        segments, prune, merge, cap = case
+        got = reduce_stack(segments, prune, merge, cap)
+        assert len(got) == len(segments)
+        for mix, seg in zip(got, segments):
+            assert_mixtures_equal(mix, reference_gm_reduce(seg, prune, merge, cap))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(segment_stack())
+    def test_stack_matches_each_segment_alone(self, case):
+        segments, prune, merge, cap = case
+        for mix, seg in zip(reduce_stack(segments, prune, merge, cap), segments):
+            assert_mixtures_equal(mix, gm_reduce(seg, prune, merge, cap))
+
+    def test_cap_breaks_ties_in_group_weight_toward_earlier_groups(self):
+        # Five far-apart Gaussians of equal weight in two segments: every
+        # group weighs the same, so each segment keeps its first groups in
+        # sweep order, which for equal weights is index order.
+        seg = GaussianMixture(np.full(5, 0.2), 100.0 * np.arange(5.0)[:, None] * [1, 1],
+                              np.tile(np.eye(2), (5, 1, 1)))
+        for mix in reduce_stack([seg, seg], 0.0, 4.0, 3):
+            assert np.array_equal(mix.means, seg.means[:3])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(SEGMENT_SIZES + [4, 6, 7, 10, 13]), max_size=12),
+           st.integers(0, 2**32 - 1))
+    def test_segment_sums_match_ndarray_sum(self, sizes, seed):
+        # Short segments are summed in one zero-padded block, longer ones
+        # one length at a time.
+        sizes = np.array(sizes, dtype=np.intp)
+        rng = np.random.default_rng(seed)
+        values = rng.random(sizes.sum()) * rng.choice([1e-6, 1.0, 1e6], size=sizes.sum())
+        want = [part.sum() for part in np.split(values, np.cumsum(sizes)[:-1])] if sizes.size else []
+        assert np.array_equal(_segment_sums(values, sizes), np.array(want))
 
 
 def track(r, x, comp_id):

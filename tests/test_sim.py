@@ -396,6 +396,29 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="shape"):
             self.with_matrix(scenario1(), name, value).validate()
 
+    # Consistent models of other dimensions used to pass validation: a third
+    # measurement row ends in numpy's bare ValueError ("inhomogeneous
+    # shape"), a 6-D state in "cannot reshape array of size 18 into shape
+    # (4)", both inside run_montecarlo.
+    def test_measurement_of_three_rows_rejected(self):
+        cfg = scenario1()
+        sensors = tuple(
+            dataclasses.replace(s, H=np.eye(3, 4), R=100.0 * np.eye(3)) for s in cfg.sensors
+        )
+        with pytest.raises(ConfigError, match="sensor H has shape"):
+            dataclasses.replace(cfg, sensors=sensors).validate()
+
+    def test_six_dimensional_state_rejected(self):
+        cfg = scenario1()
+        motion = dataclasses.replace(cfg.motion, F=np.eye(6), Q=np.eye(6))
+        sensors = tuple(dataclasses.replace(s, H=np.eye(2, 6)) for s in cfg.sensors)
+        births = tuple(
+            dataclasses.replace(b, state=np.concatenate([b.state, [0.0, 0.0]])) for b in cfg.births
+        )
+        cfg = dataclasses.replace(cfg, motion=motion, sensors=sensors, births=births)
+        with pytest.raises(ConfigError, match="motion F has shape"):
+            cfg.validate()
+
     # Unchecked, R = -I ends in NumericalError (exit 3, not 2).
     @pytest.mark.parametrize("name, value", [
         ("Q", -np.eye(4)),
