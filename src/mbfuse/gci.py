@@ -6,6 +6,17 @@ weights, exact association marginals by a subset DP over partial
 matchings, the moment-matched MB approximation of the fused
 generalized-MB density, and the exhaustive two-step fusion that serves
 as the correctness oracle for the clustered pipeline.
+
+Fused pairs and moment matching run on one flat stack from the pair
+product to the fused density. The 1x1 batch and larger clusters share
+_pair_blocks: the Gaussian-pair index of each pair's block, the block
+masses with their underflow check, and the normalization. Two calls of
+the larger-cluster path stay only for the benchmark's span hooks and its
+fuse-dense oracle check: one gm_pair_product of the cluster's stacked
+sides in full, and one gm_reduce per fused component. Once the hooks
+move, two swaps put every cluster on the batch's path: gather only the
+kept Gaussian pairs through _pair_product_parts, and reduce all fused
+components in one _reduce_stack pass.
 """
 
 from __future__ import annotations
@@ -31,16 +42,9 @@ from .gm import (
     _segment_rows,
     _segment_sums,
     gm_pair_product,
+    gm_reduce,
 )
-from .mb import (
-    BernoulliComponent,
-    MultiBernoulliDensity,
-    R_MAX,
-    _reduce_pdf,
-    _reduce_stack,
-    _take,
-    check_density,
-)
+from .mb import MultiBernoulliDensity, R_MAX, _reduce_stack, check_density
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -148,52 +152,61 @@ def count_hypotheses_nominal(n1: int, n2: int) -> int:
     return 2**n1 * math.perm(n2, n1)
 
 
-def fused_pair_density(
-    pairs,
-    mb1: MultiBernoulliDensity,
-    mb2: MultiBernoulliDensity,
-    w: FusionWeights,
-) -> list[tuple[GaussianMixture, float]]:
+def _pair_blocks(l1, l2, mb1, mb2, product):
+    """The normalized fused pdf and the mass Z of each pair (l1[k], l2[k]).
+
+    Pair k's block pairs each Gaussian of l1[k] with every Gaussian of
+    l2[k] in turn; product(i1, i2) returns the weights, means and covs of
+    the products of the Gaussian pairs (i1[j], i2[j]), rows of mb1's and
+    mb2's stacks. Returns (sizes, weights, means, covs, mass), the blocks
+    as consecutive segments. An underflowed mass raises
+    IncompatiblePairError, which names the first such pair.
+    """
+    sizes1, sizes2 = mb1.stack.sizes, mb2.stack.sizes
+    n1, n2 = sizes1[l1], sizes2[l2]
+    across = np.repeat(n2, n1)
+    i1 = np.repeat(_segment_rows(np.cumsum(sizes1)[l1] - n1, n1), across)
+    i2 = _segment_rows(np.repeat(np.cumsum(sizes2)[l2] - n2, n1), across)
+    weights, means, covs = product(i1, i2)
+    sizes = n1 * n2
+    mass = _segment_sums(weights, sizes)
+    bad = ~(np.isfinite(mass) & (mass > 0.0))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise IncompatiblePairError(
+            f"fused mass underflow for pair ({l1[k]}, {l2[k]}); pair should have been gated"
+        )
+    return sizes, weights / np.repeat(mass, sizes), means, covs, mass
+
+
+def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDensity,
+                       w: FusionWeights):
     """Normalized GCI fusion of each listed pair (l, l') plus its mass Z = exp(-d).
 
     The listed components' Gaussians are stacked on each side and multiplied
-    in one gm_pair_product call; each pair's block is then sliced out and
-    normalized. Returns [(pdf, Z), ...] in the order of pairs.
+    in one gm_pair_product call; each pair's block of the product is then
+    gathered into one stack. Returns (sizes, weights, means, covs, mass):
+    the pdf of each pair, in the order of pairs, as consecutive segments of
+    the given sizes, and each pair's Z.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
+    l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    def stack(mb, idx):
-        # One mixture of the Gaussians of components idx, and each one's rows in it.
-        _, _, n, *gaussians = _take(mb, idx, mb.rs).stack
-        ends = np.cumsum(n)
-        spans = zip((ends - n).tolist(), ends.tolist())
-        return GaussianMixture(*gaussians), dict(zip(idx, spans))
+    def side(mb, listed):
+        # One mixture of the Gaussians of the listed components, and their rows in mb.
+        _, _, sizes, weights, means, covs = mb.stack
+        idx = np.unique(listed)
+        rows = _segment_rows((np.cumsum(sizes) - sizes)[idx], sizes[idx])
+        return rows, GaussianMixture(weights[rows], means[rows], covs[rows])
 
-    p1, spans1 = stack(mb1, sorted({l for l, _ in pairs}))
-    p2, spans2 = stack(mb2, sorted({lp for _, lp in pairs}))
-    prod = gm_pair_product(p1, w.w1, p2, w.w2)
-    j1, j2, d = p1.n_components, p2.n_components, p1.d
-    weights = prod.weights.reshape(j1, j2)
-    means = prod.means.reshape(j1, j2, d)
-    covs = prod.covs.reshape(j1, j2, d, d)
+    def product(i1, i2):
+        rows1, p1 = side(mb1, l1)
+        rows2, p2 = side(mb2, l2)
+        # With no pairs there is no product to take, and no call to count.
+        prod = gm_pair_product(p1, w.w1, p2, w.w2) if l1.size else p1
+        k = np.searchsorted(rows1, i1) * p2.n_components + np.searchsorted(rows2, i2)
+        return prod.weights[k], prod.means[k], prod.covs[k]
 
-    out = []
-    for l, lp in pairs:
-        a, b = spans1[l]
-        c, e = spans2[lp]
-        block_weights = weights[a:b, c:e].reshape(-1)
-        mass = float(block_weights.sum())
-        if mass <= 0.0 or not np.isfinite(mass):
-            raise IncompatiblePairError(
-                f"fused mass underflow for pair ({l}, {lp}); pair should have been gated"
-            )
-        pdf = GaussianMixture(
-            block_weights / mass, means[a:b, c:e].reshape(-1, d), covs[a:b, c:e].reshape(-1, d, d)
-        )
-        out.append((pdf, mass))
-    return out
+    return _pair_blocks(l1, l2, mb1, mb2, product)
 
 
 def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
@@ -202,16 +215,9 @@ def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
     The Q factors use the supplied index sets as the universe. Returns
     (hypotheses, log weights, log Q parts).
     """
-    r1 = np.minimum(mb1.rs, R_MAX)
-    r2 = np.minimum(mb2.rs, R_MAX)
-    log_r1 = np.log(r1)
-    log_1mr1 = np.log1p(-r1)
-    log_r2 = np.log(r2)
-    log_1mr2 = np.log1p(-r2)
-
+    log_1mr1, gain1 = _existence_gains(mb1.rs, w.w1)
+    log_1mr2, gain2 = _existence_gains(mb2.rs, w.w2)
     base = w.w1 * sum(log_1mr1[l] for l in l1_idx) + w.w2 * sum(log_1mr2[l] for l in l2_idx)
-    gain1 = {l: w.w1 * (log_r1[l] - log_1mr1[l]) for l in l1_idx}
-    gain2 = {l: w.w2 * (log_r2[l] - log_1mr2[l]) for l in l2_idx}
 
     hyps = []
     log_ws = []
@@ -315,31 +321,37 @@ def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
     """First-order moment matching of the fused GMB density onto l1_idx.
 
     marginal[i, j] is the normalized weight of the hypotheses that associate
-    l1_idx[i] with l2_idx[j]. Returns the fused components; they take ids 0,
-    1, ... by position in l1_idx, and one that no pair carries weight to is
-    dropped.
+    l1_idx[i] with l2_idx[j]. Returns the density of the fused components:
+    row i's has id i, r = min(sum of its kept marginals m, R_MAX), and the
+    mixture of its kept pairs' pdfs scaled by m / r, reduced with gm_config
+    (unless None) and normalized. A row with no kept pair is dropped.
     """
     kept = marginal > MARGINAL_FLOOR
-    pairs = [(l1_idx[i], l2_idx[j]) for i, j in zip(*np.nonzero(kept))]
-    fused = iter(fused_pair_density(pairs, mb1, mb2, w))
-
-    components = []
-    for i, row in enumerate(marginal):
-        ms = row[kept[i]]
-        if not ms.size:
-            continue
-        # Python's sum adds left to right; ndarray.sum pairs terms from 8 up.
-        r = sum(ms)
-        pdfs = [next(fused)[0] for _ in ms]
-        mixture = GaussianMixture(
-            np.concatenate([m / r * pdf.weights for m, pdf in zip(ms, pdfs)]),
-            np.concatenate([pdf.means for pdf in pdfs]),
-            np.concatenate([pdf.covs for pdf in pdfs]),
-        )
-        pdf = _reduce_pdf(mixture, gm_config)
-        components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=i))
-
-    return tuple(components)
+    row, col = np.nonzero(kept)
+    pairs = [(l1_idx[i], l2_idx[j]) for i, j in zip(row, col)]
+    sizes, weights, means, covs, _ = fused_pair_density(pairs, mb1, mb2, w)
+    # Python's sum adds left to right; ndarray.sum pairs terms from 8 up.
+    r = np.array([sum(ms[k]) for ms, k in zip(marginal, kept)], dtype=float)
+    weights = weights * np.repeat(marginal[kept] / r[row], sizes)
+    # The pairs come row by row, so each row's pdfs are one segment.
+    fused, first = np.unique(row, return_index=True)
+    sizes = np.add.reduceat(sizes, first)
+    if gm_config is not None and fused.size:
+        config = gm_config.prune_threshold, gm_config.merge_threshold, gm_config.max_components
+        pdfs = [
+            gm_reduce(GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]), *config)
+            for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())
+        ]
+        sizes = np.array([pdf.n_components for pdf in pdfs], dtype=np.int64)
+        weights = np.concatenate([pdf.weights for pdf in pdfs])
+        means = np.concatenate([pdf.means for pdf in pdfs])
+        covs = np.concatenate([pdf.covs for pdf in pdfs])
+    sizes, weights, means, covs = _reduce_stack(sizes, weights, means, covs, None)
+    if not sizes.all():
+        raise NumericalError("a fused pdf has no weight at or above the prune threshold")
+    return MultiBernoulliDensity._from_stack(
+        fused, np.minimum(r[fused], R_MAX), sizes, weights, means, covs
+    )
 
 
 def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
@@ -349,14 +361,13 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     A lone pair's marginal is g / (1 + g) with g as in
     cluster_pair_marginals; the subset DP computes it as g*1 over 1 + g*1,
     which is the same float. Pairs whose marginal is above MARGINAL_FLOOR,
-    as in _moment_match, are fused from one flat stack per density: the
-    kernel multiplies only the Gaussian pairs of the kept pairs, each
-    pair's block in row-major order as fused_pair_density slices it, and
-    the fused pdfs are reduced in one pass. A single pair's mixture needs
-    no reweighting, since _moment_match scales it by m / m = 1. Returns
-    the density of the fused components, one per kept pair in the order of
-    pairs, each with r = min(marginal, R_MAX) and the pair's position in
-    pairs as its id.
+    as in _moment_match, are fused through _pair_blocks with the two steps
+    that larger clusters still lack (see the module docstring): the kernel
+    multiplies only the kept pairs' Gaussian pairs, and the fused pdfs are
+    reduced in one pass. A single pair's mixture needs no reweighting,
+    since _moment_match scales it by m / m = 1. Returns the density of the
+    fused components, one per kept pair in the order of pairs, each with
+    r = min(marginal, R_MAX) and the pair's position in pairs as its id.
     """
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     _, gain1 = _existence_gains(mb1.rs[l1], w.w1)
@@ -366,27 +377,14 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     kept = np.flatnonzero(marginal > MARGINAL_FLOOR)
     if not kept.size:
         return MultiBernoulliDensity(())
-    _, _, sizes1, *stack1 = mb1.stack
-    _, _, sizes2, *stack2 = mb2.stack
-    l1, l2 = l1[kept], l2[kept]
-    n1, n2 = sizes1[l1], sizes2[l2]
-    # Each Gaussian of l pairs with every Gaussian of l' in turn.
-    across = np.repeat(n2, n1)
-    i1 = np.repeat(_segment_rows(np.cumsum(sizes1)[l1] - n1, n1), across)
-    i2 = _segment_rows(np.repeat(np.cumsum(sizes2)[l2] - n2, n1), across)
-    log_alpha, means, covs = _pair_product_parts(stack1, w.w1, stack2, w.w2, i1, i2)
-    sizes = n1 * n2
-    weights = np.exp(log_alpha)
-    mass = _segment_sums(weights, sizes)
-    bad = ~(np.isfinite(mass) & (mass > 0.0))
-    if bad.any():
-        k = np.flatnonzero(bad)[0]
-        raise IncompatiblePairError(
-            f"fused mass underflow for pair ({l1[k]}, {l2[k]}); pair should have been gated"
-        )
-    sizes, weights, means, covs = _reduce_stack(
-        sizes, weights / np.repeat(mass, sizes), means, covs, gm_config
-    )
+    stack1, stack2 = mb1.stack[3:], mb2.stack[3:]
+
+    def product(i1, i2):
+        log_alpha, means, covs = _pair_product_parts(stack1, w.w1, stack2, w.w2, i1, i2)
+        return np.exp(log_alpha), means, covs
+
+    sizes, weights, means, covs, _ = _pair_blocks(l1[kept], l2[kept], mb1, mb2, product)
+    sizes, weights, means, covs = _reduce_stack(sizes, weights, means, covs, gm_config)
     if not sizes.all():
         raise NumericalError("a fused pdf has no weight at or above the prune threshold")
     return MultiBernoulliDensity._from_stack(
@@ -467,9 +465,7 @@ def naive_gci_mb_fuse(
         for l in i1:
             marginal[l, theta[l]] += wn
 
-    fused_mb = MultiBernoulliDensity(
-        _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config)
-    )
+    fused_mb = _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config)
     gmb = GmbDensity(
         hypotheses=[
             FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))

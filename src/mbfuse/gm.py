@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericalError
+from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -444,8 +444,11 @@ def gm_reduce(
     remaining component (ties to the lower index) and absorbs every remaining
     component within squared Mahalanobis distance merge_threshold of it
     (moment-preserving). The cap keeps the heaviest merged components (ties
-    to the lower index) in merge order.
+    to the lower index) in merge order. A NaN or infinite weight raises
+    InvalidDensityError.
     """
+    if not np.isfinite(mix.weights).all():
+        raise InvalidDensityError(f"mixture weights {mix.weights} are not all finite")
     _, w, m, p = _reduce_segments(
         np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
         prune_threshold, merge_threshold, max_components,

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
     GaussianMixture, _batch_cholesky, _leader_groups, _log_normal, _reduce_segments,
-    _segment_argmax, _segment_rows, _segment_sums, gm_normalize, gm_reduce,
+    _segment_argmax, _segment_rows, _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -393,15 +393,9 @@ def mb_update(
     return _concat(legacy, updated)
 
 
-def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> GaussianMixture:
-    """pdf reduced with config (skipped when config is None), then normalized."""
-    if config is not None:
-        pdf = gm_reduce(pdf, config.prune_threshold, config.merge_threshold, config.max_components)
-    return gm_normalize(pdf)[0]
-
-
 def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None):
-    """_reduce_pdf of every pdf of a flat stack, in one pass.
+    """Every pdf of a flat stack reduced with config (skipped when it is
+    None), then normalized, in one pass.
 
     The stack holds the pdfs as consecutive segments of the given sizes.
     Returns the stack (sizes, weights, means, covs) of the normalized
@@ -424,15 +418,18 @@ def mb_reduce(
 ) -> MultiBernoulliDensity:
     """Drop low-existence components, cap the count, reduce each pdf.
 
-    Raises InvalidDensityError for a component whose pdf holds no Gaussian.
+    Raises InvalidDensityError for a component whose pdf holds no Gaussian
+    and for a NaN or infinite Gaussian weight.
     """
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
     if not config.max_components >= 1:
         raise ValueError("component cap must be at least 1")
-    ids, rs, sizes, *_ = density.stack
+    ids, rs, sizes, weights, *_ = density.stack
     if not sizes.all():
         raise InvalidDensityError("a component's pdf holds no Gaussian")
+    if not np.isfinite(weights).all():
+        raise InvalidDensityError("density holds a non-finite Gaussian weight")
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
     if not kept.size:

@@ -8,12 +8,11 @@ nearly all clusters in tracking, are fused together in one batch: a lone
 pair's marginal has the closed form g / (1 + g), so they need no DP. The
 batch multiplies only the Gaussian pairs of its own pairs, gathered from
 one stack per density in one kernel call, and reduces the fused pdfs in
-one pass; the result is bit-identical to fusing each alone. The batch
-returns one stacked density, and each larger cluster a density of its
-moment-matched components; one stable gather by cluster position puts
-them in canonical order. Also provides
-the truncation-error bound and hypothesis-count bookkeeping used to verify
-the approximation claims.
+one pass; the result is bit-identical to fusing each alone. Each larger
+cluster goes through fuse_cluster, on the same stack path (see gci). Each
+part is one stacked density; one stable gather by cluster position puts
+them in canonical order. Also provides the truncation-error bound and
+hypothesis-count bookkeeping used to verify the approximation claims.
 """
 
 from __future__ import annotations
@@ -47,9 +46,13 @@ from .mb import (
 
 @dataclass
 class ClusterFusionResult:
-    components: tuple[BernoulliComponent, ...]
+    density: MultiBernoulliDensity
     log_eta: float
     hypothesis_count: int
+
+    @property
+    def components(self) -> tuple[BernoulliComponent, ...]:
+        return self.density.components
 
 
 @dataclass
@@ -81,14 +84,14 @@ def fuse_cluster(
     marginals and eta come from a subset DP whose steps ``DP_STEP_CAP`` bounds.
     Fused components are moment-matched onto the cluster's sensor-1 side;
     eta does not depend on which side that is, and ``pgci_fuse`` fixes one
-    orientation for every cluster.
+    orientation for every cluster. The density's ids are positions in sorted(cluster.l1).
     """
     if cluster.kind != ClusterKind.BOTH:
         raise ValueError("fuse_cluster only applies to two-sided clusters")
     l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
     marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
     return ClusterFusionResult(
-        components=_moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config),
+        density=_moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config),
         log_eta=log_eta,
         hypothesis_count=cluster_hypothesis_count(cluster),
     )
@@ -148,8 +151,7 @@ def pgci_fuse(
     )
     parts, tags = [batch], [np.flatnonzero(isolated)[batch.stack.ids]]
     for g in np.flatnonzero(~isolated).tolist():
-        result = fuse_cluster(clusters[g], mb1, mb2, w, distances, gm_config=gm_config)
-        parts.append(MultiBernoulliDensity(result.components))
+        parts.append(fuse_cluster(clusters[g], mb1, mb2, w, distances, gm_config=gm_config).density)
         tags.append(np.full(len(parts[-1]), g))
     fused = _concat(*parts)
     if len(fused):

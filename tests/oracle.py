@@ -1,9 +1,9 @@
 """Reference math that the package's vectorized code is checked against.
 
 These are direct formulas kept for the tests only; the package itself
-never calls them. The filter, birth and fusion-assembly references work
-one Bernoulli component at a time, on the component objects, where the
-package works on a density's flat stack. The OSPA and log-sum-exp references call scipy, which the
+never calls them. The filter, birth, per-cluster moment matching and
+fusion-assembly references work one Bernoulli component at a time, on the
+component objects, where the package works on a density's flat stack. The OSPA and log-sum-exp references call scipy, which the
 package itself does not import.
 """
 
@@ -14,8 +14,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
 from mbfuse.clustering import Cluster, ClusterKind, compute_lic
-from mbfuse.errors import DimensionMismatchError, NumericalError
-from mbfuse.gci import FusionWeights, _fuse_isolated_pairs, pairwise_distances
+from mbfuse.errors import DimensionMismatchError, IncompatiblePairError, NumericalError
+from mbfuse.gci import MARGINAL_FLOOR, FusionWeights, _fuse_isolated_pairs, pairwise_distances
 from mbfuse.gm import (
     GaussianMixture,
     _batch_cholesky,
@@ -24,8 +24,9 @@ from mbfuse.gm import (
     _power_parts,
     gm_merge_moments,
     gm_normalize,
+    gm_pair_product,
 )
-from mbfuse.mb import R_MAX, BernoulliComponent, MultiBernoulliDensity
+from mbfuse.mb import R_MAX, BernoulliComponent, GmReduceConfig, MultiBernoulliDensity, _take
 from mbfuse.pgci import fuse_cluster
 from mbfuse.sim import (
     CONDENSE_GATE, CONDENSE_R_CAP, CONDENSE_TRUNC, KNOWN_BIRTH_R, KNOWN_BIRTH_VAR, REDUCE_CONFIG,
@@ -396,6 +397,92 @@ def run_local_filter(scans, cfg, sensor):
         out.append(posterior)
         prev_scan = scan
     return out
+
+
+def fused_pair_density(
+    pairs,
+    mb1: MultiBernoulliDensity,
+    mb2: MultiBernoulliDensity,
+    w: FusionWeights,
+) -> list[tuple[GaussianMixture, float]]:
+    """Normalized GCI fusion of each listed pair (l, l') plus its mass Z = exp(-d).
+
+    The listed components' Gaussians are stacked on each side and multiplied
+    in one gm_pair_product call; each pair's block is then sliced out and
+    normalized. Returns [(pdf, Z), ...] in the order of pairs.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+
+    def stack(mb, idx):
+        # One mixture of the Gaussians of components idx, and each one's rows in it.
+        _, _, n, *gaussians = _take(mb, idx, mb.rs).stack
+        ends = np.cumsum(n)
+        spans = zip((ends - n).tolist(), ends.tolist())
+        return GaussianMixture(*gaussians), dict(zip(idx, spans))
+
+    p1, spans1 = stack(mb1, sorted({l for l, _ in pairs}))
+    p2, spans2 = stack(mb2, sorted({lp for _, lp in pairs}))
+    prod = gm_pair_product(p1, w.w1, p2, w.w2)
+    j1, j2, d = p1.n_components, p2.n_components, p1.d
+    weights = prod.weights.reshape(j1, j2)
+    means = prod.means.reshape(j1, j2, d)
+    covs = prod.covs.reshape(j1, j2, d, d)
+
+    out = []
+    for l, lp in pairs:
+        a, b = spans1[l]
+        c, e = spans2[lp]
+        block_weights = weights[a:b, c:e].reshape(-1)
+        mass = float(block_weights.sum())
+        if mass <= 0.0 or not np.isfinite(mass):
+            raise IncompatiblePairError(
+                f"fused mass underflow for pair ({l}, {lp}); pair should have been gated"
+            )
+        pdf = GaussianMixture(
+            block_weights / mass, means[a:b, c:e].reshape(-1, d), covs[a:b, c:e].reshape(-1, d, d)
+        )
+        out.append((pdf, mass))
+    return out
+
+
+def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
+    """First-order moment matching of the fused GMB density onto l1_idx.
+
+    marginal[i, j] is the normalized weight of the hypotheses that associate
+    l1_idx[i] with l2_idx[j]. Returns the fused components; they take ids 0,
+    1, ... by position in l1_idx, and one that no pair carries weight to is
+    dropped.
+    """
+    kept = marginal > MARGINAL_FLOOR
+    pairs = [(l1_idx[i], l2_idx[j]) for i, j in zip(*np.nonzero(kept))]
+    fused = iter(fused_pair_density(pairs, mb1, mb2, w))
+
+    components = []
+    for i, row in enumerate(marginal):
+        ms = row[kept[i]]
+        if not ms.size:
+            continue
+        # Python's sum adds left to right; ndarray.sum pairs terms from 8 up.
+        r = sum(ms)
+        pdfs = [next(fused)[0] for _ in ms]
+        mixture = GaussianMixture(
+            np.concatenate([m / r * pdf.weights for m, pdf in zip(ms, pdfs)]),
+            np.concatenate([pdf.means for pdf in pdfs]),
+            np.concatenate([pdf.covs for pdf in pdfs]),
+        )
+        pdf = _reduce_pdf(mixture, gm_config)
+        components.append(BernoulliComponent(r=min(r, R_MAX), pdf=pdf, id=i))
+
+    return tuple(components)
+
+
+def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> GaussianMixture:
+    """pdf reduced with config (skipped when config is None), then normalized."""
+    if config is not None:
+        pdf = gm_reduce(pdf, config.prune_threshold, config.merge_threshold, config.max_components)
+    return gm_normalize(pdf)[0]
 
 
 def isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import mbfuse.gci as gci_mod
+from mbfuse.clustering import Cluster
 from mbfuse.errors import IncompatiblePairError, IntractableFusionError
 from mbfuse.gci import (
     FusionWeights,
@@ -28,6 +29,7 @@ from mbfuse.gci import (
 )
 from mbfuse.gm import GaussianMixture
 from mbfuse.mb import BernoulliComponent, MultiBernoulliDensity
+from mbfuse.pgci import fuse_cluster
 from oracle import gci_divergence, hypothesis_weight, log_q_factor
 
 
@@ -175,11 +177,11 @@ class TestSingleComponentFusion:
         m2, P2 = np.array([2.0, 0.0]), np.diag([1.0, 16.0])
         mb1 = mbd(bern(0.5, m1, P1))
         mb2 = mbd(bern(0.5, m2, P2))
-        pdf, z = fused_pair_density([(0, 0)], mb1, mb2, w)[0]
+        _, _, means, covs, _ = fused_pair_density([(0, 0)], mb1, mb2, w)
         Pf = np.linalg.inv(w.w1 * np.linalg.inv(P1) + w.w2 * np.linalg.inv(P2))
         mf = Pf @ (w.w1 * np.linalg.solve(P1, m1) + w.w2 * np.linalg.solve(P2, m2))
-        assert pdf.means[0] == pytest.approx(mf, rel=1e-10)
-        assert pdf.covs[0] == pytest.approx(Pf, rel=1e-10)
+        assert means[0] == pytest.approx(mf, rel=1e-10)
+        assert covs[0] == pytest.approx(Pf, rel=1e-10)
 
     def test_pair_mass_equals_exp_neg_divergence(self):
         rng = np.random.default_rng(3)
@@ -187,7 +189,7 @@ class TestSingleComponentFusion:
             mb1 = random_mb(rng, 1)
             mb2 = random_mb(rng, 1)
             w = FusionWeights(0.45, 0.55)
-            _, z = fused_pair_density([(0, 0)], mb1, mb2, w)[0]
+            (z,) = fused_pair_density([(0, 0)], mb1, mb2, w)[4]
             d = gci_divergence(mb1.components[0].pdf, mb2.components[0].pdf, w)
             assert z == pytest.approx(math.exp(-d), rel=1e-12)
 
@@ -196,10 +198,25 @@ class TestSingleComponentFusion:
         mb2 = mbd(bern(0.5, [200.0], [[1.0]]))
         w = FusionWeights(0.5, 0.5)
         with pytest.raises(IncompatiblePairError):
-            fused_pair_density([(0, 0)], mb1, mb2, w)[0]
+            fused_pair_density([(0, 0)], mb1, mb2, w)
         # The 1x1 batch checks its pair masses too; a zero distance keeps the pair.
         with pytest.raises(IncompatiblePairError):
             _fuse_isolated_pairs([(0, 0)], mb1, mb2, w, np.zeros((1, 1)), None)
+
+    def test_underflow_in_a_larger_cluster_names_its_pair(self):
+        # Behind a decoy on each side, only the second pair of the 2x2
+        # cluster, (1, 2), lies 200 standard deviations apart.
+        mb1 = mbd(bern(0.5, [1e3], [[1.0]], 0), bern(0.5, [0.0], [[1.0]], 1),
+                  bern(0.5, [200.0], [[1.0]], 2))
+        mb2 = mbd(bern(0.5, [-1e3], [[1.0]], 0), bern(0.5, [100.0], [[1e4]], 1),
+                  bern(0.5, [200.0], [[1.0]], 2))
+        w = FusionWeights(0.5, 0.5)
+        with pytest.raises(IncompatiblePairError, match=r"pair \(1, 2\)"):
+            fused_pair_density([(1, 1), (1, 2), (2, 1), (2, 2)], mb1, mb2, w)
+        # Zero distances keep every pair of the cluster.
+        cluster = Cluster(frozenset({1, 2}), frozenset({1, 2}))
+        with pytest.raises(IncompatiblePairError, match=r"pair \(1, 2\)"):
+            fuse_cluster(cluster, mb1, mb2, w, np.zeros((3, 3)))
 
 
 class TestExhaustiveFusion:

@@ -447,6 +447,69 @@ class TestAssemblyAgainstReference:
         assert got.stack.ids.tolist() == list(range(5))
 
 
+@st.composite
+def mixture_cluster(draw):
+    """A 1x1 to 4x5 two-sided cluster, in either orientation, behind one
+    far-away decoy per sensor, whose pdfs hold 1 to 4 Gaussians.
+
+    Returns (mb1, mb2, weights, cluster).
+    """
+    r = st.floats(0.02, 0.98)
+    coord = st.floats(-5.0, 5.0)
+    var = st.sampled_from([0.5, 1.0, 4.0])
+
+    def side(n, decoy):
+        comps = [bern(draw(r), decoy, comp_id=0)]
+        for i in range(1, n + 1):
+            j = draw(st.integers(1, 4))
+            means = np.array(draw(st.lists(coord, min_size=2 * j, max_size=2 * j))).reshape(j, 2)
+            covs = np.array([np.diag([draw(var), draw(var)]) for _ in range(j)])
+            weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=j, max_size=j)))
+            pdf = GaussianMixture(weights / weights.sum(), means, covs)
+            comps.append(BernoulliComponent(r=draw(r), pdf=pdf, id=i))
+        return MultiBernoulliDensity(tuple(comps))
+
+    n_s, n_l = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n1, n2 = (n_l, n_s) if draw(st.booleans()) else (n_s, n_l)
+    w1 = draw(st.floats(0.1, 0.9))
+    cluster = Cluster(frozenset(range(1, n1 + 1)), frozenset(range(1, n2 + 1)))
+    return side(n1, [1e3, 1e3]), side(n2, [-1e3, -1e3]), FusionWeights(w1, 1.0 - w1), cluster
+
+
+class TestClusterFusionStack:
+    """fuse_cluster's one stack from pair product to fused density against
+    oracle._moment_match, which fuses, mixes and reduces one component
+    object at a time."""
+
+    @pytest.mark.parametrize("gm_config", [None, GmReduceConfig()])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixture_cluster())
+    def test_density_matches_object_reference(self, gm_config, instance):
+        mb1, mb2, w, cluster = instance
+        D = pairwise_distances(mb1, mb2, w)
+        got = fuse_cluster(cluster, mb1, mb2, w, D, gm_config=gm_config).density
+        l1, l2 = sorted(cluster.l1), sorted(cluster.l2)
+        marginal, _ = cluster_pair_marginals(mb1, mb2, w, D, l1, l2)
+        want = oracle._moment_match(marginal, l1, l2, mb1, mb2, w, gm_config)
+        assert_identical(got, MultiBernoulliDensity(want))
+
+    def test_row_with_no_kept_pair_is_dropped(self):
+        # r = 0 gives the first sensor-1 component an existence gain of
+        # -inf, so each of its pair marginals is 0.
+        mb1 = MultiBernoulliDensity((bern(0.0, [0.0, 0.0], comp_id=0),
+                                     bern(0.8, [1.0, 0.0], comp_id=1)))
+        mb2 = MultiBernoulliDensity((bern(0.7, [0.0, 0.5], comp_id=0),
+                                     bern(0.6, [1.0, 0.5], comp_id=1)))
+        D = pairwise_distances(mb1, mb2, W)
+        cluster = Cluster(frozenset({0, 1}), frozenset({0, 1}))
+        result = fuse_cluster(cluster, mb1, mb2, W, D, gm_config=GmReduceConfig())
+        assert result.density.stack.ids.tolist() == [1]
+        fused, diag = pgci_fuse(mb1, mb2, W, 4.0, gm_config=GmReduceConfig())
+        assert diag.cluster_sizes == [(2, 2)]
+        assert len(fused) == 1
+        assert np.array_equal(fused.rs, result.density.rs)
+
+
 # (r, mean, cov) of one invalid Bernoulli component per case.
 INVALID_COMPONENTS = {
     "nan-mean": (0.5, [np.nan, 0.0], np.eye(2)),

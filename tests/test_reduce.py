@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbfuse.errors import NumericalError
+from mbfuse.errors import InvalidDensityError, NumericalError
 from mbfuse.gm import GaussianMixture, _reduce_segments, _segment_sums, gm_normalize, gm_reduce
 from mbfuse.mb import (
     BernoulliComponent,
@@ -386,6 +386,20 @@ def test_invalid_reduction_parameters_raise(case):
 
 
 class TestReductionErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gm_reduce_of_a_non_finite_weight_raises(self, bad):
+        # Pruning would drop a NaN Gaussian and rescale the rest by the NaN
+        # total; an infinite weight would pass through.
+        mix = GaussianMixture(
+            np.array([bad, 0.5, 0.5]), np.arange(6.0).reshape(3, 2), np.tile(np.eye(2), (3, 1, 1))
+        )
+        with pytest.raises(InvalidDensityError):
+            gm_reduce(mix, 1e-5, 4.0, 5)
+
+    def test_mb_reduce_of_a_nan_weight_raises(self):
+        with pytest.raises(InvalidDensityError):
+            mb_reduce(density_with_covariance(np.eye(4), np.nan, 0.7), MbReduceConfig())
+
     def test_non_pd_covariance_in_a_kept_gaussian_raises(self):
         density = density_with_covariance(NOT_PD, 0.3, 0.7)
         with pytest.raises(NumericalError):
