@@ -27,7 +27,6 @@ from .errors import (
 )
 from .gm import (
     GaussianMixture,
-    gm_normalize,
     gm_pair_product,
     gm_reduce,
 )

@@ -77,13 +77,10 @@ class FusionHypothesis:
 
 @dataclass
 class GmbDensity:
-    """Fused generalized-MB density: its normalized hypotheses and eta."""
+    """Fused generalized-MB density: its normalized hypotheses and log eta."""
 
     hypotheses: list[FusionHypothesis]
-    eta: float
     log_eta: float
-    n1: int
-    n2: int
     swapped: bool = False
 
 
@@ -471,10 +468,7 @@ def naive_gci_mb_fuse(
             FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))
             for (i1, theta), wn, lk in zip(hyps, norm_ws, log_ks)
         ],
-        eta=float(np.exp(log_eta)),
         log_eta=log_eta,
-        n1=n1,
-        n2=n2,
         swapped=swapped,
     )
     return fused_mb, gmb

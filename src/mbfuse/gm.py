@@ -16,6 +16,9 @@ distance rows are solved with many columns, never one, as a single-column
 solve differs in the last bits; and every weight total is summed as
 _segment_sums sums, as zero-weight padding leaves the merge's contractions
 unchanged but not a row sum of padded weights from 8 entries up.
+
+_leader_groups is the one greedy leader loop, for mb_merge_components and a
+lone segment's sweep; _check_gaussians is the one Gaussian validity check.
 """
 
 from __future__ import annotations
@@ -59,19 +62,24 @@ class GaussianMixture:
     def n_components(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     @classmethod
     def empty(cls, d: int) -> "GaussianMixture":
         return cls(np.zeros(0), np.zeros((0, d)), np.zeros((0, d, d)))
 
     @classmethod
-    def single(cls, mean, cov, weight: float = 1.0) -> "GaussianMixture":
+    def single(cls, mean, cov) -> "GaussianMixture":
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        return cls(np.array([weight]), mean[None, :], cov[None, :, :])
+        return cls(np.ones(1), mean[None, :], cov[None, :, :])
+
+
+def _check_gaussians(weights, means, covs, sizes=None) -> None:
+    """Raise InvalidDensityError unless every pdf of the given sizes holds a
+    Gaussian and every weight, mean and covariance entry is finite."""
+    if sizes is not None and not sizes.all():
+        raise InvalidDensityError("a component's pdf holds no Gaussian")
+    if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise InvalidDensityError("a Gaussian weight, mean or covariance entry is NaN or infinite")
 
 
 def _batch_cholesky(covs: np.ndarray) -> np.ndarray:
@@ -159,45 +167,30 @@ def gm_pair_product(
     return GaussianMixture(np.exp(log_alpha), means, covs)
 
 
-def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:
-    """Scale weights to sum 1; returns (normalized mixture, original mass)."""
-    mass = mix.total_weight
-    if not np.isfinite(mass) or mass <= 0.0:
-        raise NumericalError(f"cannot normalize mixture with total weight {mass}")
-    return GaussianMixture(mix.weights / mass, mix.means, mix.covs), mass
+def _leader_groups(order, within_row) -> list[np.ndarray]:
+    """Greedy leader clustering, the one loop of mb_merge_components and of
+    a lone segment's sweep (see _sweep).
 
-
-def _leader_groups(order, within) -> list[np.ndarray]:
-    """Greedy leader clustering, the merge rule of mb_merge_components
-    (_sweep applies the same rule to the Gaussians of a reduction).
-
-    Indices are visited in ``order``; each one not yet grouped leads a
-    group of itself and every ungrouped j with ``within[lead, j]``. Groups
-    are returned in the order their leaders were visited, each as an
-    ascending index array, so with an ascending ``order`` the leader is
-    each group's first element.
+    ``order`` visits the indices 0, ..., len(order) - 1; each one not yet
+    grouped leads a group of itself and every ungrouped j with
+    ``within_row(lead)[j]``. Groups are returned in the order their leaders
+    were visited, each as an ascending index array, so with an ascending
+    ``order`` the leader is each group's first element.
     """
-    free = np.ones(within.shape[0], dtype=bool)
+    free = np.ones(len(order), dtype=bool)
     groups = []
     for lead in order:
         if free[lead]:
-            grab = free & within[lead]
+            grab = free & within_row(lead)
             grab[lead] = True
             free &= ~grab
-            groups.append(np.flatnonzero(grab))
+            groups.append(grab.nonzero()[0])
     return groups
 
 
-def gm_merge_moments(weights, means, covs):
-    """Moment-preserving merge of a set of components into one.
-
-    Leading axes, if any, index independent sets that are merged at once.
-    """
-    return _merge_moments(weights.sum(axis=-1), weights, means, covs)
-
-
 def _merge_moments(w, weights, means, covs):
-    """gm_merge_moments of sets whose total weights w are given.
+    """Moment-preserving merge of each set of Gaussians into one, given the
+    sets' total weights w; leading axes index independent sets.
 
     A set padded with zero-weight entries merges bit for bit as it does
     unpadded when the Gaussians have two or more dimensions; its total
@@ -285,24 +278,20 @@ def _sweep(w, means, chol, starts, sizes, merge_threshold):
     group number in its segment.
 
     Many segments sweep together in rounds, one group per segment a round;
-    a lone segment sweeps in a loop over its leaders, which costs less than
-    a round's two-dimensional indexing.
+    a lone segment sweeps in _leader_groups' loop over its leaders, which
+    costs less than a round's two-dimensional indexing.
     """
     rows, valid = _segment_table(starts, sizes)
     order = np.where(valid, -w[rows], np.nan).argsort(axis=1, kind="stable")
     m = means[rows]
     label = np.zeros(rows.shape, dtype=np.intp)
     if sizes.shape[0] == 1:
-        free, k = valid[0].copy(), 0
-        m, lab, chol = m[0], label[0], chol[rows[0]]
-        for lead in order[0].tolist():
-            if free[lead]:
-                dist_sq = (np.linalg.solve(chol[lead], (m - m[lead]).T) ** 2).sum(axis=0)
-                grab = free & (dist_sq <= merge_threshold)
-                grab[lead] = True
-                lab[grab] = k
-                free &= ~grab
-                k += 1
+        m, chol, lab = m[0], chol[rows[0]], label[0]
+        def within_row(lead):
+            dist_sq = (np.linalg.solve(chol[lead], (m - m[lead]).T) ** 2).sum(axis=0)
+            return dist_sq <= merge_threshold
+        for k, g in enumerate(_leader_groups(order[0].tolist(), within_row)):
+            lab[g] = k
         return rows, valid, label
     # rank[s, i]: Gaussian i's place in segment s's visit order, or `last`
     # once it is grouped (padding counts as grouped). Every segment takes
@@ -444,11 +433,10 @@ def gm_reduce(
     remaining component (ties to the lower index) and absorbs every remaining
     component within squared Mahalanobis distance merge_threshold of it
     (moment-preserving). The cap keeps the heaviest merged components (ties
-    to the lower index) in merge order. A NaN or infinite weight raises
-    InvalidDensityError.
+    to the lower index) in merge order. A NaN or infinite weight, mean or
+    covariance entry raises InvalidDensityError (see _check_gaussians).
     """
-    if not np.isfinite(mix.weights).all():
-        raise InvalidDensityError(f"mixture weights {mix.weights} are not all finite")
+    _check_gaussians(mix.weights, mix.means, mix.covs)
     _, w, m, p = _reduce_segments(
         np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
         prune_threshold, merge_threshold, max_components,

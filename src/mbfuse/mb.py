@@ -25,18 +25,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
+from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, _batch_cholesky, _leader_groups, _log_normal, _reduce_segments,
-    _segment_argmax, _segment_rows, _segment_sums,
+    GaussianMixture, _batch_cholesky, _check_gaussians, _leader_groups, _log_normal,
+    _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
 # fusion hypothesis weights stay finite.
 R_MAX = 1.0 - 1e-9
 
-# Relative tolerance of the covariance symmetry check in check_density.
+# Relative tolerance of the covariance symmetry checks.
 SYM_TOL = 1e-9
+
+# extract_estimates reports the components whose existence exceeds this.
+ESTIMATE_R = 0.5
 
 # Adaptive births: each measurement of a scan of n seeds a component of
 # existence min(BIRTH_R_MAX, BIRTH_RATE / n) at zero velocity, with a
@@ -127,10 +130,6 @@ class MultiBernoulliDensity:
     def rs(self) -> np.ndarray:
         return self.stack.rs
 
-    @property
-    def expected_cardinality(self) -> float:
-        return float(self.rs.sum()) if len(self) else 0.0
-
     def next_id(self) -> int:
         return int(self.stack.ids.max()) + 1 if len(self) else 0
 
@@ -181,12 +180,32 @@ def _strongest(ids, rs, idx, cap):
     return top[np.argsort(ids[top])]
 
 
+def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
+    """A model matrix must be finite and of its shape; a covariance must also
+    be symmetric and positive semi-definite within SYM_TOL times its largest
+    entry, so the singular NCV process noise passes."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{what} must be finite")
+    if covariance:
+        tol = SYM_TOL * np.abs(a).max(initial=0.0)
+        if np.abs(a - a.T).max(initial=0.0) > tol or np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
+            raise ConfigError(f"{what} must be symmetric positive semi-definite")
+
+
 @dataclass(frozen=True)
 class Rectangle:
     xmin: float
     xmax: float
     ymin: float
     ymax: float
+
+    def __post_init__(self):
+        # A NaN bound fails every comparison; an infinite one gives an infinite area.
+        if not (self.xmin < self.xmax and self.ymin < self.ymax and self.area < np.inf):
+            raise ConfigError(f"region {self} must be finite with xmin < xmax and ymin < ymax")
 
     @property
     def area(self) -> float:
@@ -209,6 +228,14 @@ class MotionModel:
     F: np.ndarray
     Q: np.ndarray
     p_survival: float
+
+    def __post_init__(self):
+        n = np.shape(self.F)[0] if np.ndim(self.F) else 0
+        _check_matrix(self.F, (n, n), "motion F")
+        _check_matrix(self.Q, (n, n), "motion Q", covariance=True)
+        # Each check also rejects NaN, which fails every comparison.
+        if not 0 <= self.p_survival <= 1:
+            raise ConfigError("survival probability must be in [0, 1]")
 
     @classmethod
     def ncv(cls, dt: float, sigma_v: float, p_survival: float) -> "MotionModel":
@@ -233,6 +260,15 @@ class SensorModel:
     p_detect: float
     clutter_rate: float
     region: Rectangle
+
+    def __post_init__(self):
+        m, n = np.shape(self.H) if np.ndim(self.H) == 2 else (0, 0)
+        _check_matrix(self.H, (m, n), "sensor H")
+        _check_matrix(self.R, (m, m), "sensor R", covariance=True)
+        if not 0 <= self.p_detect <= 1:
+            raise ConfigError("detection probability must be in [0, 1]")
+        if not 0 <= self.clutter_rate < np.inf:
+            raise ConfigError("clutter rate must be finite and >= 0")
 
     @classmethod
     def position_sensor(
@@ -293,19 +329,15 @@ def adaptive_birth(prev_scan: np.ndarray, start_id: int = 0) -> MultiBernoulliDe
 
 
 def check_density(density: MultiBernoulliDensity) -> None:
-    """Raise InvalidDensityError unless every r lies in [0, 1], every pdf
-    holds a Gaussian, every Gaussian weight, mean and covariance entry is
-    finite, and every covariance is symmetric within SYM_TOL times its
-    largest entry."""
+    """Raise InvalidDensityError unless the Gaussians pass _check_gaussians,
+    every r lies in [0, 1] and every covariance is symmetric within SYM_TOL
+    times its largest entry; the fusion entry points run this check."""
     if not len(density):
         return
     _, rs, sizes, weights, means, covs = density.stack
     if not np.all((rs >= 0.0) & (rs <= 1.0)):
         raise InvalidDensityError(f"existence probabilities {rs} not all in [0, 1]")
-    if not sizes.all():
-        raise InvalidDensityError("a component's pdf holds no Gaussian")
-    if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise InvalidDensityError("density holds a non-finite weight, mean or covariance")
+    _check_gaussians(weights, means, covs, sizes)
     scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
     if np.any(np.abs(covs - np.swapaxes(covs, 1, 2)) > SYM_TOL * scale):
         raise InvalidDensityError("density holds an asymmetric covariance")
@@ -418,18 +450,15 @@ def mb_reduce(
 ) -> MultiBernoulliDensity:
     """Drop low-existence components, cap the count, reduce each pdf.
 
-    Raises InvalidDensityError for a component whose pdf holds no Gaussian
-    and for a NaN or infinite Gaussian weight.
+    Raises InvalidDensityError for an empty pdf or a NaN or infinite Gaussian
+    weight, mean or covariance entry in any component (_check_gaussians).
     """
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
     if not config.max_components >= 1:
         raise ValueError("component cap must be at least 1")
-    ids, rs, sizes, weights, *_ = density.stack
-    if not sizes.all():
-        raise InvalidDensityError("a component's pdf holds no Gaussian")
-    if not np.isfinite(weights).all():
-        raise InvalidDensityError("density holds a non-finite Gaussian weight")
+    ids, rs, sizes, weights, means, covs = density.stack
+    _check_gaussians(weights, means, covs, sizes)
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
     if not kept.size:
@@ -456,15 +485,14 @@ def mb_merge_components(
     within the squared-Mahalanobis gate of a stronger component's (ties in
     r go to the lower id), summing r (clamped below 1) and mixing pdfs with
     r-proportional weights, so the intensity (PHD) of the density is
-    unchanged up to the clamp.
+    unchanged up to the clamp. Raises InvalidDensityError as mb_reduce does.
     """
     if not gate > 0:
         raise ValueError("merge gate must be positive")
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
         return MultiBernoulliDensity(())
-    if not sizes.all():
-        raise InvalidDensityError("a component's pdf holds no Gaussian")
+    _check_gaussians(weights, means, covs, sizes)
     # Components strongest first, ties in r to the lower id; the dominant
     # Gaussian of each is the first of its heaviest.
     order = np.lexsort((ids, -rs))
@@ -485,7 +513,7 @@ def mb_merge_components(
     within[h, i] = (diff[h, i, None, :] @ sol)[:, 0, 0] <= gate
 
     # Groups as positions in the density, in the id order of their leaders.
-    groups = sorted((order[g] for g in _leader_groups(range(len(ids)), within)),
+    groups = sorted((order[g] for g in _leader_groups(range(len(ids)), within.__getitem__)),
                     key=lambda g: ids[g[0]])
     # One flat stack of every group's pdfs, group after group, gathered from
     # the density's stack, each pdf's weights scaled by its share of the
@@ -509,15 +537,13 @@ def mb_merge_components(
     )
 
 
-def extract_estimates(density: MultiBernoulliDensity, r_threshold: float = 0.5) -> np.ndarray:
-    """Means of the highest-weight Gaussian of every component with r above threshold.
+def extract_estimates(density: MultiBernoulliDensity) -> np.ndarray:
+    """Means of the highest-weight Gaussian of every component with r above ESTIMATE_R.
 
     Ties in Gaussian weights resolve to the lowest component index.
     """
-    if not (0.0 < r_threshold < 1.0):
-        raise ValueError("r_threshold must be in (0, 1)")
     ids, rs, sizes, weights, means, _ = density.stack
-    sel = np.flatnonzero((rs > r_threshold) & (sizes > 0))
+    sel = np.flatnonzero((rs > ESTIMATE_R) & (sizes > 0))
     if not sel.size:
         return np.zeros((0, means.shape[1] if len(ids) else 4))
     rows = _segment_rows((np.cumsum(sizes) - sizes)[sel], sizes[sel])

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
-    SYM_TOL,
+    _check_matrix,
     _rows,
     _single_gaussians,
     _strongest,
@@ -108,9 +108,10 @@ class ScenarioConfig:
                     raise ConfigError("adjacency must be symmetric")
         if n > 1 and not _connected(self.adjacency):
             raise ConfigError("sensor network must be connected")
-        _check_rectangle(self.region, "scenario region")
+        # The models check themselves when built; the simulator needs n = 4, m = 2.
         _check_matrix(self.motion.F, (STATE_DIM, STATE_DIM), "motion F")
-        _check_matrix(self.motion.Q, (STATE_DIM, STATE_DIM), "motion Q", covariance=True)
+        for s in self.sensors:
+            _check_matrix(s.H, (MEAS_DIM, STATE_DIM), "sensor H")
         for b in self.births:
             if not (0 <= b.birth_step < b.death_step <= self.duration):
                 raise ConfigError("birth step must precede death step within duration")
@@ -120,43 +121,11 @@ class ScenarioConfig:
                 raise ConfigError("initial object state must be finite")
             if not self.region.contains(b.state[:2]):
                 raise ConfigError("initial object state outside region")
+        # Each check also rejects NaN, which fails every comparison.
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
-        # Each check also rejects NaN, which fails every comparison.
-        for s in self.sensors:
-            if not 0 <= s.p_detect <= 1:
-                raise ConfigError("detection probability must be in [0, 1]")
-            if not 0 <= s.clutter_rate < np.inf:
-                raise ConfigError("clutter rate must be finite and >= 0")
-            _check_rectangle(s.region, "sensor region")
-            _check_matrix(s.H, (MEAS_DIM, STATE_DIM), "sensor H")
-            _check_matrix(s.R, (MEAS_DIM, MEAS_DIM), "sensor R", covariance=True)
-        if not 0 <= self.motion.p_survival <= 1:
-            raise ConfigError("survival probability must be in [0, 1]")
         if not self.fusion_max_components >= 1:
             raise ConfigError("fusion component cap must be at least 1")
-
-
-def _check_rectangle(rect: Rectangle, what: str) -> None:
-    # A NaN bound fails every comparison; an infinite one gives an infinite area.
-    if not (rect.xmin < rect.xmax and rect.ymin < rect.ymax and rect.area < np.inf):
-        raise ConfigError(f"{what} must be finite with xmin < xmax and ymin < ymax")
-
-
-def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
-    """A model matrix must be finite and of its shape; a covariance must also
-    be symmetric and positive semi-definite within SYM_TOL times its largest
-    entry, so the singular NCV process noise passes."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != shape:
-        raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{what} must be finite")
-    if not covariance:
-        return
-    tol = SYM_TOL * np.abs(a).max(initial=0.0)
-    if np.abs(a - a.T).max(initial=0.0) > tol or np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
-        raise ConfigError(f"{what} must be symmetric positive semi-definite")
 
 
 def _connected(adjacency) -> bool:
@@ -364,7 +333,6 @@ class MonteCarloResult:
     t_fuse_max_ms: np.ndarray
     n_h: np.ndarray
     n_h_clustered: np.ndarray
-    n_runs: int
 
     CSV_COLUMNS = (
         "step",
@@ -487,7 +455,6 @@ def run_montecarlo(
         t_fuse_max_ms=t_fuse.max(axis=0),
         n_h=n_h.mean(axis=0),
         n_h_clustered=n_h2.mean(axis=0),
-        n_runs=n_runs,
     )
 
 

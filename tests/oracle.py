@@ -20,10 +20,9 @@ from mbfuse.gm import (
     GaussianMixture,
     _batch_cholesky,
     _log_normal,
+    _merge_moments,
     _pair_product_parts,
     _power_parts,
-    gm_merge_moments,
-    gm_normalize,
     gm_pair_product,
 )
 from mbfuse.mb import R_MAX, BernoulliComponent, GmReduceConfig, MultiBernoulliDensity, _take
@@ -137,6 +136,22 @@ def cluster_log_eta(
     raise ValueError("two-sided clusters need the full fusion path")
 
 
+def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:
+    """Scale weights to sum 1; returns (normalized mixture, original mass)."""
+    mass = float(mix.weights.sum())
+    if not np.isfinite(mass) or mass <= 0.0:
+        raise NumericalError(f"cannot normalize mixture with total weight {mass}")
+    return GaussianMixture(mix.weights / mass, mix.means, mix.covs), mass
+
+
+def gm_merge_moments(weights, means, covs):
+    """Moment-preserving merge of a set of components into one.
+
+    Leading axes, if any, index independent sets that are merged at once.
+    """
+    return _merge_moments(weights.sum(axis=-1), weights, means, covs)
+
+
 def gm_reduce(mix, prune_threshold, merge_threshold, max_components):
     """gm_reduce as a loop: the heaviest alive component (argmax, so ties go
     to the lower index) absorbs every alive one within merge_threshold,
@@ -147,7 +162,7 @@ def gm_reduce(mix, prune_threshold, merge_threshold, max_components):
     keep = mix.weights >= prune_threshold
     if not np.any(keep):
         return GaussianMixture.empty(mix.d)
-    total = mix.total_weight
+    total = float(mix.weights.sum())
     w = mix.weights[keep]
     w = w * (total / w.sum())
     means = mix.means[keep]

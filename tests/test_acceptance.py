@@ -278,7 +278,7 @@ def test_criterion_7_gaussian_mixture_numerics():
     quad_mass_1d = (
         quad(lambda x: density1(x, mix1) ** 0.5, -40, 80, limit=200)[0]
     )
-    err_1d = abs(pw1.total_weight - quad_mass_1d) / quad_mass_1d
+    err_1d = abs(pw1.weights.sum() - quad_mass_1d) / quad_mass_1d
 
     mix2 = GaussianMixture(
         np.array([1.0]), np.array([[1.0, -1.0]]), np.array([[[2.0, 0.3], [0.3, 1.0]]])
@@ -292,7 +292,7 @@ def test_criterion_7_gaussian_mixture_numerics():
         return (val / (2 * math.pi * math.sqrt(np.linalg.det(P)))) ** 0.7
 
     quad_mass_2d = dblquad(density2, -15, 15, -15, 15)[0]
-    err_2d = abs(pw2.total_weight - quad_mass_2d) / quad_mass_2d
+    err_2d = abs(pw2.weights.sum() - quad_mass_2d) / quad_mass_2d
     ok_power = err_1d <= 1e-6 and err_2d <= 1e-6
 
     # (c) pair-product mass equals exp(-divergence).
@@ -303,7 +303,7 @@ def test_criterion_7_gaussian_mixture_numerics():
         p2 = random_mb(rng, 1, spread=4.0).components[0].pdf
         from mbfuse.gm import gm_pair_product
 
-        mass = gm_pair_product(p1, w.w1, p2, w.w2).total_weight
+        mass = gm_pair_product(p1, w.w1, p2, w.w2).weights.sum()
         want = math.exp(gm_pair_log_mass(p1, w.w1, p2, w.w2))
         worst_pair = max(worst_pair, abs(mass - want) / want)
     ok_pair = worst_pair <= 1e-12

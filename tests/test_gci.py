@@ -167,7 +167,7 @@ class TestSingleComponentFusion:
         assert fused.components[0].r == pytest.approx(
             w_pair / (w_empty + w_pair), rel=1e-12
         )
-        assert gmb.eta == pytest.approx(w_empty + w_pair, rel=1e-12)
+        assert math.exp(gmb.log_eta) == pytest.approx(w_empty + w_pair, rel=1e-12)
 
     def test_fused_pair_moments(self):
         # [DERIVED] exponent-scaled information fusion of single Gaussians:
@@ -244,7 +244,7 @@ class TestExhaustiveFusion:
             assert set(got) == set(want)
             for l in want:
                 assert got[l] == pytest.approx(want[l], rel=1e-9)
-            assert gmb.eta == pytest.approx(total, rel=1e-9)
+            assert math.exp(gmb.log_eta) == pytest.approx(total, rel=1e-9)
 
     def test_hypothesis_weights_normalized(self):
         rng = np.random.default_rng(5)
@@ -260,7 +260,7 @@ class TestExhaustiveFusion:
         w = FusionWeights(0.35, 0.65)
         f12, g12 = naive_gci_mb_fuse(mb1, mb2, w)
         f21, g21 = naive_gci_mb_fuse(mb2, mb1, w.swapped())
-        assert g12.eta == pytest.approx(g21.eta, rel=1e-12)
+        assert math.exp(g12.log_eta) == pytest.approx(math.exp(g21.log_eta), rel=1e-12)
         # The larger side is always swapped into the subset role, so both
         # calls moment-match onto the same (smaller) index set.
         assert sorted(c.r for c in f12.components) == pytest.approx(
@@ -280,11 +280,11 @@ class TestExhaustiveFusion:
         mb = random_mb(rng, 2)
         w = FusionWeights(0.5, 0.5)
         fused, gmb = naive_gci_mb_fuse(mbd(), mbd(), w)
-        assert len(fused) == 0 and gmb.eta == pytest.approx(1.0)
+        assert len(fused) == 0 and math.exp(gmb.log_eta) == pytest.approx(1.0)
         fused, gmb = naive_gci_mb_fuse(mbd(), mb, w)
         # Only the empty hypothesis survives: eta = prod (1-r)^w2.
         want = math.exp(0.5 * sum(math.log1p(-r) for r in mb.rs))
-        assert len(fused) == 0 and gmb.eta == pytest.approx(want, rel=1e-12)
+        assert len(fused) == 0 and math.exp(gmb.log_eta) == pytest.approx(want, rel=1e-12)
 
 
 class TestFusionWeights:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mbfuse import GaussianMixture, gm_normalize, gm_pair_product, gm_reduce
+from mbfuse import GaussianMixture, gm_pair_product, gm_reduce
 from mbfuse.errors import NumericalError
-from mbfuse.gm import gm_merge_moments
-from oracle import check_spd, gm_eval, gm_pair_log_mass, gm_power
+from oracle import check_spd, gm_eval, gm_merge_moments, gm_normalize, gm_pair_log_mass, gm_power
 
 
 def mix(triples):
@@ -27,7 +26,7 @@ class TestGaussianMixture:
 
     def test_empty_mixture_mass_zero(self):
         g = GaussianMixture.empty(2)
-        assert g.total_weight == 0.0
+        assert g.weights.sum() == 0.0
         assert gm_eval(g, [0.0, 0.0]) == 0.0
 
     def test_rejects_non_spd_covariance(self):
@@ -42,28 +41,26 @@ class TestGaussianMixture:
 class TestGmPower:
     def test_mass_matches_quadrature_1d(self):
         # [0.7 N(1, 4)]^0.4: mass by direct quadrature of the pointwise power
-        g = GaussianMixture.single(np.array([1.0]), np.array([[4.0]]), weight=0.7)
+        g = mix([(0.7, [1.0], [[4.0]])])
         powered = gm_power(g, 0.4)
         oracle = quad_mass_1d(lambda x: gm_eval(g, [x]) ** 0.4)
-        assert powered.total_weight == pytest.approx(oracle, rel=1e-6)
+        assert powered.weights.sum() == pytest.approx(oracle, rel=1e-6)
 
     def test_mass_matches_quadrature_2d(self):
-        g = GaussianMixture.single(
-            np.array([0.5, -1.0]), np.array([[3.0, 0.8], [0.8, 2.0]]), weight=1.3
-        )
+        g = mix([(1.3, [0.5, -1.0], [[3.0, 0.8], [0.8, 2.0]])])
         powered = gm_power(g, 0.6)
         oracle, _ = integrate.dblquad(
             lambda y, x: gm_eval(g, [x, y]) ** 0.6, -30, 30, -30, 30
         )
-        assert powered.total_weight == pytest.approx(oracle, rel=1e-6)
+        assert powered.weights.sum() == pytest.approx(oracle, rel=1e-6)
 
     def test_standard_normal_half_power_mass(self):
         # closed form: integral of N(0,1)^0.5 = (2 pi)^(1/4) * sqrt(2) = 2.23902...
         g = GaussianMixture.single(np.zeros(1), np.eye(1))
-        assert gm_power(g, 0.5).total_weight == pytest.approx(2.2390302698404954, abs=1e-12)
+        assert gm_power(g, 0.5).weights.sum() == pytest.approx(2.2390302698404954, abs=1e-12)
 
     def test_omega_one_is_identity(self):
-        g = GaussianMixture.single(np.array([2.0]), np.array([[3.0]]), weight=0.4)
+        g = mix([(0.4, [2.0], [[3.0]])])
         powered = gm_power(g, 1.0)
         assert powered.weights[0] == pytest.approx(0.4, rel=1e-12)
         assert powered.covs[0, 0, 0] == pytest.approx(3.0, rel=1e-12)
@@ -94,7 +91,7 @@ class TestGmPairProduct:
         oracle = quad_mass_1d(
             lambda x: gm_eval(g1, [x]) ** 0.3 * gm_eval(g2, [x]) ** 0.7
         )
-        assert prod.total_weight == pytest.approx(oracle, rel=1e-3)
+        assert prod.weights.sum() == pytest.approx(oracle, rel=1e-3)
 
     def test_fused_mean_of_equal_covariance_pair(self):
         # equal covariances and weights: fused component sits at the midpoint
@@ -114,10 +111,10 @@ class TestGmPairProduct:
 
 class TestGmNormalize:
     def test_returns_mass_and_unit_total(self):
-        g = GaussianMixture.single(np.zeros(1), np.eye(1), weight=2.5)
+        g = mix([(2.5, [0.0], [[1.0]])])
         normalized, mass = gm_normalize(g)
         assert mass == pytest.approx(2.5)
-        assert normalized.total_weight == pytest.approx(1.0)
+        assert normalized.weights.sum() == pytest.approx(1.0)
 
     def test_zero_mass_raises(self):
         g = GaussianMixture.empty(1)
@@ -132,7 +129,7 @@ class TestGmReduce:
                  for w in (0.5, 0.3, 0.15, 4e-6, 1e-7)])
         reduced = gm_reduce(g, prune_threshold=1e-5, merge_threshold=4.0,
                             max_components=10)
-        assert reduced.total_weight == pytest.approx(g.total_weight, abs=1e-9)
+        assert reduced.weights.sum() == pytest.approx(g.weights.sum(), abs=1e-9)
         assert reduced.n_components == 3
 
     def test_merge_is_moment_preserving(self):

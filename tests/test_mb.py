@@ -5,6 +5,7 @@ import pytest
 
 from mbfuse import (
     BernoulliComponent,
+    ConfigError,
     DimensionMismatchError,
     GaussianMixture,
     InvalidDensityError,
@@ -46,6 +47,31 @@ class TestMotionModel:
         np.testing.assert_allclose(m.Q[:2, 2:], 25.0 / 2.0 * np.eye(2))
         np.testing.assert_allclose(m.Q[2:, 2:], 25.0 * np.eye(2))
         np.testing.assert_allclose(m.Q, m.Q.T)
+
+
+class TestModelsRejectBadValues:
+    """Each model used to be built without error, and predict or update
+    then returned a wrong density with none."""
+
+    def test_detection_probability_above_one(self):
+        # mb_update of one r = 0.5 track and a scan on it returned r = [0, 1].
+        with pytest.raises(ConfigError, match="detection probability"):
+            make_sensor(p_detect=1.5)
+
+    def test_negative_clutter_rate(self):
+        # The same update returned r = [0.048, 0.959].
+        with pytest.raises(ConfigError, match="clutter rate"):
+            make_sensor(clutter_rate=-5.0)
+
+    def test_survival_probability_above_one(self):
+        # mb_predict clamped the track's r = 0.5 to R_MAX.
+        with pytest.raises(ConfigError, match="survival probability"):
+            MotionModel.ncv(1.0, 5.0, p_survival=3.0)
+
+    def test_inverted_rectangle(self):
+        # Its area was -10, so the clutter density was negative.
+        with pytest.raises(ConfigError, match="xmin < xmax"):
+            Rectangle(5.0, -5.0, 0.0, 1.0)
 
 
 class TestMbPredict:
@@ -164,7 +190,7 @@ class TestMbUpdate:
         )
         updated = mb_update(MultiBernoulliDensity(comps), np.zeros((0, 2)), sensor)
         expected = np.sum(rs * 0.05 / (1.0 - rs * 0.95))
-        assert updated.expected_cardinality == pytest.approx(expected, abs=1e-12)
+        assert updated.rs.sum() == pytest.approx(expected, abs=1e-12)
 
 
 class TestAdaptiveBirth:
@@ -229,13 +255,13 @@ class TestExtractEstimates:
             (single_component(0.9, pos=(1.0, 2.0), cid=0),
              single_component(0.2, pos=(50.0, 50.0), cid=1))
         )
-        est = extract_estimates(density, 0.5)
+        est = extract_estimates(density)
         assert est.shape == (1, 4)
         np.testing.assert_allclose(est[0, :2], [1.0, 2.0])
 
     def test_all_below_threshold_gives_empty(self):
         density = MultiBernoulliDensity((single_component(0.3),))
-        assert extract_estimates(density, 0.5).shape[0] == 0
+        assert extract_estimates(density).shape[0] == 0
 
     def test_tie_break_lowest_index(self):
         pdf = GaussianMixture(
@@ -246,5 +272,5 @@ class TestExtractEstimates:
         density = MultiBernoulliDensity(
             (BernoulliComponent(r=0.9, pdf=pdf, id=0),)
         )
-        est = extract_estimates(density, 0.5)
+        est = extract_estimates(density)
         np.testing.assert_allclose(est[0], [0.0, 0.0, 0.0, 0.0])

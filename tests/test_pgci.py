@@ -183,7 +183,7 @@ class TestClusterFusionProperties:
         # 0, so rel 1e-12 on eta bounds the absolute error of log eta.
         eta = math.exp(direct.log_eta)
         assert math.exp(swapped.log_eta) == pytest.approx(eta, rel=1e-12)
-        assert gmb.eta == pytest.approx(eta, rel=1e-12)
+        assert math.exp(gmb.log_eta) == pytest.approx(eta, rel=1e-12)
         # The oracle moment-matches onto the smaller side.
         oriented = direct if len(cluster.l1) <= len(cluster.l2) else swapped
         assert [c.r for c in oriented.components] == pytest.approx(

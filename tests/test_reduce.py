@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbfuse.errors import InvalidDensityError, NumericalError
-from mbfuse.gm import GaussianMixture, _reduce_segments, _segment_sums, gm_normalize, gm_reduce
+from mbfuse.gm import GaussianMixture, _reduce_segments, _segment_sums, gm_reduce
 from mbfuse.mb import (
     BernoulliComponent,
     GmReduceConfig,
@@ -22,6 +22,7 @@ from mbfuse.mb import (
     mb_reduce,
 )
 from mbfuse.sim import _condense_for_fusion, scenario1
+from oracle import gm_normalize
 from oracle import gm_reduce as reference_gm_reduce
 from oracle import mb_merge_components as reference_mb_merge
 
@@ -399,6 +400,34 @@ class TestReductionErrors:
     def test_mb_reduce_of_a_nan_weight_raises(self):
         with pytest.raises(InvalidDensityError):
             mb_reduce(density_with_covariance(np.eye(4), np.nan, 0.7), MbReduceConfig())
+
+    def test_mb_merge_components_of_a_nan_weight_raises(self):
+        # It used to fail later, as a plain NumericalError from normalization.
+        with pytest.raises(InvalidDensityError):
+            mb_merge_components(density_with_covariance(np.eye(4), np.nan, 0.7), 4.0,
+                                GmReduceConfig())
+
+    # Each reduction used to return the NaN mean or the infinite covariance
+    # unchanged, with no error.
+    @pytest.mark.parametrize("entry", ["nan-mean", "inf-cov"])
+    @pytest.mark.parametrize("reduction", ["gm_reduce", "mb_reduce", "mb_merge_components"])
+    def test_non_finite_mean_or_covariance_raises(self, reduction, entry):
+        means = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        covs = np.stack([np.eye(4), np.eye(4)])
+        if entry == "nan-mean":
+            means[0, 0] = np.nan
+        else:
+            covs[1, 0, 0] = np.inf
+        pdf = GaussianMixture(np.array([0.5, 0.5]), means, covs)
+        density = MultiBernoulliDensity((BernoulliComponent(r=0.7, pdf=pdf, id=0),
+                                         track(0.9, 200.0, 1)))
+        with pytest.raises(InvalidDensityError):
+            if reduction == "gm_reduce":
+                gm_reduce(pdf, 1e-5, 4.0, 5)
+            elif reduction == "mb_reduce":
+                mb_reduce(density, MbReduceConfig())
+            else:
+                mb_merge_components(density, 4.0, GmReduceConfig())
 
     def test_non_pd_covariance_in_a_kept_gaussian_raises(self):
         density = density_with_covariance(NOT_PD, 0.3, 0.7)

@@ -314,7 +314,7 @@ class TestConfigValidation:
     # Unchecked, an out-of-range p_detect or p_survival runs to a plausible
     # but wrong result (p_detect 1.5: fused OSPA 0; p_survival NaN: no
     # track after step 0), and a negative clutter rate fails deep inside
-    # measurement generation.
+    # measurement generation. The models reject them when they are built.
     @pytest.mark.parametrize(
         "model, field, value",
         [
@@ -331,14 +331,9 @@ class TestConfigValidation:
     )
     def test_bad_model_setting_rejected(self, model, field, value):
         cfg = scenario1()
-        if model == "sensor":
-            # Only the second sensor is bad: every sensor must be checked.
-            bad = dataclasses.replace(cfg.sensors[1], **{field: value})
-            cfg = dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad))
-        else:
-            cfg = dataclasses.replace(cfg, motion=dataclasses.replace(cfg.motion, **{field: value}))
+        base = cfg.sensors[1] if model == "sensor" else cfg.motion
         with pytest.raises(ConfigError):
-            cfg.validate()
+            dataclasses.replace(base, **{field: value})
 
     # Unchecked, a NaN velocity ends in NumericalError inside the filter, a
     # zero-area sensor region in a ZeroDivisionError from the clutter
@@ -364,14 +359,12 @@ class TestConfigValidation:
             dataclasses.replace(cfg, births=births).validate()
 
     @staticmethod
-    def with_matrix(cfg, name, value):
-        """cfg with the motion model's F or Q, or the second sensor's H or R,
-        replaced: only the second sensor is bad, so every sensor must be
-        checked."""
-        if name in ("F", "Q"):
-            return dataclasses.replace(cfg, motion=dataclasses.replace(cfg.motion, **{name: value}))
-        bad = dataclasses.replace(cfg.sensors[1], **{name: value})
-        return dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad))
+    def with_matrix(name, value):
+        """scenario1's motion model with F or Q, or its second sensor with H
+        or R, replaced."""
+        cfg = scenario1()
+        return dataclasses.replace(cfg.motion if name in ("F", "Q") else cfg.sensors[1],
+                                   **{name: value})
 
     # Unchecked, Q * nan runs to a fused OSPA of 98.5 (cutoff 100) with no
     # fused track after step 0, and a NaN in R ends in NumericalError.
@@ -382,9 +375,12 @@ class TestConfigValidation:
         value = getattr(model, name).copy()
         value[0, 0] = float("nan")
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
-            self.with_matrix(cfg, name, value).validate()
+            self.with_matrix(name, value)
 
-    # Unchecked, F = I_3 ends in numpy's bare ValueError.
+    # Unchecked, F = I_3 ends in numpy's bare ValueError. F, Q and R of the
+    # wrong shape make an inconsistent model, rejected when it is built;
+    # H = I_(2x3) makes a consistent sensor of a 3-D state, rejected by
+    # validate as the simulator's state has 4 entries.
     @pytest.mark.parametrize("name, value", [
         ("F", np.eye(3)),
         ("F", np.ones(4)),
@@ -393,8 +389,15 @@ class TestConfigValidation:
         ("R", np.eye(3)),
     ])
     def test_model_matrix_of_wrong_shape_rejected(self, name, value):
-        with pytest.raises(ConfigError, match="shape"):
-            self.with_matrix(scenario1(), name, value).validate()
+        if name != "H":
+            with pytest.raises(ConfigError, match="shape"):
+                self.with_matrix(name, value)
+            return
+        # Only the second sensor is bad: every sensor must be checked.
+        cfg = scenario1()
+        sensors = (cfg.sensors[0], self.with_matrix(name, value))
+        with pytest.raises(ConfigError, match="sensor H has shape"):
+            dataclasses.replace(cfg, sensors=sensors).validate()
 
     # Consistent models of other dimensions used to pass validation: a third
     # measurement row ends in numpy's bare ValueError ("inhomogeneous
@@ -429,33 +432,29 @@ class TestConfigValidation:
     ])
     def test_covariance_not_symmetric_psd_rejected(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be symmetric positive semi-definite"):
-            self.with_matrix(scenario1(), name, value).validate()
+            self.with_matrix(name, value)
 
+    # Region bounds (xmin, xmax, ymin, ymax); Rectangle rejects each when
+    # it is built.
     BAD_RECTANGLES = [
-        Rectangle(0.0, 0.0, -500.0, 500.0),             # zero area
-        Rectangle(-500.0, 500.0, 500.0, 500.0),
-        Rectangle(500.0, -500.0, -500.0, 500.0),        # inverted
-        Rectangle(-500.0, 500.0, 500.0, -500.0),
-        Rectangle(-500.0, float("inf"), -500.0, 500.0),
-        Rectangle(float("-inf"), float("inf"), -500.0, 500.0),
-        Rectangle(-500.0, 500.0, float("nan"), 500.0),
+        (0.0, 0.0, -500.0, 500.0),             # zero area
+        (-500.0, 500.0, 500.0, 500.0),
+        (500.0, -500.0, -500.0, 500.0),        # inverted
+        (-500.0, 500.0, 500.0, -500.0),
+        (-500.0, float("inf"), -500.0, 500.0),
+        (float("-inf"), float("inf"), -500.0, 500.0),
+        (-500.0, 500.0, float("nan"), 500.0),
     ]
 
     @pytest.mark.parametrize("region", BAD_RECTANGLES)
     def test_bad_sensor_region_rejected(self, region):
-        cfg = scenario1()
-        # Only the second sensor is bad: every sensor must be checked.
-        bad = dataclasses.replace(cfg.sensors[1], region=region)
-        with pytest.raises(ConfigError, match="sensor region"):
-            dataclasses.replace(cfg, sensors=(cfg.sensors[0], bad)).validate()
+        with pytest.raises(ConfigError, match="xmin < xmax and ymin < ymax"):
+            SensorModel.position_sensor(10.0, 0.95, 10.0, Rectangle(*region))
 
     @pytest.mark.parametrize("region", BAD_RECTANGLES)
     def test_bad_scenario_region_rejected(self, region):
-        # The match makes sure the region check, not the birth check, rejects it.
-        births = (ObjectBirth(0, 65, np.array([0.0, 0.0, 1.0, 1.0])),)
-        cfg = dataclasses.replace(scenario1(), region=region, births=births)
-        with pytest.raises(ConfigError, match="scenario region"):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="xmin < xmax and ymin < ymax"):
+            dataclasses.replace(scenario1(), region=Rectangle(*region))
 
     def test_builtin_scenarios_valid(self):
         scenario1().validate()

@@ -169,7 +169,7 @@ class TestAgainstReference:
         for density in (predicted, updated, reduced, merged, condensed):
             assert len(density) == 0
             assert density.components == ()
-            assert density.expected_cardinality == 0.0
+            assert density.rs.sum() == 0.0
             assert density.next_id() == 0
 
     def test_scenario2_desk_local_filter(self):
