@@ -100,15 +100,11 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
     w = FusionWeights(0.5, 0.5)
     worst_ratio = 0.0
     for _ in range(args.runs):
-        n1 = int(rng.integers(2, 5))
-        n2 = int(rng.integers(n1, 5))
-        mb1 = _random_mb(rng, n1, spread=20.0)
-        mb2 = _random_mb(rng, n2, spread=20.0)
-        dists = pairwise_distances(mb1, mb2, w)
-        _, gmb = naive_gci_mb_fuse(mb1, mb2, w, distances=dists)
-        if gmb.swapped:
-            dists = dists.T
-        lic = compute_lic(dists, args.gamma)
+        # Either side may be the larger one; the oracle orients them.
+        mb1 = _random_mb(rng, int(rng.integers(2, 5)), spread=20.0)
+        mb2 = _random_mb(rng, int(rng.integers(2, 5)), spread=20.0)
+        _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
+        lic = compute_lic(gmb.distances, args.gamma)
         discarded = inter_cluster_hypotheses(gmb, lic)
         exact, bound = l1_error_bound(gmb, discarded, args.gamma)
         if exact > bound + 1e-12:

@@ -5,7 +5,11 @@ hypothesis space (subset + injective association map), hypothesis
 weights, exact association marginals by a subset DP over partial
 matchings, the moment-matched MB approximation of the fused
 generalized-MB density, and the exhaustive two-step fusion that serves
-as the correctness oracle for the clustered pipeline.
+as the correctness oracle for the clustered pipeline. A hypothesis is
+its tuple of (l, l') pairs. Both fusers orient their inputs in one
+place, _oriented: the divergences are computed in the given order and
+the roles swapped when |L1| > |L2|, so the oracle weighs its hypotheses
+with the very matrix that clustered fusion gates, and hands it back.
 
 Fused pairs and moment matching run on one flat stack from the pair
 product to the fused density. The 1x1 batch and larger clusters share
@@ -31,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     IncompatiblePairError,
     IntractableFusionError,
-    NumericalError,
 )
 from .gm import (
     GaussianMixture,
@@ -44,7 +47,7 @@ from .gm import (
     gm_pair_product,
     gm_reduce,
 )
-from .mb import MultiBernoulliDensity, R_MAX, _reduce_stack, check_density
+from .mb import MultiBernoulliDensity, R_MAX, _reduced_density, check_density
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -63,25 +66,22 @@ class FusionWeights:
 
 @dataclass(frozen=True)
 class FusionHypothesis:
-    """A subset of sensor-1 indices with an injective association into sensor 2."""
+    """A subset of sensor-1 indices with an injective association into
+    sensor 2, as its (l, l') pairs in increasing l, with its normalized weight."""
 
-    i1: tuple[int, ...]
-    theta: dict[int, int]
-    w: float = 0.0
-    log_k: float = 0.0  # log of the Q-factor part (weight with distances removed)
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((l, self.theta[l]) for l in self.i1)
+    pairs: tuple[tuple[int, int], ...]
+    w: float
+    log_k: float  # log of the Q-factor part (weight with distances removed)
 
 
 @dataclass
 class GmbDensity:
-    """Fused generalized-MB density: its normalized hypotheses and log eta."""
+    """Fused generalized-MB density: its normalized hypotheses, log eta and
+    the divergence matrix that weighed them, in the fusion's orientation."""
 
     hypotheses: list[FusionHypothesis]
     log_eta: float
-    swapped: bool = False
+    distances: np.ndarray
 
 
 def pairwise_distances(
@@ -120,18 +120,19 @@ def pairwise_distances(
 
 
 def enumerate_hypotheses(l1, l2):
-    """Yield every distinct (I1, theta) pair: subset of l1 plus injective map into l2.
+    """Yield every distinct hypothesis, a subset of l1 with an injective map
+    into l2, as its tuple of (l, l') pairs.
 
     Includes the empty hypothesis. Subset sizes above min(|l1|, |l2|) have
     no injective maps and contribute nothing.
     """
     l1 = list(l1)
     l2 = list(l2)
-    yield (), {}
+    yield ()
     for n in range(1, min(len(l1), len(l2)) + 1):
         for i1 in combinations(l1, n):
             for targets in permutations(l2, n):
-                yield i1, dict(zip(i1, targets))
+                yield tuple(zip(i1, targets))
 
 
 def count_hypotheses_distinct(n1: int, n2: int) -> int:
@@ -204,32 +205,6 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
         return prod.weights[k], prod.means[k], prod.covs[k]
 
     return _pair_blocks(l1, l2, mb1, mb2, product)
-
-
-def _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx):
-    """Enumerate hypotheses over the given index sets with log-space weights.
-
-    The Q factors use the supplied index sets as the universe. Returns
-    (hypotheses, log weights, log Q parts).
-    """
-    log_1mr1, gain1 = _existence_gains(mb1.rs, w.w1)
-    log_1mr2, gain2 = _existence_gains(mb2.rs, w.w2)
-    base = w.w1 * sum(log_1mr1[l] for l in l1_idx) + w.w2 * sum(log_1mr2[l] for l in l2_idx)
-
-    hyps = []
-    log_ws = []
-    log_ks = []
-    for i1, theta in enumerate_hypotheses(l1_idx, l2_idx):
-        log_k = base
-        d_sum = 0.0
-        for l in i1:
-            lp = theta[l]
-            log_k += gain1[l] + gain2[lp]
-            d_sum += distances[l, lp]
-        hyps.append((i1, theta))
-        log_ws.append(log_k - d_sum)
-        log_ks.append(log_k)
-    return hyps, np.array(log_ws), np.array(log_ks)
 
 
 def _matching_sums(g: np.ndarray) -> tuple[float, np.ndarray]:
@@ -343,12 +318,7 @@ def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
         weights = np.concatenate([pdf.weights for pdf in pdfs])
         means = np.concatenate([pdf.means for pdf in pdfs])
         covs = np.concatenate([pdf.covs for pdf in pdfs])
-    sizes, weights, means, covs = _reduce_stack(sizes, weights, means, covs, None)
-    if not sizes.all():
-        raise NumericalError("a fused pdf has no weight at or above the prune threshold")
-    return MultiBernoulliDensity._from_stack(
-        fused, np.minimum(r[fused], R_MAX), sizes, weights, means, covs
-    )
+    return _reduced_density(fused, r[fused], sizes, weights, means, covs, None)
 
 
 def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
@@ -381,12 +351,7 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
         return np.exp(log_alpha), means, covs
 
     sizes, weights, means, covs, _ = _pair_blocks(l1[kept], l2[kept], mb1, mb2, product)
-    sizes, weights, means, covs = _reduce_stack(sizes, weights, means, covs, gm_config)
-    if not sizes.all():
-        raise NumericalError("a fused pdf has no weight at or above the prune threshold")
-    return MultiBernoulliDensity._from_stack(
-        kept, np.minimum(marginal[kept], R_MAX), sizes, weights, means, covs
-    )
+    return _reduced_density(kept, marginal[kept], sizes, weights, means, covs, gm_config)
 
 
 def _logsumexp(values) -> float:
@@ -413,6 +378,23 @@ def _logsumexp(values) -> float:
     return float(out)
 
 
+def _oriented(mb1, mb2, w):
+    """The inputs of a fusion in the orientation both fusers use, and their
+    divergences.
+
+    Checks both densities and computes pairwise_distances(mb1, mb2, w) in
+    the given order; when |L1| > |L2| it swaps the roles and transposes the
+    matrix, so the subset side is never the larger one. Returns (mb1, mb2,
+    w, distances), distances of shape (|L1|, |L2|) in the returned roles.
+    """
+    check_density(mb1)
+    check_density(mb2)
+    distances = pairwise_distances(mb1, mb2, w)
+    if len(mb1) > len(mb2):
+        return mb2, mb1, w.swapped(), distances.T
+    return mb1, mb2, w, distances
+
+
 # Largest hypothesis count that exhaustive fusion enumerates.
 ENUM_CAP = 10**7
 
@@ -421,28 +403,18 @@ def naive_gci_mb_fuse(
     mb1: MultiBernoulliDensity,
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
-    distances: np.ndarray | None = None,
     gm_config=None,
 ) -> tuple[MultiBernoulliDensity, GmbDensity]:
     """Exhaustive two-step GCI-MB fusion over the full index sets (the oracle).
 
     Every hypothesis is enumerated, and the pair marginals that moment
-    matching needs are summed over them. Roles are swapped when
-    |L1| > |L2| so the association-map definition stays valid; fused
-    components carry fresh ids either way.
+    matching needs are summed over them. The inputs are oriented by
+    _oriented, as in pgci_fuse, so both fusers see the same distances and
+    moment-match onto the same side; fused components carry fresh ids.
+    The returned GmbDensity holds the oriented distances, which is what
+    compute_lic needs for the truncation bound.
     """
-    check_density(mb1)
-    check_density(mb2)
-    swapped = False
-    if len(mb1) > len(mb2):
-        mb1, mb2, w = mb2, mb1, w.swapped()
-        if distances is not None:
-            distances = distances.T
-        swapped = True
-
-    if distances is None:
-        distances = pairwise_distances(mb1, mb2, w)
-
+    mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     n1, n2 = len(mb1), len(mb2)
     count = count_hypotheses_distinct(n1, n2)
     if count > ENUM_CAP:
@@ -452,23 +424,29 @@ def naive_gci_mb_fuse(
             count=count,
             cap=ENUM_CAP,
         )
-    l1_idx, l2_idx = list(range(n1)), list(range(n2))
-    hyps, log_ws, log_ks = _log_hypothesis_weights(mb1, mb2, w, distances, l1_idx, l2_idx)
+    # The Q factors use the full index sets as the universe.
+    log_1mr1, gain1 = _existence_gains(mb1.rs, w.w1)
+    log_1mr2, gain2 = _existence_gains(mb2.rs, w.w2)
+    base = w.w1 * sum(log_1mr1) + w.w2 * sum(log_1mr2)
+    hyps = list(enumerate_hypotheses(range(n1), range(n2)))
+    log_ks, log_ws = [], []
+    for pairs in hyps:
+        log_k = base
+        d_sum = 0.0
+        for l, lp in pairs:
+            log_k += gain1[l] + gain2[lp]
+            d_sum += distances[l, lp]
+        log_ks.append(log_k)
+        log_ws.append(log_k - d_sum)
     log_eta = _logsumexp(log_ws)
-    norm_ws = np.exp(log_ws - log_eta)
+    norm_ws = np.exp(np.array(log_ws) - log_eta)
 
     marginal = np.zeros((n1, n2))
-    for (i1, theta), wn in zip(hyps, norm_ws):
-        for l in i1:
-            marginal[l, theta[l]] += wn
+    for pairs, wn in zip(hyps, norm_ws):
+        for l, lp in pairs:
+            marginal[l, lp] += wn
 
-    fused_mb = _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config)
-    gmb = GmbDensity(
-        hypotheses=[
-            FusionHypothesis(i1=i1, theta=theta, w=float(wn), log_k=float(lk))
-            for (i1, theta), wn, lk in zip(hyps, norm_ws, log_ks)
-        ],
-        log_eta=log_eta,
-        swapped=swapped,
-    )
-    return fused_mb, gmb
+    fused_mb = _moment_match(marginal, range(n1), range(n2), mb1, mb2, w, gm_config)
+    hypotheses = [FusionHypothesis(h, float(wn), float(lk))
+                  for h, wn, lk in zip(hyps, norm_ws, log_ks)]
+    return fused_mb, GmbDensity(hypotheses, log_eta, distances)

@@ -79,8 +79,7 @@ class MultiBernoulliDensity:
     def __init__(self, components=()):
         components = tuple(components)
         ids = np.array([c.id for c in components], dtype=np.int64)
-        if np.unique(ids).size != ids.size:
-            raise ValueError("component ids must be unique within a density")
+        _check_unique_ids(ids)
         pdfs = [c.pdf for c in components]
         if len({pdf.d for pdf in pdfs}) > 1:
             raise DimensionMismatchError("component pdfs differ in dimension")
@@ -132,6 +131,11 @@ class MultiBernoulliDensity:
 
     def next_id(self) -> int:
         return int(self.stack.ids.max()) + 1 if len(self) else 0
+
+
+def _check_unique_ids(ids: np.ndarray) -> None:
+    if np.unique(ids).size != ids.size:
+        raise ValueError("component ids must be unique within a density")
 
 
 def _take(density: MultiBernoulliDensity, idx, rs) -> MultiBernoulliDensity:
@@ -312,8 +316,7 @@ def mb_predict(
     if births is None or not len(births):
         return predicted
     predicted = _concat(predicted, births)
-    if np.unique(predicted.stack.ids).size != len(predicted):
-        raise ValueError("component ids must be unique within a density")
+    _check_unique_ids(predicted.stack.ids)
     return predicted
 
 
@@ -444,6 +447,20 @@ def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None):
     return sizes, weights / np.repeat(mass, sizes[sizes > 0]), means, covs
 
 
+def _reduced_density(ids, rs, sizes, weights, means, covs, config: GmReduceConfig | None):
+    """The density of a flat stack of pdfs, each reduced with config and
+    normalized by _reduce_stack, with every r clipped to [0, R_MAX].
+
+    Raises NumericalError if reduction leaves a pdf with no Gaussian.
+    """
+    sizes, weights, means, covs = _reduce_stack(sizes, weights, means, covs, config)
+    if not sizes.all():
+        raise NumericalError("a fused or merged pdf has no weight at or above the prune threshold")
+    return MultiBernoulliDensity._from_stack(
+        ids, np.clip(rs, 0.0, R_MAX), sizes, weights, means, covs
+    )
+
+
 def mb_reduce(
     density: MultiBernoulliDensity,
     config: MbReduceConfig,
@@ -526,14 +543,9 @@ def mb_merge_components(
     n = sizes[absorbed]
     rows = _segment_rows((np.cumsum(sizes) - sizes)[absorbed], n)
     share = rs[absorbed] / np.repeat(r_sums, members)
-    sizes, weights, means, covs = _reduce_stack(
-        np.add.reduceat(n, np.cumsum(members) - members),
+    return _reduced_density(
+        ids[[g[0] for g in groups]], r_sums, np.add.reduceat(n, np.cumsum(members) - members),
         weights[rows] * np.repeat(share, n), means[rows], covs[rows], gm_config,
-    )
-    if not sizes.all():
-        raise NumericalError("a merged pdf has no weight at or above the prune threshold")
-    return MultiBernoulliDensity._from_stack(
-        ids[[g[0] for g in groups]], np.clip(r_sums, 0.0, R_MAX), sizes, weights, means, covs,
     )
 
 

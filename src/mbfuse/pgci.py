@@ -1,6 +1,7 @@
 """Clustered, parallelizable GCI-MB fusion and its diagnostics.
 
-Pipeline: pairwise divergences -> gate -> largest isolated clustering ->
+Pipeline: oriented pairwise divergences (gci._oriented, which the
+exhaustive oracle shares) -> gate -> largest isolated clustering ->
 independent exact fusion inside each two-sided cluster (association
 marginals by a subset DP, no hypothesis enumeration) -> fused components
 concatenated in canonical cluster order. The 1x1 clusters, which make up
@@ -29,10 +30,10 @@ from .gci import (
     _fuse_isolated_pairs,
     _logsumexp,
     _moment_match,
+    _oriented,
     cluster_pair_marginals,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
-    pairwise_distances,
 )
 from .mb import (
     BernoulliComponent,
@@ -40,7 +41,6 @@ from .mb import (
     MultiBernoulliDensity,
     _concat,
     _take,
-    check_density,
     mb_reduce,
 )
 
@@ -128,16 +128,12 @@ def pgci_fuse(
 
     One-sided clusters contribute no fused components. Component ids are
     fresh, assigned in canonical cluster order, so the output is
-    independent of any concurrency in per-cluster fusion. Roles are swapped
-    once, globally, when |L1| > |L2| — the same orientation rule as the
-    exhaustive path — so both pipelines moment-match onto the same side.
+    independent of any concurrency in per-cluster fusion. The inputs are
+    oriented once, globally, by gci._oriented, the entry the exhaustive
+    path shares: both see the same distances and moment-match onto the
+    same side.
     """
-    check_density(mb1)
-    check_density(mb2)
-    distances = pairwise_distances(mb1, mb2, w)
-    if len(mb1) > len(mb2):
-        mb1, mb2, w = mb2, mb1, w.swapped()
-        distances = distances.T
+    mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     lic = compute_lic(distances, gamma)
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.
@@ -168,8 +164,8 @@ def l1_error_bound(
 ) -> tuple[float, float]:
     """Measured truncated mass 2 sum_D w and its analytic bound A * exp(-gamma).
 
-    truncated identifies the discarded hypotheses by their pair tuples
-    ((l, theta(l)), ...). A sums the Q-factor parts of the discarded
+    truncated is the set of the discarded hypotheses' pair tuples
+    ((l, l'), ...). A sums the Q-factor parts of the discarded
     unnormalized weights over eta, so the bound depends on gamma only
     through the exponential factor.
     """

@@ -112,12 +112,12 @@ def hypothesis_weight(
     w: FusionWeights,
     distances: np.ndarray,
 ) -> float:
-    """Unnormalized weight (Q1^I1)^w1 (Q2^theta(I1))^w2 prod exp(-d)."""
-    i1, theta = hyp
-    log_w = w.w1 * log_q_factor(mb1.rs, i1)
-    log_w += w.w2 * log_q_factor(mb2.rs, [theta[l] for l in i1])
-    for l in i1:
-        log_w -= distances[l, theta[l]]
+    """Unnormalized weight (Q1^I1)^w1 (Q2^theta(I1))^w2 prod exp(-d) of the
+    hypothesis given as its (l, l') pairs."""
+    log_w = w.w1 * log_q_factor(mb1.rs, [l for l, _ in hyp])
+    log_w += w.w2 * log_q_factor(mb2.rs, [lp for _, lp in hyp])
+    for l, lp in hyp:
+        log_w -= distances[l, lp]
     return math.exp(log_w) if log_w > _LOG_EPS else 0.0
 
 

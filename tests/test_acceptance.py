@@ -128,10 +128,7 @@ def test_criterion_3_l1_truncation_bound():
         mb2 = random_mb(rng, int(rng.integers(2, 4)), spread=6.0)
         gamma = float(rng.uniform(2.0, 8.0))
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-        D = pairwise_distances(mb1, mb2, W)
-        if gmb.swapped:
-            D = D.T
-        lic = compute_lic(D, gamma)
+        lic = compute_lic(gmb.distances, gamma)
         truncated = inter_cluster_hypotheses(gmb, lic)
         if not truncated:
             continue

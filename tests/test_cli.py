@@ -111,9 +111,21 @@ class TestBenchCounts:
 
 
 class TestBoundCheck:
-    def test_bound_holds_on_random_instances(self, capsys):
+    def test_bound_holds_on_random_instances(self, monkeypatch, capsys):
+        sizes = []
+        fuse = cli_mod.naive_gci_mb_fuse
+
+        def recording(mb1, mb2, w, **kwargs):
+            sizes.append((len(mb1), len(mb2)))
+            return fuse(mb1, mb2, w, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "naive_gci_mb_fuse", recording)
         assert main(["bound-check", "--runs", "50", "--seed", "2"]) == 0
         assert "bound holds" in capsys.readouterr().out
+        # Both orientations are drawn: some instances swap roles.
+        assert len(sizes) == 50
+        assert any(n1 > n2 for n1, n2 in sizes)
+        assert any(n1 < n2 for n1, n2 in sizes)
 
     def test_violated_bound_maps_to_5(self, monkeypatch, capsys):
         # 3 is a numerical failure; a violated bound has its own code.

@@ -124,8 +124,7 @@ class TestHypothesisSpace:
         for n1 in range(0, 4):
             for n2 in range(0, 4):
                 hyps = list(enumerate_hypotheses(range(n1), range(n2)))
-                keys = {(i1, tuple(sorted(theta.items()))) for i1, theta in hyps}
-                assert len(keys) == len(hyps) == count_hypotheses_distinct(n1, n2)
+                assert len(set(hyps)) == len(hyps) == count_hypotheses_distinct(n1, n2)
 
     def test_distinct_counts_small_cases(self):
         # [DERIVED] sum_n C(n1,n) A(n2,n) worked by hand.
@@ -236,7 +235,7 @@ class TestExhaustiveFusion:
             for hyp in enumerate_hypotheses(range(len(mb1)), range(len(mb2))):
                 wt = hypothesis_weight(hyp, mb1, mb2, w, D)
                 total += wt
-                for l in hyp[0]:
+                for l, _ in hyp:
                     marginal[l] += wt
             fused, gmb = naive_gci_mb_fuse(mb1, mb2, w)
             want = {l: marginal[l] / total for l in range(len(mb1)) if marginal[l] > 0}

@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 import mbfuse.gci as gci_mod
 import mbfuse.gm as gm_mod
+import mbfuse.pgci as pgci_mod
 from mbfuse.clustering import Cluster, compute_lic
-from mbfuse.errors import IntractableFusionError, InvalidDensityError, MbFuseError
+from mbfuse.errors import (
+    IntractableFusionError,
+    InvalidDensityError,
+    MbFuseError,
+    NumericalError,
+)
 from mbfuse.gci import (
     FusionWeights,
     cluster_pair_marginals,
@@ -235,7 +241,7 @@ class TestSubsetDp:
         enumerated = np.zeros((len(l1), len(l2)))
         for h in gmb.hypotheses:
             for a, b in h.pairs:
-                enumerated[(b, a) if gmb.swapped else (a, b)] += h.w
+                enumerated[(b, a) if len(l1) > len(l2) else (a, b)] += h.w
         assert marginal.shape == enumerated.shape
         assert marginal == pytest.approx(enumerated, abs=1e-12)
         # The abs term only matters where log eta is ~0 (eta ~1); there it
@@ -510,6 +516,89 @@ class TestClusterFusionStack:
         assert np.array_equal(fused.rs, result.density.rs)
 
 
+class TestEmptiedPdf:
+    """A prune threshold above every normalized weight leaves each fused or
+    merged pdf with no Gaussian; every path raises NumericalError for it."""
+
+    EMPTYING = GmReduceConfig(prune_threshold=2.0)
+
+    def test_isolated_pair(self):
+        mb1 = MultiBernoulliDensity((bern(0.8, [0.0, 0.0]),))
+        mb2 = MultiBernoulliDensity((bern(0.7, [0.5, 0.0]),))
+        with pytest.raises(NumericalError):
+            pgci_fuse(mb1, mb2, W, 4.0, gm_config=self.EMPTYING)
+
+    def test_two_by_two_cluster(self):
+        mb1 = MultiBernoulliDensity((bern(0.9, [0.0, 0.0], comp_id=0),
+                                     bern(0.8, [1.0, 0.0], comp_id=1)))
+        mb2 = MultiBernoulliDensity((bern(0.7, [0.0, 0.5], comp_id=0),
+                                     bern(0.6, [1.0, 0.5], comp_id=1)))
+        assert pgci_fuse(mb1, mb2, W, 4.0)[1].cluster_sizes == [(2, 2)]
+        with pytest.raises(NumericalError):
+            pgci_fuse(mb1, mb2, W, 4.0, gm_config=self.EMPTYING)
+
+    def test_merged_tracks(self):
+        tracks = MultiBernoulliDensity(
+            (bern(0.5, [0.0, 0.0], comp_id=0), bern(0.4, [0.1, 0.0], comp_id=1))
+        )
+        assert len(mb_merge_components(tracks, gate=4.0)) == 1
+        with pytest.raises(NumericalError):
+            mb_merge_components(tracks, gate=4.0, gm_config=self.EMPTYING)
+
+
+@st.composite
+def fusion_pair(draw):
+    """Two densities of 0 to 5 components each, either one the larger, whose
+    4-D pdfs hold 1 to 3 Gaussians, and weights 0.5/0.5 or 0.3/0.7.
+
+    Returns (mb1, mb2, weights).
+    """
+    coord = st.floats(-3.0, 3.0)
+    var = st.sampled_from([0.5, 1.0, 4.0])
+
+    def side():
+        comps = []
+        for i in range(draw(st.integers(0, 5))):
+            j = draw(st.integers(1, 3))
+            means = np.array(draw(st.lists(coord, min_size=4 * j, max_size=4 * j))).reshape(j, 4)
+            covs = np.array([np.diag([draw(var) for _ in range(4)]) for _ in range(j)])
+            weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=j, max_size=j)))
+            pdf = GaussianMixture(weights / weights.sum(), means, covs)
+            comps.append(BernoulliComponent(r=draw(st.floats(0.02, 0.98)), pdf=pdf, id=i))
+        return MultiBernoulliDensity(tuple(comps))
+
+    w = draw(st.sampled_from([FusionWeights(0.5, 0.5), FusionWeights(0.3, 0.7)]))
+    return side(), side(), w
+
+
+class TestSharedOrientation:
+    """Both fusers orient their inputs in one place, so the oracle weighs its
+    hypotheses with the very matrix that pgci_fuse gates, and hands it back."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fusion_pair(), st.sampled_from([2.0, 4.0, 8.0]))
+    def test_oracle_hands_back_the_gated_distances(self, instance, gamma):
+        mb1, mb2, w = instance
+        gated = []
+
+        def recording(distances, gamma):
+            gated.append(distances)
+            return compute_lic(distances, gamma)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pgci_mod, "compute_lic", recording)
+            pgci_fuse(mb1, mb2, w, gamma)
+        _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
+        assert len(gated) == 1 and np.array_equal(gmb.distances, gated[0])
+        n1, n2 = gmb.distances.shape
+        assert (n1, n2) == (min(len(mb1), len(mb2)), max(len(mb1), len(mb2)))
+        for h in gmb.hypotheses:
+            assert all(0 <= l < n1 and 0 <= lp < n2 for l, lp in h.pairs)
+        truncated = inter_cluster_hypotheses(gmb, compute_lic(gmb.distances, gamma))
+        exact, bound = l1_error_bound(gmb, truncated, gamma)
+        assert exact <= bound * (1 + 1e-12)
+
+
 # (r, mean, cov) of one invalid Bernoulli component per case.
 INVALID_COMPONENTS = {
     "nan-mean": (0.5, [np.nan, 0.0], np.eye(2)),
@@ -594,10 +683,7 @@ class TestErrorBound:
             mb2 = random_mb(rng, int(rng.integers(2, 4)), spread=6.0)
             gamma = float(rng.uniform(2.0, 8.0))
             _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-            D = pairwise_distances(mb1, mb2, W)
-            if gmb.swapped:
-                D = D.T
-            lic = compute_lic(D, gamma)
+            lic = compute_lic(gmb.distances, gamma)
             truncated = inter_cluster_hypotheses(gmb, lic)
             if not truncated:
                 continue
@@ -613,10 +699,7 @@ class TestErrorBound:
         mb1 = random_mb(rng, 3, spread=6.0)
         mb2 = random_mb(rng, 3, spread=6.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-        D = pairwise_distances(mb1, mb2, W)
-        if gmb.swapped:
-            D = D.T
-        lic = compute_lic(D, 3.0)
+        lic = compute_lic(gmb.distances, 3.0)
         truncated = inter_cluster_hypotheses(gmb, lic)
         assert truncated
         _, b1 = l1_error_bound(gmb, truncated, 3.0)

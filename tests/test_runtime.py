@@ -19,7 +19,7 @@ import mbfuse.cli
 from mbfuse import (
     BernoulliComponent, FusionWeights, GaussianMixture, MultiBernoulliDensity,
     compute_lic, inter_cluster_hypotheses, l1_error_bound, naive_gci_mb_fuse,
-    pairwise_distances, run_montecarlo, scenario1,
+    run_montecarlo, scenario1,
 )
 
 result = run_montecarlo(scenario1(seed=1), n_runs=1, compare_oracle=True)
@@ -34,9 +34,8 @@ def density(*means):
 # The pair (1, 1) lies outside the gate, so some hypotheses are discarded.
 mb1, mb2 = density([0.0, 0.0], [3.0, 0.0]), density([0.5, 0.0], [9.0, 0.0])
 w = FusionWeights(0.5, 0.5)
-dists = pairwise_distances(mb1, mb2, w)
-_, gmb = naive_gci_mb_fuse(mb1, mb2, w, distances=dists)
-lic = compute_lic(dists, 4.0)
+_, gmb = naive_gci_mb_fuse(mb1, mb2, w)
+lic = compute_lic(gmb.distances, 4.0)
 exact, bound = l1_error_bound(gmb, inter_cluster_hypotheses(gmb, lic), 4.0)
 assert 0.0 < exact <= bound, (exact, bound)
 
