@@ -31,15 +31,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    IncompatiblePairError,
-    IntractableFusionError,
-)
+from .errors import IncompatiblePairError, IntractableFusionError
 from .gm import (
     GaussianMixture,
-    _batch_cholesky,
-    _log_normal,
+    _pair_log_mass,
     _pair_product_parts,
     _power_parts,
     _segment_rows,
@@ -47,7 +42,7 @@ from .gm import (
     gm_pair_product,
     gm_reduce,
 )
-from .mb import MultiBernoulliDensity, R_MAX, _reduced_density, check_density
+from .mb import MultiBernoulliDensity, R_MAX, _reduced_density
 
 @dataclass(frozen=True)
 class FusionWeights:
@@ -98,12 +93,8 @@ def pairwise_distances(
     o2 = np.repeat(np.arange(n2), sizes2)
     lw1, s1 = _power_parts(a1, p1, w.w1)
     lw2, s2 = _power_parts(a2, p2, w.w2)
-    if m1.shape[1] != m2.shape[1]:
-        raise DimensionMismatchError("state dimensions differ between densities")
-
-    sig = s1[:, None] + s2[None, :]
-    diff = m1[:, None, :] - m2[None, :, :]
-    log_alpha = lw1[:, None] + lw2[None, :] + _log_normal(diff, _batch_cholesky(sig))
+    log_alpha, _, _ = _pair_log_mass(lw1[:, None], s1[:, None], m1[:, None],
+                                     lw2[None], s2[None], m2[None])
 
     # Group-wise logsumexp over the Gaussian pairs of each (l, l') cell.
     rows = np.broadcast_to(o1[:, None], log_alpha.shape)
@@ -382,13 +373,12 @@ def _oriented(mb1, mb2, w):
     """The inputs of a fusion in the orientation both fusers use, and their
     divergences.
 
-    Checks both densities and computes pairwise_distances(mb1, mb2, w) in
-    the given order; when |L1| > |L2| it swaps the roles and transposes the
-    matrix, so the subset side is never the larger one. Returns (mb1, mb2,
-    w, distances), distances of shape (|L1|, |L2|) in the returned roles.
+    Computes pairwise_distances(mb1, mb2, w) in the given order; when
+    |L1| > |L2| it swaps the roles and transposes the matrix, so the subset
+    side is never the larger one. Returns (mb1, mb2, w, distances),
+    distances of shape (|L1|, |L2|) in the returned roles. The densities
+    were checked when they were built, so nothing is checked here.
     """
-    check_density(mb1)
-    check_density(mb2)
     distances = pairwise_distances(mb1, mb2, w)
     if len(mb1) > len(mb2):
         return mb2, mb1, w.swapped(), distances.T
@@ -412,7 +402,8 @@ def naive_gci_mb_fuse(
     _oriented, as in pgci_fuse, so both fusers see the same distances and
     moment-match onto the same side; fused components carry fresh ids.
     The returned GmbDensity holds the oriented distances, which is what
-    compute_lic needs for the truncation bound.
+    compute_lic needs for the truncation bound. As in pgci_fuse, the inputs
+    were checked when they were built.
     """
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     n1, n2 = len(mb1), len(mb2)

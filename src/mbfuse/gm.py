@@ -18,7 +18,11 @@ _segment_sums sums, as zero-weight padding leaves the merge's contractions
 unchanged but not a row sum of padded weights from 8 entries up.
 
 _leader_groups is the one greedy leader loop, for mb_merge_components and a
-lone segment's sweep; _check_gaussians is the one Gaussian validity check.
+lone segment's sweep. _check_gaussians is the one Gaussian validity check:
+the MultiBernoulliDensity constructor runs it on every density it builds,
+and gm_reduce on its lone mixture. _pair_log_mass is the one body of the
+exponent-weighted Gaussian pair mass, for the divergences and the pair
+products.
 """
 
 from __future__ import annotations
@@ -73,11 +77,9 @@ class GaussianMixture:
         return cls(np.ones(1), mean[None, :], cov[None, :, :])
 
 
-def _check_gaussians(weights, means, covs, sizes=None) -> None:
-    """Raise InvalidDensityError unless every pdf of the given sizes holds a
-    Gaussian and every weight, mean and covariance entry is finite."""
-    if sizes is not None and not sizes.all():
-        raise InvalidDensityError("a component's pdf holds no Gaussian")
+def _check_gaussians(weights, means, covs) -> None:
+    """Raise InvalidDensityError unless every weight, mean and covariance
+    entry is finite."""
     if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
         raise InvalidDensityError("a Gaussian weight, mean or covariance entry is NaN or infinite")
 
@@ -87,11 +89,6 @@ def _batch_cholesky(covs: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("covariance factorization failed") from exc
-
-
-def _batch_logdet(covs: np.ndarray) -> np.ndarray:
-    L = _batch_cholesky(covs)
-    return 2.0 * np.sum(np.log(np.diagonal(L, axis1=-2, axis2=-1)), axis=-1)
 
 
 def _log_normal(diff: np.ndarray, L: np.ndarray) -> np.ndarray:
@@ -106,19 +103,27 @@ def _log_normal(diff: np.ndarray, L: np.ndarray) -> np.ndarray:
     return -0.5 * (diff.shape[-1] * LOG_2PI + logdet + maha)
 
 
-def log_power_mass(covs: np.ndarray, omega: float) -> np.ndarray:
-    """log rho(P, w) = log sqrt(det(2 pi P / w) * det(2 pi P)^(-w)) per component."""
-    d = covs.shape[-1]
-    logdet = _batch_logdet(covs)
-    return 0.5 * ((d * (LOG_2PI - math.log(omega)) + logdet) - omega * (d * LOG_2PI + logdet))
-
-
 def _power_parts(weights: np.ndarray, covs: np.ndarray, omega: float):
-    """(log(a^w rho(P, w)), P / w) of each Gaussian a N(m, P) raised to omega;
-    the means are unchanged."""
+    """(log(a^w rho(P, w)), P / w) of each Gaussian a N(m, P) raised to omega,
+    with rho(P, w) = sqrt(det(2 pi P / w) * det(2 pi P)^(-w)); the means are
+    unchanged."""
+    d = covs.shape[-1]
+    logdet = 2.0 * np.sum(np.log(np.diagonal(_batch_cholesky(covs), axis1=-2, axis2=-1)), axis=-1)
+    log_rho = 0.5 * ((d * (LOG_2PI - math.log(omega)) + logdet) - omega * (d * LOG_2PI + logdet))
     with np.errstate(divide="ignore"):
-        log_w = omega * np.log(weights) + log_power_mass(covs, omega)
-    return log_w, covs / omega
+        return omega * np.log(weights) + log_rho, covs / omega
+
+
+def _pair_log_mass(lw1, S1, m1, lw2, S2, m2):
+    """(log_alpha, S1 + S2, m1 - m2) of the products of powered Gaussians
+    exp(lw1) N(m1, S1) and exp(lw2) N(m2, S2), as _power_parts gives them;
+    the operands broadcast against each other. log_alpha is the log mass of
+    each product, lw1 + lw2 + log N(m1 - m2; 0, S1 + S2)."""
+    if m1.shape[-1] != m2.shape[-1]:
+        raise DimensionMismatchError(f"state dimensions differ: {m1.shape[-1]} vs {m2.shape[-1]}")
+    sig = S1 + S2
+    diff = m1 - m2
+    return lw1 + lw2 + _log_normal(diff, _batch_cholesky(sig)), sig, diff
 
 
 def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
@@ -131,22 +136,18 @@ def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
     """
     a1, m1, P1 = stack1
     a2, m2, P2 = stack2
-    if m1.shape[1] != m2.shape[1]:
-        raise DimensionMismatchError(f"mixture dimensions differ: {m1.shape[1]} vs {m2.shape[1]}")
     if abs((w1 + w2) - 1.0) > 1e-12:
         raise ValueError(f"fusion weights must sum to 1, got {w1} + {w2}")
     lw1, S1 = _power_parts(a1, P1, w1)
     lw2, S2 = _power_parts(a2, P2, w2)
-    S1 = S1[i1]
-    sig = S1 + S2[i2]
-    diff = m1[i1] - m2[i2]
-    log_alpha = lw1[i1] + lw2[i2] + _log_normal(diff, _batch_cholesky(sig))
+    S1, m1 = S1[i1], m1[i1]
+    log_alpha, sig, diff = _pair_log_mass(lw1[i1], S1, m1, lw2[i2], S2[i2], m2[i2])
 
     # Information-form fusion of the omega-scaled covariances:
     # P12 = S1 - S1 (S1 + S2)^-1 S1, m12 = m1 + S1 (S1 + S2)^-1 (m2 - m1).
     gain = np.linalg.solve(np.swapaxes(sig, -1, -2), np.swapaxes(S1, -1, -2))
     gain = np.swapaxes(gain, -1, -2)
-    means = m1[i1] + np.einsum("...ij,...j->...i", gain, -diff)
+    means = m1 + np.einsum("...ij,...j->...i", gain, -diff)
     covs = S1 - np.einsum("...ij,...jk->...ik", gain, S1)
     covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
     return log_alpha, means, covs

@@ -71,7 +71,12 @@ class MultiBernoulliDensity:
     """Multi-Bernoulli density held as one flat stack (see the module docstring).
 
     The constructor stacks the given components once; ``.components``
-    returns them as views into the stack.
+    returns them as views into the stack. It is the one place where a
+    density is checked: it raises InvalidDensityError for an r outside
+    [0, 1] or NaN, a pdf that holds no Gaussian, a NaN or infinite
+    Gaussian weight, mean or covariance entry, or a covariance that is
+    asymmetric beyond SYM_TOL times its largest entry. The package's own
+    operations build densities from valid ones and check nothing again.
     """
 
     __slots__ = ("stack", "_components")
@@ -84,18 +89,34 @@ class MultiBernoulliDensity:
         if len({pdf.d for pdf in pdfs}) > 1:
             raise DimensionMismatchError("component pdfs differ in dimension")
         d = pdfs[0].d if pdfs else 0
-        self._adopt(_Stack(
+        stack = _Stack(
             ids,
             np.array([c.r for c in components], dtype=float),
             np.array([pdf.n_components for pdf in pdfs], dtype=np.int64),
             np.concatenate([pdf.weights for pdf in pdfs] or [np.zeros(0)]),
             np.concatenate([pdf.means for pdf in pdfs] or [np.zeros((0, d))]),
             np.concatenate([pdf.covs for pdf in pdfs] or [np.zeros((0, d, d))]),
-        ))
+        )
+        _, rs, sizes, weights, means, covs = stack
+        # A NaN r fails both comparisons.
+        if not np.all((rs >= 0.0) & (rs <= 1.0)):
+            raise InvalidDensityError(f"existence probabilities {rs} not all in [0, 1]")
+        if not sizes.all():
+            raise InvalidDensityError("a component's pdf holds no Gaussian")
+        _check_gaussians(weights, means, covs)
+        scale = np.abs(covs).max(axis=(1, 2), keepdims=True, initial=0.0)
+        if np.any(np.abs(covs - np.swapaxes(covs, 1, 2)) > SYM_TOL * scale):
+            raise InvalidDensityError("density holds an asymmetric covariance")
+        self._adopt(stack)
 
     @classmethod
     def _from_stack(cls, ids, rs, sizes, weights, means, covs) -> "MultiBernoulliDensity":
-        """The density of a stack, taken as it is, without checks."""
+        """The density of a stack, taken as it is, without checks.
+
+        Package operations call it only to build a valid density from valid
+        ones (or from a checked scan), so every density passes the
+        constructor's rule.
+        """
         self = object.__new__(cls)
         self._adopt(_Stack(ids, rs, sizes, weights, means, covs))
         return self
@@ -322,28 +343,15 @@ def mb_predict(
 
 def adaptive_birth(prev_scan: np.ndarray, start_id: int = 0) -> MultiBernoulliDensity:
     """One birth component per previous-scan measurement, zero-velocity prior,
-    with ids from start_id on."""
+    with ids from start_id on; a non-finite measurement raises NumericalError."""
     prev_scan = _rows(prev_scan, 2, DimensionMismatchError)
+    if not np.isfinite(prev_scan).all():
+        raise NumericalError("previous scan holds a non-finite measurement")
     n = prev_scan.shape[0]
     return _single_gaussians(
         start_id + np.arange(n), min(BIRTH_R_MAX, BIRTH_RATE / max(1, n)),
         np.hstack([prev_scan, np.zeros((n, 2))]), BIRTH_COV,
     )
-
-
-def check_density(density: MultiBernoulliDensity) -> None:
-    """Raise InvalidDensityError unless the Gaussians pass _check_gaussians,
-    every r lies in [0, 1] and every covariance is symmetric within SYM_TOL
-    times its largest entry; the fusion entry points run this check."""
-    if not len(density):
-        return
-    _, rs, sizes, weights, means, covs = density.stack
-    if not np.all((rs >= 0.0) & (rs <= 1.0)):
-        raise InvalidDensityError(f"existence probabilities {rs} not all in [0, 1]")
-    _check_gaussians(weights, means, covs, sizes)
-    scale = np.abs(covs).max(axis=(1, 2), keepdims=True)
-    if np.any(np.abs(covs - np.swapaxes(covs, 1, 2)) > SYM_TOL * scale):
-        raise InvalidDensityError("density holds an asymmetric covariance")
 
 
 def mb_update(
@@ -467,15 +475,14 @@ def mb_reduce(
 ) -> MultiBernoulliDensity:
     """Drop low-existence components, cap the count, reduce each pdf.
 
-    Raises InvalidDensityError for an empty pdf or a NaN or infinite Gaussian
-    weight, mean or covariance entry in any component (_check_gaussians).
+    A component whose pdf has no weight at or above the prune threshold
+    is dropped.
     """
     if not (0.0 <= config.trunc_threshold < 1.0):
         raise ValueError("truncation threshold must be in [0, 1)")
     if not config.max_components >= 1:
         raise ValueError("component cap must be at least 1")
-    ids, rs, sizes, weights, means, covs = density.stack
-    _check_gaussians(weights, means, covs, sizes)
+    ids, rs = density.stack[:2]
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
     if not kept.size:
@@ -502,14 +509,14 @@ def mb_merge_components(
     within the squared-Mahalanobis gate of a stronger component's (ties in
     r go to the lower id), summing r (clamped below 1) and mixing pdfs with
     r-proportional weights, so the intensity (PHD) of the density is
-    unchanged up to the clamp. Raises InvalidDensityError as mb_reduce does.
+    unchanged up to the clamp. A merged pdf that reduction empties raises
+    NumericalError (see _reduced_density).
     """
     if not gate > 0:
         raise ValueError("merge gate must be positive")
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
         return MultiBernoulliDensity(())
-    _check_gaussians(weights, means, covs, sizes)
     # Components strongest first, ties in r to the lower id; the dominant
     # Gaussian of each is the first of its heaviest.
     order = np.lexsort((ids, -rs))
@@ -552,10 +559,11 @@ def mb_merge_components(
 def extract_estimates(density: MultiBernoulliDensity) -> np.ndarray:
     """Means of the highest-weight Gaussian of every component with r above ESTIMATE_R.
 
-    Ties in Gaussian weights resolve to the lowest component index.
+    Ties in Gaussian weights resolve to the lowest component index; every
+    pdf holds a Gaussian, as the constructor requires.
     """
     ids, rs, sizes, weights, means, _ = density.stack
-    sel = np.flatnonzero((rs > ESTIMATE_R) & (sizes > 0))
+    sel = np.flatnonzero(rs > ESTIMATE_R)
     if not sel.size:
         return np.zeros((0, means.shape[1] if len(ids) else 4))
     rows = _segment_rows((np.cumsum(sizes) - sizes)[sel], sizes[sel])

@@ -131,7 +131,8 @@ def pgci_fuse(
     independent of any concurrency in per-cluster fusion. The inputs are
     oriented once, globally, by gci._oriented, the entry the exhaustive
     path shares: both see the same distances and moment-match onto the
-    same side.
+    same side. Nothing is checked here: an invalid density raises
+    InvalidDensityError when it is built (see MultiBernoulliDensity).
     """
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     lic = compute_lic(distances, gamma)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import connected_components
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
 from .mb import (
@@ -106,7 +107,8 @@ class ScenarioConfig:
                     raise ConfigError(f"bad neighbor {j} for sensor {i}")
                 if i not in self.adjacency[j]:
                     raise ConfigError("adjacency must be symmetric")
-        if n > 1 and not _connected(self.adjacency):
+        edges = ((i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs)
+        if len(connected_components(n, edges)) > 1:
             raise ConfigError("sensor network must be connected")
         # The models check themselves when built; the simulator needs n = 4, m = 2.
         _check_matrix(self.motion.F, (STATE_DIM, STATE_DIM), "motion F")
@@ -126,19 +128,6 @@ class ScenarioConfig:
             raise ConfigError("gamma must be positive")
         if not self.fusion_max_components >= 1:
             raise ConfigError("fusion component cap must be at least 1")
-
-
-def _connected(adjacency) -> bool:
-    n = len(adjacency)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in adjacency[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:

@@ -109,6 +109,25 @@ class TestBenchCounts:
             n1, n2, n_h, n_dist, n_prod, n_sum = map(int, line.split(","))
             assert n_sum <= n_prod <= n_dist <= n_h or n_dist <= n_h
 
+    def test_rows_cover_both_orientations(self, monkeypatch, capsys):
+        reports = []
+        report = cli_mod.hypothesis_count_report
+
+        def recording(mb1, mb2, lic):
+            # The instance's report, from its own distances.
+            dists = cli_mod.pairwise_distances(mb1, mb2, cli_mod.FusionWeights(0.5, 0.5))
+            r = report(mb1, mb2, cli_mod.compute_lic(dists, 4.0))
+            reports.append((len(mb1), len(mb2), r.n_h, r.n_h_distinct, r.n_h_truncated,
+                            r.n_h_clustered))
+            return report(mb1, mb2, lic)
+
+        monkeypatch.setattr(cli_mod, "hypothesis_count_report", recording)
+        assert main(["bench-counts", "--runs", "20"]) == 0
+        rows = [tuple(map(int, line.split(",")))
+                for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert rows == reports
+        assert any(n1 > n2 for n1, n2, *_ in rows)
+
 
 class TestBoundCheck:
     def test_bound_holds_on_random_instances(self, monkeypatch, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbfuse import (
     BernoulliComponent,
@@ -209,6 +211,74 @@ class TestAdaptiveBirth:
         assert len(births) == 10
         assert all(b.r == pytest.approx(0.01) for b in births)
 
+    def test_non_finite_measurement_raises(self):
+        # It used to give a birth whose mean is NaN.
+        with pytest.raises(NumericalError):
+            adaptive_birth(np.array([[1.0, 2.0], [np.nan, 0.0]]))
+
+
+# One corrupted entry of an otherwise valid density per case.
+CORRUPTIONS = ("r-above-1", "r-below-0", "r-nan", "weight", "mean", "cov", "asymmetric-cov",
+               "empty-pdf")
+
+
+@st.composite
+def corrupted_density(draw):
+    """(valid components, the same with one corrupted entry)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    pdfs = []
+    for n in sizes:
+        a = rng.normal(size=(n, d, d))
+        pdfs.append([rng.dirichlet(np.ones(n)), rng.normal(scale=50.0, size=(n, d)),
+                     a @ np.swapaxes(a, 1, 2) + np.eye(d)])
+    rs = rng.uniform(0.0, 1.0, size=len(sizes))
+
+    def build(rs, pdfs):
+        return [BernoulliComponent(r=float(r), pdf=GaussianMixture(*pdf), id=i)
+                for i, (r, pdf) in enumerate(zip(rs, pdfs))]
+
+    valid = build(rs, pdfs)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    k = draw(st.integers(0, len(sizes) - 1))
+    j = draw(st.integers(0, sizes[k] - 1))
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    rs = rs.copy()
+    pdfs[k] = [a.copy() for a in pdfs[k]]
+    weights, means, covs = pdfs[k]
+    if kind == "r-above-1":
+        rs[k] = draw(st.floats(1.0, 10.0, exclude_min=True))
+    elif kind == "r-below-0":
+        rs[k] = draw(st.floats(-10.0, 0.0, exclude_max=True))
+    elif kind == "r-nan":
+        rs[k] = np.nan
+    elif kind == "weight":
+        weights[j] = bad
+    elif kind == "mean":
+        means[j, draw(st.integers(0, d - 1))] = bad
+    elif kind == "cov":
+        covs[j, draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))] = bad
+    elif kind == "asymmetric-cov":
+        covs[j, 0, d - 1] += 1e-6 * np.abs(covs[j]).max()
+    else:
+        pdfs[k] = [np.zeros(0), np.zeros((0, d)), np.zeros((0, d, d))]
+    return valid, build(rs, pdfs)
+
+
+class TestConstructionChecks:
+    """The constructor is the one place where a density is checked; each
+    case below used to be built, and predict, update or reduce then returned
+    a plausible density without error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(corrupted_density())
+    def test_one_corrupted_entry_raises(self, case):
+        valid, corrupted = case
+        MultiBernoulliDensity(valid)
+        with pytest.raises(InvalidDensityError):
+            MultiBernoulliDensity(corrupted)
+
 
 class TestMbReduce:
     def test_truncation_threshold(self):
@@ -237,8 +307,8 @@ class TestMbReduce:
     def test_component_without_gaussians_raises(self):
         # It used to be dropped without notice.
         empty = BernoulliComponent(r=0.9, pdf=GaussianMixture.empty(4), id=1)
-        density = MultiBernoulliDensity((single_component(0.9), empty))
         with pytest.raises(InvalidDensityError):
+            density = MultiBernoulliDensity((single_component(0.9), empty))
             mb_reduce(density, MbReduceConfig())
 
     def test_pdf_pruned_to_nothing_is_dropped(self):

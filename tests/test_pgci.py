@@ -622,8 +622,8 @@ class TestInputValidation:
         # Each used to fuse into an empty density or an r ~ 1 without error.
         r, mean, cov = INVALID_COMPONENTS[case]
         good = MultiBernoulliDensity((bern(0.8, [0.0, 0.0]),))
-        bad = MultiBernoulliDensity((bern(r, mean, cov),))
         with pytest.raises(MbFuseError):
+            bad = MultiBernoulliDensity((bern(r, mean, cov),))
             FUSERS[fuser](good, bad)
 
     @pytest.mark.parametrize("fuser", sorted(FUSERS))
@@ -804,8 +804,8 @@ class TestComponentMerge:
     def test_component_without_gaussians_raises(self, r_empty):
         # Whether the empty pdf sorts first or last, it has no dominant Gaussian.
         empty = BernoulliComponent(r=r_empty, pdf=GaussianMixture.empty(2), id=1)
-        mb = MultiBernoulliDensity((bern(0.4, [0.0, 0.0], comp_id=0), empty))
         with pytest.raises(MbFuseError):
+            mb = MultiBernoulliDensity((bern(0.4, [0.0, 0.0], comp_id=0), empty))
             mb_merge_components(mb)
 
     def test_invalid_gate(self):

@@ -419,15 +419,16 @@ class TestReductionErrors:
         else:
             covs[1, 0, 0] = np.inf
         pdf = GaussianMixture(np.array([0.5, 0.5]), means, covs)
-        density = MultiBernoulliDensity((BernoulliComponent(r=0.7, pdf=pdf, id=0),
-                                         track(0.9, 200.0, 1)))
         with pytest.raises(InvalidDensityError):
             if reduction == "gm_reduce":
                 gm_reduce(pdf, 1e-5, 4.0, 5)
-            elif reduction == "mb_reduce":
-                mb_reduce(density, MbReduceConfig())
             else:
-                mb_merge_components(density, 4.0, GmReduceConfig())
+                density = MultiBernoulliDensity((BernoulliComponent(r=0.7, pdf=pdf, id=0),
+                                                 track(0.9, 200.0, 1)))
+                if reduction == "mb_reduce":
+                    mb_reduce(density, MbReduceConfig())
+                else:
+                    mb_merge_components(density, 4.0, GmReduceConfig())
 
     def test_non_pd_covariance_in_a_kept_gaussian_raises(self):
         density = density_with_covariance(NOT_PD, 0.3, 0.7)

@@ -10,20 +10,25 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import oracle
+import mbfuse.pgci as pgci_mod
 from mbfuse.errors import ConfigError
-from mbfuse.mb import MotionModel, Rectangle, SensorModel
+from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel
+from mbfuse.pgci import multi_sensor_fuse
 from mbfuse.sim import (
     KNOWN_BIRTH_R,
+    REDUCE_CONFIG,
     MonteCarloResult,
     ObjectBirth,
     ScenarioConfig,
     _assign_columns,
+    _fusion_inputs,
     build_scenario,
     generate_measurements,
     generate_truth,
     known_birth_components,
     metropolis_weights,
     ospa,
+    run_local_filter,
     run_montecarlo,
     scenario1,
     scenario2,
@@ -272,6 +277,10 @@ class TestAssignColumns:
 
 
 class TestConfigValidation:
+    def test_disconnected_network_rejected(self):
+        with pytest.raises(ConfigError, match="connected"):
+            tiny_scenario(adjacency=(frozenset(), frozenset())).validate()
+
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(ConfigError):
             tiny_scenario(adjacency=(frozenset({1}), frozenset())).validate()
@@ -480,6 +489,41 @@ class TestKnownBirths:
             births=(ObjectBirth(3, 8, np.array([0.0, 0.0, 1.0, 0.0])),)
         )
         assert len(known_birth_components(cfg)) == 0
+
+
+class TestOutputsPassTheConstructorCheck:
+    """Package operations build densities unchecked, from valid ones; every
+    density of a run must still pass the constructor's rule."""
+
+    @pytest.mark.parametrize("cfg", [scenario1(seed=601), scenario2("desk", seed=601)],
+                             ids=lambda cfg: cfg.name)
+    def test_run0_densities_rebuild(self, cfg, monkeypatch):
+        fused = []
+        fuse = pgci_mod.pgci_fuse
+
+        def recording(*args, **kwargs):
+            out = fuse(*args, **kwargs)
+            fused.append(out[0])
+            return out
+
+        monkeypatch.setattr(pgci_mod, "pgci_fuse", recording)
+        truth = generate_truth(cfg)
+        posteriors = [
+            run_local_filter(generate_measurements(
+                truth, sensor, np.random.SeedSequence([cfg.base_seed, 0, s]).entropy
+            ), cfg, sensor)
+            for s, sensor in enumerate(cfg.sensors)
+        ]
+        built = [d for p in posteriors for d in p]
+        for k in range(cfg.duration):
+            densities, weights = _fusion_inputs(cfg, posteriors, k)
+            built += densities
+            built.append(multi_sensor_fuse(densities, weights, cfg.gamma,
+                                           reduce_config=REDUCE_CONFIG))
+        built += fused
+        assert len(fused) == cfg.duration * (len(densities) - 1)
+        for d in built:
+            MultiBernoulliDensity(d.components)
 
 
 class TestMonteCarlo:
