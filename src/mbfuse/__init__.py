@@ -27,12 +27,12 @@ from .errors import (
 )
 from .gm import (
     GaussianMixture,
+    GmReduceConfig,
     gm_pair_product,
     gm_reduce,
 )
 from .mb import (
     BernoulliComponent,
-    GmReduceConfig,
     MbReduceConfig,
     MotionModel,
     MultiBernoulliDensity,

@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class ClusterKind(Enum):
     BOTH = "both"            # nonempty on both sensors
@@ -71,7 +73,7 @@ def compute_lic(distances: np.ndarray, gamma: float) -> LargestIsolatedClusterin
     only a sensor-2 component after all others.
     """
     if not gamma > 0:
-        raise ValueError("gate threshold must be positive")
+        raise ConfigError("gate threshold must be positive")
     n1, n2 = distances.shape
     rows, cols = np.nonzero(distances <= gamma)
     parts = connected_components(n1 + n2, zip(rows.tolist(), (cols + n1).tolist()))

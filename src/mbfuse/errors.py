@@ -17,8 +17,8 @@ class IncompatiblePairError(NumericalError):
     """Fused pair mass underflowed; the pair should have been gated out."""
 
 
-class InvalidDensityError(NumericalError):
-    """A density holds a non-finite value or an existence probability outside [0, 1]."""
+class InvalidDensityError(NumericalError, ValueError):
+    """A density holds a non-finite entry, an r outside [0, 1] or a repeated id."""
 
 
 class IntractableFusionError(MbFuseError):
@@ -35,5 +35,5 @@ class IntractableFusionError(MbFuseError):
         self.cap = cap
 
 
-class ConfigError(MbFuseError):
-    """Invalid experiment or scenario configuration."""
+class ConfigError(MbFuseError, ValueError):
+    """An invalid parameter or configuration, raised where it enters; also a ValueError."""

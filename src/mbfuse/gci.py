@@ -31,8 +31,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import IncompatiblePairError, IntractableFusionError
+from .errors import ConfigError, IncompatiblePairError, IntractableFusionError
 from .gm import (
+    FusionWeights,
     GaussianMixture,
     _pair_log_mass,
     _pair_product_parts,
@@ -43,21 +44,6 @@ from .gm import (
     gm_reduce,
 )
 from .mb import MultiBernoulliDensity, R_MAX, _reduced_density
-
-@dataclass(frozen=True)
-class FusionWeights:
-    w1: float
-    w2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.w1 < 1.0 and 0.0 < self.w2 < 1.0):
-            raise ValueError("fusion weights must lie in (0, 1)")
-        if abs(self.w1 + self.w2 - 1.0) > 1e-12:
-            raise ValueError("fusion weights must sum to 1")
-
-    def swapped(self) -> "FusionWeights":
-        return FusionWeights(self.w2, self.w1)
-
 
 @dataclass(frozen=True)
 class FusionHypothesis:
@@ -128,16 +114,13 @@ def enumerate_hypotheses(l1, l2):
 
 def count_hypotheses_distinct(n1: int, n2: int) -> int:
     """Number of distinct (subset, injective-map) pairs: sum_n C(n1,n) A(n2,n)."""
-    total = 0
-    for n in range(0, min(n1, n2) + 1):
-        total += math.comb(n1, n) * math.perm(n2, n)
-    return total
+    return sum(math.comb(n1, n) * math.perm(n2, n) for n in range(min(n1, n2) + 1))
 
 
 def count_hypotheses_nominal(n1: int, n2: int) -> int:
     """Bookkeeping count 2^n1 * A(n2, n1), which tallies full-domain maps."""
-    if n1 > n2:
-        raise ValueError("count requires n1 <= n2")
+    if not 0 <= n1 <= n2:
+        raise ConfigError(f"count requires 0 <= n1 <= n2, got {n1} and {n2}")
     return 2**n1 * math.perm(n2, n1)
 
 

@@ -18,11 +18,12 @@ _segment_sums sums, as zero-weight padding leaves the merge's contractions
 unchanged but not a row sum of padded weights from 8 entries up.
 
 _leader_groups is the one greedy leader loop, for mb_merge_components and a
-lone segment's sweep. _check_gaussians is the one Gaussian validity check:
-the MultiBernoulliDensity constructor runs it on every density it builds,
-and gm_reduce on its lone mixture. _pair_log_mass is the one body of the
-exponent-weighted Gaussian pair mass, for the divergences and the pair
-products.
+lone segment's sweep. _check_gaussians is the one Gaussian validity check,
+for the MultiBernoulliDensity constructor, gm_reduce and gm_pair_product.
+GmReduceConfig and FusionWeights hold the one rule of their parameters and
+raise ConfigError when built; gm_reduce and gm_pair_product build one from
+their floats, and the kernels check nothing. _pair_log_mass is the one body
+of the exponent-weighted Gaussian pair mass, for divergences and products.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidDensityError, NumericalError
+from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -75,6 +76,37 @@ class GaussianMixture:
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
         return cls(np.ones(1), mean[None, :], cov[None, :, :])
+
+
+@dataclass(frozen=True)
+class GmReduceConfig:
+    """gm_reduce's parameters: thresholds >= 0 and an integer cap >= 1, checked when built."""
+
+    prune_threshold: float = 1e-5
+    merge_threshold: float = 4.0
+    max_components: int = 5
+
+    def __post_init__(self):
+        if not (self.prune_threshold >= 0 and self.merge_threshold >= 0 and
+                isinstance(self.max_components, (int, np.integer)) and self.max_components >= 1):
+            raise ConfigError(f"invalid reduction parameters: {self}")
+
+
+@dataclass(frozen=True)
+class FusionWeights:
+    """GCI exponents, each in (0, 1), summing to 1 within 1e-12; checked when built."""
+
+    w1: float
+    w2: float
+
+    def __post_init__(self):
+        if not (0.0 < self.w1 < 1.0 and 0.0 < self.w2 < 1.0):
+            raise ConfigError(f"fusion weights must lie in (0, 1), got {self}")
+        if abs(self.w1 + self.w2 - 1.0) > 1e-12:
+            raise ConfigError(f"fusion weights must sum to 1, got {self}")
+
+    def swapped(self) -> "FusionWeights":
+        return FusionWeights(self.w2, self.w1)
 
 
 def _check_gaussians(weights, means, covs) -> None:
@@ -133,11 +165,10 @@ def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
     stack1 and stack2 are flat (weights, means, covs) stacks. Each
     Gaussian is raised to its exponent once; the pairs then gather their
     parts by index. Returns (log_alpha (K,), means (K, d), covs (K, d, d)).
+    The weights were checked where they entered (see FusionWeights).
     """
     a1, m1, P1 = stack1
     a2, m2, P2 = stack2
-    if abs((w1 + w2) - 1.0) > 1e-12:
-        raise ValueError(f"fusion weights must sum to 1, got {w1} + {w2}")
     lw1, S1 = _power_parts(a1, P1, w1)
     lw2, S2 = _power_parts(a2, P2, w2)
     S1, m1 = S1[i1], m1[i1]
@@ -157,7 +188,11 @@ def gm_pair_product(
     p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float
 ) -> GaussianMixture:
     """Double-sum mixture for p1^w1 * p2^w2 (unnormalized, J1*J2 components,
-    p1's index major)."""
+    p1's index major). Invalid weights raise ConfigError (see
+    FusionWeights), a non-finite mixture entry InvalidDensityError."""
+    FusionWeights(w1, w2)
+    for p in (p1, p2):
+        _check_gaussians(p.weights, p.means, p.covs)
     if p1.n_components == 0 or p2.n_components == 0:
         return GaussianMixture.empty(p1.d)
     j1, j2 = p1.n_components, p2.n_components
@@ -320,15 +355,13 @@ def _sweep(w, means, chol, starts, sizes, merge_threshold):
     return rows, valid, label
 
 
-def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_threshold,
-                     max_components):
+def _reduce_segments(sizes, weights, means, covs, config: GmReduceConfig):
     """Reduce every segment of a flat stack on its own, in one pass, by
-    gm_reduce's rule: prune, merge, cap.
+    gm_reduce's rule with config's parameters: prune, merge, cap.
 
     The stack holds consecutive segments of the given sizes. Returns the
     reduced stack as (sizes, weights, means, covs), unnormalized; a segment
-    with no weight at or above prune_threshold reduces to size 0. A
-    threshold or cap that is negative, below 1 or NaN raises ValueError.
+    with no weight at or above the prune threshold reduces to size 0.
 
     No step runs Python per segment or per group: the greedy sweep runs in
     rounds over all segments (see _sweep), groups are label arrays, the cap
@@ -347,9 +380,7 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
       the merge's contractions unchanged bit for bit, but not a row sum of
       padded weights from 8 entries up.
     """
-    if not (prune_threshold >= 0 and merge_threshold >= 0 and max_components >= 1):
-        raise ValueError("invalid reduction parameters")
-    keep = weights >= prune_threshold
+    keep = weights >= config.prune_threshold
     w = weights
     starts = sizes.cumsum() - sizes
     if not keep.all():
@@ -377,7 +408,7 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
     multi = (sizes > 1).nonzero()[0]
     if multi.size:
         rows, valid, seg_label = _sweep(w, means, chol, starts[multi], sizes[multi],
-                                        merge_threshold)
+                                        config.merge_threshold)
         label[rows[valid]] = seg_label[valid]
         n_groups[multi] = seg_label.max(axis=1) + 1
     # Groups numbered segment after segment, each segment's in sweep order,
@@ -389,7 +420,7 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
     members = group.argsort(kind="stable")[members]
     group_w = np.where(valid, w[members], 0.0)
     totals = _row_sums(group_w, group_sizes)
-    over = (n_groups > max_components).nonzero()[0]
+    over = (n_groups > config.max_components).nonzero()[0]
     if over.size:
         # A segment over the cap keeps its heaviest groups (ties to the
         # lower group number) in group order.
@@ -397,7 +428,7 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
         top = np.where(valid, -totals[groups], np.nan).argsort(axis=1, kind="stable")
         kept = np.ones(totals.shape[0], dtype=bool)
         kept[groups[valid]] = False
-        kept[np.take_along_axis(groups, top[:, :max_components], axis=1)] = True
+        kept[np.take_along_axis(groups, top[:, :config.max_components], axis=1)] = True
         members, group_w, totals, group_sizes = (
             members[kept], group_w[kept], totals[kept], group_sizes[kept]
         )
@@ -418,7 +449,7 @@ def _reduce_segments(sizes, weights, means, covs, prune_threshold, merge_thresho
             j = members[at, :n]
             for o, v in zip(out, _merge_moments(totals[at], w[j], means[j], covs[j])):
                 o[at] = v
-    return (np.minimum(n_groups, max_components), *out)
+    return (np.minimum(n_groups, config.max_components), *out)
 
 
 def gm_reduce(
@@ -435,11 +466,12 @@ def gm_reduce(
     component within squared Mahalanobis distance merge_threshold of it
     (moment-preserving). The cap keeps the heaviest merged components (ties
     to the lower index) in merge order. A NaN or infinite weight, mean or
-    covariance entry raises InvalidDensityError (see _check_gaussians).
+    covariance entry raises InvalidDensityError (see _check_gaussians), and
+    an invalid parameter ConfigError (see GmReduceConfig).
     """
     _check_gaussians(mix.weights, mix.means, mix.covs)
     _, w, m, p = _reduce_segments(
         np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
-        prune_threshold, merge_threshold, max_components,
+        GmReduceConfig(prune_threshold, merge_threshold, max_components),
     )
     return GaussianMixture(w, m, p)

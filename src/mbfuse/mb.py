@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, _batch_cholesky, _check_gaussians, _leader_groups, _log_normal,
-    _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
+    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _leader_groups,
+    _log_normal, _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -72,11 +72,11 @@ class MultiBernoulliDensity:
 
     The constructor stacks the given components once; ``.components``
     returns them as views into the stack. It is the one place where a
-    density is checked: it raises InvalidDensityError for an r outside
-    [0, 1] or NaN, a pdf that holds no Gaussian, a NaN or infinite
-    Gaussian weight, mean or covariance entry, or a covariance that is
-    asymmetric beyond SYM_TOL times its largest entry. The package's own
-    operations build densities from valid ones and check nothing again.
+    density is checked: it raises InvalidDensityError for a repeated id,
+    an r outside [0, 1] or NaN, a pdf that holds no Gaussian, a NaN or
+    infinite Gaussian weight, mean or covariance entry, or a covariance
+    that is not _symmetric. The package's own operations build densities
+    from valid ones and check nothing again.
     """
 
     __slots__ = ("stack", "_components")
@@ -104,8 +104,7 @@ class MultiBernoulliDensity:
         if not sizes.all():
             raise InvalidDensityError("a component's pdf holds no Gaussian")
         _check_gaussians(weights, means, covs)
-        scale = np.abs(covs).max(axis=(1, 2), keepdims=True, initial=0.0)
-        if np.any(np.abs(covs - np.swapaxes(covs, 1, 2)) > SYM_TOL * scale):
+        if not _symmetric(covs):
             raise InvalidDensityError("density holds an asymmetric covariance")
         self._adopt(stack)
 
@@ -156,7 +155,14 @@ class MultiBernoulliDensity:
 
 def _check_unique_ids(ids: np.ndarray) -> None:
     if np.unique(ids).size != ids.size:
-        raise ValueError("component ids must be unique within a density")
+        raise InvalidDensityError("component ids must be unique within a density")
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether every matrix of a (..., d, d) is symmetric within SYM_TOL
+    times its largest entry."""
+    scale = np.abs(a).max(axis=(-2, -1), keepdims=True, initial=0.0)
+    return not np.any(np.abs(a - np.swapaxes(a, -1, -2)) > SYM_TOL * scale)
 
 
 def _take(density: MultiBernoulliDensity, idx, rs) -> MultiBernoulliDensity:
@@ -207,17 +213,16 @@ def _strongest(ids, rs, idx, cap):
 
 def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
     """A model matrix must be finite and of its shape; a covariance must also
-    be symmetric and positive semi-definite within SYM_TOL times its largest
+    be _symmetric and positive semi-definite within SYM_TOL times its largest
     entry, so the singular NCV process noise passes."""
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         raise ConfigError(f"{what} must be finite")
-    if covariance:
-        tol = SYM_TOL * np.abs(a).max(initial=0.0)
-        if np.abs(a - a.T).max(initial=0.0) > tol or np.linalg.eigvalsh(a).min(initial=0.0) < -tol:
-            raise ConfigError(f"{what} must be symmetric positive semi-definite")
+    tol = SYM_TOL * np.abs(a).max(initial=0.0)
+    if covariance and not (_symmetric(a) and np.linalg.eigvalsh(a).min(initial=0.0) >= -tol):
+        raise ConfigError(f"{what} must be symmetric positive semi-definite")
 
 
 @dataclass(frozen=True)
@@ -309,17 +314,17 @@ class SensorModel:
 
 
 @dataclass(frozen=True)
-class GmReduceConfig:
-    prune_threshold: float = 1e-5
-    merge_threshold: float = 4.0
-    max_components: int = 5
-
-
-@dataclass(frozen=True)
 class MbReduceConfig:
+    """mb_reduce's parameters: truncation in [0, 1), an integer cap >= 1; checked when built."""
+
     trunc_threshold: float = 1e-4
     max_components: int = 100
     gm: GmReduceConfig = field(default_factory=GmReduceConfig)
+
+    def __post_init__(self):
+        if not (0.0 <= self.trunc_threshold < 1.0 and
+                isinstance(self.max_components, (int, np.integer)) and self.max_components >= 1):
+            raise ConfigError(f"invalid multi-Bernoulli reduction parameters: {self}")
 
 
 def mb_predict(
@@ -445,10 +450,7 @@ def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None):
     reduced pdfs; a segment that reduction leaves empty has size 0.
     """
     if config is not None:
-        sizes, weights, means, covs = _reduce_segments(
-            sizes, weights, means, covs,
-            config.prune_threshold, config.merge_threshold, config.max_components,
-        )
+        sizes, weights, means, covs = _reduce_segments(sizes, weights, means, covs, config)
     mass = _segment_sums(weights, sizes)[sizes > 0]
     if not np.all(np.isfinite(mass) & (mass > 0.0)):
         raise NumericalError(f"cannot normalize mixtures with total weights {mass}")
@@ -476,12 +478,8 @@ def mb_reduce(
     """Drop low-existence components, cap the count, reduce each pdf.
 
     A component whose pdf has no weight at or above the prune threshold
-    is dropped.
+    is dropped. The config was checked when it was built.
     """
-    if not (0.0 <= config.trunc_threshold < 1.0):
-        raise ValueError("truncation threshold must be in [0, 1)")
-    if not config.max_components >= 1:
-        raise ValueError("component cap must be at least 1")
     ids, rs = density.stack[:2]
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
@@ -513,7 +511,7 @@ def mb_merge_components(
     NumericalError (see _reduced_density).
     """
     if not gate > 0:
-        raise ValueError("merge gate must be positive")
+        raise ConfigError("merge gate must be positive")
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
         return MultiBernoulliDensity(())

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute_lic
+from .errors import ConfigError
 from .gci import (
     FusionWeights,
     GmbDensity,
@@ -87,7 +88,7 @@ def fuse_cluster(
     orientation for every cluster. The density's ids are positions in sorted(cluster.l1).
     """
     if cluster.kind != ClusterKind.BOTH:
-        raise ValueError("fuse_cluster only applies to two-sided clusters")
+        raise ConfigError("fuse_cluster only applies to two-sided clusters")
     l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
     marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
     return ClusterFusionResult(
@@ -210,9 +211,7 @@ def multi_sensor_fuse(
         lambda a, b, w: pgci_fuse(a, b, w, gamma, gm_config=gm_config),
         reduce_config,
     )
-    if return_diagnostics:
-        return acc, diagnostics
-    return acc
+    return (acc, diagnostics) if return_diagnostics else acc
 
 
 def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
@@ -224,11 +223,11 @@ def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
     posteriors = list(posteriors)
     weights = [float(v) for v in weights]
     if len(posteriors) < 1:
-        raise ValueError("multi_sensor_fuse needs at least one posterior")
+        raise ConfigError("multi_sensor_fuse needs at least one posterior")
     if len(posteriors) != len(weights):
-        raise ValueError("posteriors and weights must have equal length")
+        raise ConfigError("posteriors and weights must have equal length")
     if not all(v > 0 for v in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
-        raise ValueError("weights must be positive and sum to 1")
+        raise ConfigError("weights must be positive and sum to 1")
 
     acc = posteriors[0]
     w_acc = weights[0]

@@ -163,8 +163,7 @@ def generate_measurements(
         rows = []
         for x in states:
             if rng.random() < sensor.p_detect:
-                z = sensor.H @ x + r_root @ rng.standard_normal(sensor.H.shape[0])
-                rows.append(z)
+                rows.append(sensor.H @ x + r_root @ rng.standard_normal(sensor.H.shape[0]))
         n_clutter = rng.poisson(sensor.clutter_rate)
         if n_clutter > 0:
             rows.extend(sensor.region.sample(rng, n_clutter))
@@ -257,14 +256,14 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
     """Optimal sub-pattern assignment distance between two position sets.
 
     Each non-empty set is an (n, 2) array. A position with an infinite
-    coordinate lies beyond the cutoff of every finite one; a NaN coordinate
-    or a set of another shape raises ``ValueError``.
+    coordinate lies beyond the cutoff of every other; a c or p that is not
+    finite, c <= 0, p < 1, a NaN coordinate or another shape raises ConfigError.
     """
-    if not (c > 0 and p >= 1):
-        raise ValueError("require c > 0 and p >= 1")
-    x, y = _rows(x, 2, ValueError), _rows(y, 2, ValueError)
+    if not (0 < c < math.inf and 1 <= p < math.inf):
+        raise ConfigError("require c > 0 and p >= 1, both finite")
+    x, y = _rows(x, 2, ConfigError), _rows(y, 2, ConfigError)
     if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("positions must not be NaN")
+        raise ConfigError("positions must not be NaN")
     m, n = x.shape[0], y.shape[0]
     if m == 0 and n == 0:
         return 0.0
@@ -272,8 +271,9 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
         return float(c)
     if m > n:
         x, y, m, n = y, x, n, m
-    dists = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
-    cost = np.minimum(dists, c) ** p
+    with np.errstate(invalid="ignore"):  # two positions at one infinity are NaN apart
+        dists = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+    cost = np.fmin(dists, c) ** p
     cols = _assign_columns(cost)
     total = cost[np.arange(m), cols].sum() + c**p * (n - m)
     return float((total / n) ** (1.0 / p))
@@ -323,15 +323,8 @@ class MonteCarloResult:
     n_h: np.ndarray
     n_h_clustered: np.ndarray
 
-    CSV_COLUMNS = (
-        "step",
-        "ospa_local_mean",
-        "ospa_fused_mean",
-        "card_mean",
-        "card_std",
-        "N_H",
-        "N_H2",
-    )
+    CSV_COLUMNS = ("step", "ospa_local_mean", "ospa_fused_mean", "card_mean", "card_std",
+                   "N_H", "N_H2")
 
     def to_csv(self, path) -> None:
         """Deterministic per-step statistics (timings go to a separate file)."""
@@ -403,13 +396,8 @@ def run_montecarlo(
             # The fusion node's time includes condensing the exchanged densities.
             t0 = time.perf_counter()
             densities, weights = _fusion_inputs(cfg, posteriors, k)
-            fused, diags = multi_sensor_fuse(
-                densities,
-                weights,
-                cfg.gamma,
-                reduce_config=REDUCE_CONFIG,
-                return_diagnostics=True,
-            )
+            fused, diags = multi_sensor_fuse(densities, weights, cfg.gamma,
+                                             reduce_config=REDUCE_CONFIG, return_diagnostics=True)
             t_fuse[run, k] = (time.perf_counter() - t0) * 1e3
             if diags:
                 n_h[run, k] = float(min(diags[0].n_h, 1e300))
@@ -424,8 +412,7 @@ def run_montecarlo(
 
             if compare_oracle:
                 acc, _ = _fold_pairwise(
-                    densities,
-                    weights,
+                    densities, weights,
                     lambda a, b, w: naive_gci_mb_fuse(a, b, w, gm_config=REDUCE_CONFIG.gm),
                     REDUCE_CONFIG,
                 )

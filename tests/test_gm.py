@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from mbfuse import GaussianMixture, gm_pair_product, gm_reduce
-from mbfuse.errors import NumericalError
+from mbfuse.errors import ConfigError, InvalidDensityError, NumericalError
 from oracle import check_spd, gm_eval, gm_merge_moments, gm_normalize, gm_pair_log_mass, gm_power
 
 
@@ -107,6 +107,26 @@ class TestGmPairProduct:
         g1 = mix([(1.0, rng.normal(size=2), np.eye(2)) for _ in range(3)])
         g2 = mix([(1.0, rng.normal(size=2), np.eye(2)) for _ in range(4)])
         assert gm_pair_product(g1, 0.5, g2, 0.5).n_components == 12
+
+    # Each case used to pass unchecked; the first two returned weight [nan].
+    def test_nan_mean_raises(self):
+        bad = GaussianMixture.single(np.array([np.nan, 0.0]), np.eye(2))
+        good = GaussianMixture.single(np.zeros(2), np.eye(2))
+        for p1, p2 in ((bad, good), (good, bad)):
+            with pytest.raises(InvalidDensityError):
+                gm_pair_product(p1, 0.5, p2, 0.5)
+
+    def test_nan_weights_raise(self):
+        # abs(nan - 1) > 1e-12 is False, so the old sum test let them through.
+        g = GaussianMixture.single(np.zeros(2), np.eye(2))
+        with pytest.raises(ConfigError):
+            gm_pair_product(g, np.nan, g, np.nan)
+
+    def test_weight_outside_unit_interval_raises(self):
+        # It used to end in a bare "math domain error" from log(-0.2).
+        g = GaussianMixture.single(np.zeros(2), np.eye(2))
+        with pytest.raises(ConfigError):
+            gm_pair_product(g, 1.2, g, -0.2)
 
 
 class TestGmNormalize:

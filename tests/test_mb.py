@@ -100,6 +100,13 @@ class TestMbPredict:
         predicted = mb_predict(MultiBernoulliDensity(()), m, MultiBernoulliDensity(births))
         assert len(predicted) == 2
 
+    def test_birth_id_clashing_with_a_prior_id_raises(self):
+        m = MotionModel.ncv(1.0, 5.0, 0.98)
+        prior = MultiBernoulliDensity((single_component(0.5, cid=0), single_component(0.4, cid=1)))
+        births = MultiBernoulliDensity((single_component(0.03, cid=1),))
+        with pytest.raises(InvalidDensityError, match="unique"):
+            mb_predict(prior, m, births)
+
     def test_count_is_prior_plus_births(self):
         m = MotionModel.ncv(1.0, 5.0, 0.98)
         prior = MultiBernoulliDensity(
@@ -278,6 +285,26 @@ class TestConstructionChecks:
         MultiBernoulliDensity(valid)
         with pytest.raises(InvalidDensityError):
             MultiBernoulliDensity(corrupted)
+
+    def test_repeated_id_raises(self):
+        with pytest.raises(InvalidDensityError, match="unique"):
+            MultiBernoulliDensity((single_component(0.5, cid=3), single_component(0.4, cid=3)))
+
+    @pytest.mark.parametrize("skew, symmetric", [(0.5e-9, True), (2e-9, False)])
+    def test_one_symmetry_tolerance_for_densities_and_models(self, skew, symmetric):
+        # A covariance skewed by skew times its largest entry passes the
+        # density constructor exactly when it passes as a model covariance.
+        cov = np.diag([4.0, 1.0, 1.0, 1.0])
+        cov[0, 1] += skew * 4.0
+        comp = BernoulliComponent(r=0.5, pdf=GaussianMixture.single(np.zeros(4), cov), id=0)
+        if symmetric:
+            MultiBernoulliDensity((comp,))
+            MotionModel(F=np.eye(4), Q=cov, p_survival=0.9)
+            return
+        with pytest.raises(InvalidDensityError, match="asymmetric"):
+            MultiBernoulliDensity((comp,))
+        with pytest.raises(ConfigError, match="symmetric"):
+            MotionModel(F=np.eye(4), Q=cov, p_survival=0.9)
 
 
 class TestMbReduce:

@@ -244,7 +244,7 @@ def reduce_stack(segments, prune, merge, cap):
         np.concatenate([s.weights for s in segments]),
         np.concatenate([s.means for s in segments]),
         np.concatenate([s.covs for s in segments]),
-        prune, merge, cap,
+        GmReduceConfig(prune, merge, cap),
     )
     cut = np.cumsum(sizes)[:-1]
     return [GaussianMixture(*parts) for parts in zip(*(np.split(a, cut) for a in (w, m, p)))]

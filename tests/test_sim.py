@@ -233,6 +233,13 @@ class TestOspa:
         y = np.array([[3.0, 4.0], [1.0, -np.inf]])
         assert ospa(x, y) == np.sqrt((25.0 + 100.0**2) / 2)
 
+    def test_positions_at_one_infinity_count_cutoff(self):
+        # Their difference is NaN; it used to end in the assignment
+        # solver's "invalid numeric entries" ValueError.
+        x = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        y = np.array([[np.inf, 0.0], [3.0, 4.0]])
+        assert ospa(x, y) == np.sqrt((25.0 + 100.0**2) / 2)
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(position_pair())
     def test_equals_scipy_reference_bit_for_bit(self, case):
