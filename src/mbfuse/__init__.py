@@ -46,7 +46,6 @@ from .mb import (
 )
 from .gci import (
     FusionWeights,
-    FusionHypothesis,
     GmbDensity,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
@@ -63,7 +62,6 @@ from .clustering import (
 from .pgci import (
     FusionDiagnostics,
     hypothesis_count_report,
-    inter_cluster_hypotheses,
     l1_error_bound,
     multi_sensor_fuse,
     pgci_fuse,

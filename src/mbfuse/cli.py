@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, IntractableFusionError, NumericalError
 from .gci import FusionWeights, naive_gci_mb_fuse, pairwise_distances
 from .mb import GaussianMixture, BernoulliComponent, MultiBernoulliDensity
-from .pgci import hypothesis_count_report, inter_cluster_hypotheses, l1_error_bound
+from .pgci import hypothesis_count_report, l1_error_bound
 from .clustering import compute_lic
 from .sim import build_scenario, run_montecarlo
 
@@ -105,8 +105,7 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
         mb2 = _random_mb(rng, int(rng.integers(2, 5)), spread=20.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
         lic = compute_lic(gmb.distances, args.gamma)
-        discarded = inter_cluster_hypotheses(gmb, lic)
-        exact, bound = l1_error_bound(gmb, discarded, args.gamma)
+        exact, bound = l1_error_bound(gmb, lic, args.gamma)
         if exact > bound + 1e-12:
             print(f"BOUND VIOLATED: exact={exact} bound={bound}")
             return 5

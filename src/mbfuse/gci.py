@@ -6,10 +6,10 @@ weights, exact association marginals by a subset DP over partial
 matchings, the moment-matched MB approximation of the fused
 generalized-MB density, and the exhaustive two-step fusion that serves
 as the correctness oracle for the clustered pipeline. A hypothesis is
-its tuple of (l, l') pairs. Both fusers orient their inputs in one
-place, _oriented: the divergences are computed in the given order and
-the roles swapped when |L1| > |L2|, so the oracle weighs its hypotheses
-with the very matrix that clustered fusion gates, and hands it back.
+its tuple of (l, l') pairs; the oracle returns its hypotheses as arrays.
+Both fusers orient their inputs in _oriented: the divergences are
+computed in the given order and the roles swapped when |L1| > |L2|, so
+the oracle weighs its hypotheses with the matrix that clustered fusion gates.
 
 Fused pairs and moment matching run on one flat stack from the pair
 product to the fused density. The 1x1 batch and larger clusters share
@@ -45,22 +45,15 @@ from .gm import (
 )
 from .mb import MultiBernoulliDensity, R_MAX, _reduced_density
 
-@dataclass(frozen=True)
-class FusionHypothesis:
-    """A subset of sensor-1 indices with an injective association into
-    sensor 2, as its (l, l') pairs in increasing l, with its normalized weight."""
-
-    pairs: tuple[tuple[int, int], ...]
-    w: float
-    log_k: float  # log of the Q-factor part (weight with distances removed)
-
-
 @dataclass
 class GmbDensity:
-    """Fused generalized-MB density: its normalized hypotheses, log eta and
-    the divergence matrix that weighed them, in the fusion's orientation."""
+    """Fused generalized-MB density: hypothesis k's pairs, normalized weight
+    and log Q-factor part (its weight without the distances) in enumeration
+    order, log eta, and the divergences that weighed them, as oriented."""
 
-    hypotheses: list[FusionHypothesis]
+    pairs: list[tuple[tuple[int, int], ...]]
+    w: np.ndarray
+    log_k: np.ndarray
     log_eta: float
     distances: np.ndarray
 
@@ -384,9 +377,9 @@ def naive_gci_mb_fuse(
     matching needs are summed over them. The inputs are oriented by
     _oriented, as in pgci_fuse, so both fusers see the same distances and
     moment-match onto the same side; fused components carry fresh ids.
-    The returned GmbDensity holds the oriented distances, which is what
-    compute_lic needs for the truncation bound. As in pgci_fuse, the inputs
-    were checked when they were built.
+    The GmbDensity holds the hypotheses as arrays and the oriented
+    distances, which compute_lic gates into the clustering that
+    l1_error_bound reads. As in pgci_fuse, the inputs were checked.
     """
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     n1, n2 = len(mb1), len(mb2)
@@ -421,6 +414,4 @@ def naive_gci_mb_fuse(
             marginal[l, lp] += wn
 
     fused_mb = _moment_match(marginal, range(n1), range(n2), mb1, mb2, w, gm_config)
-    hypotheses = [FusionHypothesis(h, float(wn), float(lk))
-                  for h, wn, lk in zip(hyps, norm_ws, log_ks)]
-    return fused_mb, GmbDensity(hypotheses, log_eta, distances)
+    return fused_mb, GmbDensity(hyps, norm_ws, np.array(log_ks, dtype=float), log_eta, distances)

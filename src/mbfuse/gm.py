@@ -78,6 +78,11 @@ class GaussianMixture:
         return cls(np.ones(1), mean[None, :], cov[None, :, :])
 
 
+def _is_cap(n) -> bool:
+    """The rule for every component cap: an integer >= 1, as it slices."""
+    return isinstance(n, (int, np.integer)) and n >= 1
+
+
 @dataclass(frozen=True)
 class GmReduceConfig:
     """gm_reduce's parameters: thresholds >= 0 and an integer cap >= 1, checked when built."""
@@ -88,7 +93,7 @@ class GmReduceConfig:
 
     def __post_init__(self):
         if not (self.prune_threshold >= 0 and self.merge_threshold >= 0 and
-                isinstance(self.max_components, (int, np.integer)) and self.max_components >= 1):
+                _is_cap(self.max_components)):
             raise ConfigError(f"invalid reduction parameters: {self}")
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _leader_groups,
+    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _is_cap, _leader_groups,
     _log_normal, _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
 )
 
@@ -322,8 +322,7 @@ class MbReduceConfig:
     gm: GmReduceConfig = field(default_factory=GmReduceConfig)
 
     def __post_init__(self):
-        if not (0.0 <= self.trunc_threshold < 1.0 and
-                isinstance(self.max_components, (int, np.integer)) and self.max_components >= 1):
+        if not (0.0 <= self.trunc_threshold < 1.0 and _is_cap(self.max_components)):
             raise ConfigError(f"invalid multi-Bernoulli reduction parameters: {self}")
 
 

@@ -159,35 +159,25 @@ def pgci_fuse(
     return fused, hypothesis_count_report(mb1, mb2, lic)
 
 
-def l1_error_bound(
-    gmb_full: GmbDensity,
-    truncated: set,
-    gamma: float,
-) -> tuple[float, float]:
+def l1_error_bound(gmb_full: GmbDensity, lic: LargestIsolatedClustering,
+                   gamma: float) -> tuple[float, float]:
     """Measured truncated mass 2 sum_D w and its analytic bound A * exp(-gamma).
 
-    truncated is the set of the discarded hypotheses' pair tuples
-    ((l, l'), ...). A sums the Q-factor parts of the discarded
-    unnormalized weights over eta, so the bound depends on gamma only
-    through the exponential factor.
+    lic must cluster the index sets of gmb_full.distances, else ConfigError.
+    D holds the hypotheses with a pair (l, l') that no cluster holds. Both
+    sums run over D in hypothesis order: the mass adds w left to right, and
+    A sums the discarded Q-factor parts over eta, so the bound depends on
+    gamma only through exp(-gamma). Both are 0.0 when D is empty.
     """
-    discarded = [h for h in gmb_full.hypotheses if h.pairs in truncated]
-    if not discarded:
-        return 0.0, 0.0
-    exact_mass = 2.0 * sum(h.w for h in discarded)
-    log_a = _logsumexp([h.log_k for h in discarded]) + np.log(2.0) - gmb_full.log_eta
-    bound = float(np.exp(log_a - gamma))
-    return exact_mass, bound
-
-
-def inter_cluster_hypotheses(gmb_full: GmbDensity, lic: LargestIsolatedClustering) -> set:
-    """Pair-tuple keys of every hypothesis containing a cross-cluster pair."""
-    cluster_of_l1 = {l: g for g, c in enumerate(lic.clusters) for l in c.l1}
-    cluster_of_l2 = {lp: g for g, c in enumerate(lic.clusters) for lp in c.l2}
-    return {
-        h.pairs for h in gmb_full.hypotheses
-        if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in h.pairs)
-    }
+    members1 = sorted(l for c in lic.clusters for l in c.l1)
+    members2 = sorted(lp for c in lic.clusters for lp in c.l2)
+    if [members1, members2] != [list(range(n)) for n in gmb_full.distances.shape]:
+        raise ConfigError("lic is not a clustering of the index sets of gmb_full.distances")
+    within = {(l, lp) for c in lic.clusters for l in c.l1 for lp in c.l2}
+    discarded = np.array([not within.issuperset(h) for h in gmb_full.pairs], dtype=bool)
+    exact_mass = 2.0 * sum(gmb_full.w[discarded].tolist())
+    log_a = _logsumexp(gmb_full.log_k[discarded]) + np.log(2.0) - gmb_full.log_eta
+    return exact_mass, float(np.exp(log_a - gamma))
 
 
 def multi_sensor_fuse(

@@ -21,6 +21,7 @@ import numpy as np
 from .clustering import connected_components
 from .errors import ConfigError
 from .gci import naive_gci_mb_fuse
+from .gm import _is_cap
 from .mb import (
     _check_matrix,
     _rows,
@@ -126,8 +127,8 @@ class ScenarioConfig:
         # Each check also rejects NaN, which fails every comparison.
         if not self.gamma > 0:
             raise ConfigError("gamma must be positive")
-        if not self.fusion_max_components >= 1:
-            raise ConfigError("fusion component cap must be at least 1")
+        if not _is_cap(self.fusion_max_components):
+            raise ConfigError("fusion component cap must be an integer of at least 1")
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
@@ -257,14 +258,17 @@ def ospa(x: np.ndarray, y: np.ndarray, c: float = 100.0, p: float = 2.0) -> floa
 
     Each non-empty set is an (n, 2) array. A position with an infinite
     coordinate lies beyond the cutoff of every other; a c or p that is not
-    finite, c <= 0, p < 1, a NaN coordinate or another shape raises ConfigError.
+    finite, c <= 0, p < 1, a c**p that times the larger set size (at least
+    1) overflows, a NaN coordinate or another shape raises ConfigError.
     """
-    if not (0 < c < math.inf and 1 <= p < math.inf):
-        raise ConfigError("require c > 0 and p >= 1, both finite")
     x, y = _rows(x, 2, ConfigError), _rows(y, 2, ConfigError)
     if np.isnan(x).any() or np.isnan(y).any():
         raise ConfigError("positions must not be NaN")
     m, n = x.shape[0], y.shape[0]
+    with np.errstate(over="ignore"):  # c**p of a huge c is inf, rejected here
+        if not (0 < c < math.inf and 1 <= p < math.inf and
+                np.isfinite(np.float64(c) ** p * max(m, n, 1))):
+            raise ConfigError("require c > 0 and p >= 1, both finite, and c**p * max(m, n) finite")
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:

@@ -15,7 +15,9 @@ from scipy.special import logsumexp
 
 from mbfuse.clustering import Cluster, ClusterKind, compute_lic
 from mbfuse.errors import DimensionMismatchError, IncompatiblePairError, NumericalError
-from mbfuse.gci import MARGINAL_FLOOR, FusionWeights, _fuse_isolated_pairs, pairwise_distances
+from mbfuse.gci import (
+    MARGINAL_FLOOR, FusionWeights, _fuse_isolated_pairs, _logsumexp, pairwise_distances,
+)
 from mbfuse.gm import (
     GaussianMixture,
     _batch_cholesky,
@@ -134,6 +136,29 @@ def cluster_log_eta(
     if cluster.kind == ClusterKind.SENSOR2_ONLY:
         return w.w2 * sum(math.log1p(-min(mb2.components[l].r, R_MAX)) for l in cluster.l2)
     raise ValueError("two-sided clusters need the full fusion path")
+
+
+def inter_cluster_hypotheses(gmb_full, lic) -> set:
+    """Pair-tuple keys of every hypothesis containing a cross-cluster pair."""
+    cluster_of_l1 = {l: g for g, c in enumerate(lic.clusters) for l in c.l1}
+    cluster_of_l2 = {lp: g for g, c in enumerate(lic.clusters) for lp in c.l2}
+    return {
+        pairs for pairs in gmb_full.pairs
+        if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in pairs)
+    }
+
+
+def l1_error_bound(gmb_full, truncated: set, gamma: float) -> tuple[float, float]:
+    """Measured truncated mass 2 sum_D w and its bound A * exp(-gamma), for
+    the discarded hypotheses given as a set of their pair tuples: the
+    package's bound before it found the discarded hypotheses itself."""
+    discarded = [k for k, pairs in enumerate(gmb_full.pairs) if pairs in truncated]
+    if not discarded:
+        return 0.0, 0.0
+    exact_mass = 2.0 * sum(float(gmb_full.w[k]) for k in discarded)
+    log_a = _logsumexp([gmb_full.log_k[k] for k in discarded]) + np.log(2.0) - gmb_full.log_eta
+    bound = float(np.exp(log_a - gamma))
+    return exact_mass, bound
 
 
 def gm_normalize(mix: GaussianMixture) -> tuple[GaussianMixture, float]:

@@ -24,14 +24,15 @@ from mbfuse.gm import GaussianMixture
 from mbfuse.mb import BernoulliComponent, MultiBernoulliDensity
 from mbfuse.pgci import (
     hypothesis_count_report,
-    inter_cluster_hypotheses,
     l1_error_bound,
     pgci_fuse,
 )
 from mbfuse.sim import run_montecarlo, scenario1, scenario2
 
 from conftest import ACCEPTANCE_SCOREBOARD
-from oracle import cluster_log_eta, gci_divergence, gm_pair_log_mass, gm_power
+from oracle import (
+    cluster_log_eta, gci_divergence, gm_pair_log_mass, gm_power, inter_cluster_hypotheses,
+)
 
 W = FusionWeights(0.5, 0.5)
 
@@ -129,15 +130,14 @@ def test_criterion_3_l1_truncation_bound():
         gamma = float(rng.uniform(2.0, 8.0))
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         lic = compute_lic(gmb.distances, gamma)
-        truncated = inter_cluster_hypotheses(gmb, lic)
-        if not truncated:
+        if not inter_cluster_hypotheses(gmb, lic):
             continue
         checked += 1
-        exact, bound = l1_error_bound(gmb, truncated, gamma)
+        exact, bound = l1_error_bound(gmb, lic, gamma)
         assert exact <= bound * (1 + 1e-12)
         if bound > 0:
             worst_margin = max(worst_margin, exact / bound)
-        _, bound_up = l1_error_bound(gmb, truncated, gamma + 1.0)
+        _, bound_up = l1_error_bound(gmb, lic, gamma + 1.0)
         if bound > 0:
             ratio_checked += 1
             worst_ratio_err = max(

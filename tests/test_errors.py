@@ -36,6 +36,7 @@ from mbfuse import (
     count_hypotheses_nominal,
     gm_pair_product,
     gm_reduce,
+    l1_error_bound,
     mb_predict,
     mb_reduce,
     mb_update,
@@ -159,6 +160,11 @@ INVALID = {
     "lic-gamma-0": (lambda: compute_lic(np.zeros((1, 1)), 0.0), ConfigError, True),
     "lic-gamma-nan": (lambda: compute_lic(np.zeros((1, 1)), NAN), ConfigError, True),
     "pgci-gamma-nan": (lambda: pgci_fuse(density(0.5), density(0.5), W, NAN), ConfigError, True),
+    # The oracle orients a 2x1 fusion as 1x2, so the 2x1 clustering is not of its index sets.
+    "bound-unoriented-clustering": (
+        lambda: l1_error_bound(naive_gci_mb_fuse(density(0.5, 0.5), density(0.5), W)[1],
+                               compute_lic(np.zeros((2, 1)), 4.0), 4.0),
+        ConfigError, False),
     "fuse-cluster-one-sided": (
         lambda: fuse_cluster(Cluster(frozenset({0}), frozenset()), density(0.5), density(0.5), W,
                              np.zeros((1, 1))),
@@ -175,6 +181,10 @@ INVALID = {
                             ConfigError, False),
     "scenario-gamma-nan": (lambda: dataclasses.replace(scenario1(), gamma=NAN).validate(),
                            ConfigError, False),
+    # The fusion cap slices too; a fractional one used to end in mb._strongest's TypeError.
+    "scenario-fusion-cap-fraction": (
+        lambda: run_montecarlo(dataclasses.replace(scenario1(), fusion_max_components=2.5), 1),
+        ConfigError, False),
     "scenario-unknown": (lambda: build_scenario("scenario3"), ConfigError, False),
     "scenario-unknown-scale": (lambda: scenario2("huge"), ConfigError, False),
     "metropolis-node": (lambda: metropolis_weights((frozenset({1}), frozenset({0})), 2),
@@ -188,6 +198,13 @@ INVALID = {
                        ConfigError, False),
     "ospa-order-below-1": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), p=0.5),
                            ConfigError, True),
+    # c**p overflows: an infinite coordinate used to reach the solver's
+    # "infeasible", and unequal set sizes a bare OverflowError.
+    "ospa-power-overflow-infinite": (
+        lambda: ospa(np.array([[np.inf, 0.0]]), np.zeros((1, 2)), c=1e200, p=2.0),
+        ConfigError, True),
+    "ospa-power-overflow-sizes": (lambda: ospa(np.zeros((1, 2)), np.zeros((2, 2)), c=1e200, p=2.0),
+                                  ConfigError, False),
     "ospa-nan": (lambda: ospa(np.array([[NAN, 0.0]]), np.zeros((1, 2))), ConfigError, True),
     "ospa-shape": (lambda: ospa(np.zeros((2, 3)), np.zeros((1, 2))), ConfigError, True),
 }

@@ -250,7 +250,7 @@ class TestExhaustiveFusion:
         mb1 = random_mb(rng, 2, spread=5.0)
         mb2 = random_mb(rng, 3, spread=5.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.6, 0.4))
-        assert sum(h.w for h in gmb.hypotheses) == pytest.approx(1.0, rel=1e-12)
+        assert sum(gmb.w) == pytest.approx(1.0, rel=1e-12)
 
     def test_role_swap_invariance(self):
         rng = np.random.default_rng(9)

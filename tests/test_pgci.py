@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mbfuse.gci as gci_mod
 import mbfuse.gm as gm_mod
 import mbfuse.pgci as pgci_mod
-from mbfuse.clustering import Cluster, compute_lic
+from mbfuse.clustering import Cluster, LargestIsolatedClustering, compute_lic
 from mbfuse.errors import (
     IntractableFusionError,
     InvalidDensityError,
@@ -38,13 +38,12 @@ from mbfuse.pgci import (
     cluster_hypothesis_count,
     fuse_cluster,
     hypothesis_count_report,
-    inter_cluster_hypotheses,
     l1_error_bound,
     multi_sensor_fuse,
     pgci_fuse,
 )
 import oracle
-from oracle import cluster_log_eta
+from oracle import cluster_log_eta, inter_cluster_hypotheses
 
 W = FusionWeights(0.5, 0.5)
 
@@ -239,9 +238,9 @@ class TestSubsetDp:
         naive, gmb = naive_gci_mb_fuse(sub_density(mb1, l1), sub_density(mb2, l2), w)
 
         enumerated = np.zeros((len(l1), len(l2)))
-        for h in gmb.hypotheses:
-            for a, b in h.pairs:
-                enumerated[(b, a) if len(l1) > len(l2) else (a, b)] += h.w
+        for pairs, wn in zip(gmb.pairs, gmb.w):
+            for a, b in pairs:
+                enumerated[(b, a) if len(l1) > len(l2) else (a, b)] += wn
         assert marginal.shape == enumerated.shape
         assert marginal == pytest.approx(enumerated, abs=1e-12)
         # The abs term only matters where log eta is ~0 (eta ~1); there it
@@ -592,10 +591,9 @@ class TestSharedOrientation:
         assert len(gated) == 1 and np.array_equal(gmb.distances, gated[0])
         n1, n2 = gmb.distances.shape
         assert (n1, n2) == (min(len(mb1), len(mb2)), max(len(mb1), len(mb2)))
-        for h in gmb.hypotheses:
-            assert all(0 <= l < n1 and 0 <= lp < n2 for l, lp in h.pairs)
-        truncated = inter_cluster_hypotheses(gmb, compute_lic(gmb.distances, gamma))
-        exact, bound = l1_error_bound(gmb, truncated, gamma)
+        for pairs in gmb.pairs:
+            assert all(0 <= l < n1 and 0 <= lp < n2 for l, lp in pairs)
+        exact, bound = l1_error_bound(gmb, compute_lic(gmb.distances, gamma), gamma)
         assert exact <= bound * (1 + 1e-12)
 
 
@@ -672,6 +670,12 @@ class TestHypothesisCounts:
         assert report.cluster_sizes == [(1, 1)] * 3
 
 
+def one_cluster(gmb):
+    """The clustering that puts every component of both sides in one cluster."""
+    n1, n2 = gmb.distances.shape
+    return LargestIsolatedClustering((Cluster(frozenset(range(n1)), frozenset(range(n2))),))
+
+
 class TestErrorBound:
     def test_truncated_mass_bounded(self):
         # [DERIVED] the discarded-hypothesis L1 mass never exceeds the
@@ -684,11 +688,10 @@ class TestErrorBound:
             gamma = float(rng.uniform(2.0, 8.0))
             _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
             lic = compute_lic(gmb.distances, gamma)
-            truncated = inter_cluster_hypotheses(gmb, lic)
-            if not truncated:
+            if not inter_cluster_hypotheses(gmb, lic):
                 continue
             checked += 1
-            exact, bound = l1_error_bound(gmb, truncated, gamma)
+            exact, bound = l1_error_bound(gmb, lic, gamma)
             assert exact <= bound * (1 + 1e-12)
         assert checked > 50
 
@@ -700,17 +703,33 @@ class TestErrorBound:
         mb2 = random_mb(rng, 3, spread=6.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         lic = compute_lic(gmb.distances, 3.0)
-        truncated = inter_cluster_hypotheses(gmb, lic)
-        assert truncated
-        _, b1 = l1_error_bound(gmb, truncated, 3.0)
-        _, b2 = l1_error_bound(gmb, truncated, 4.0)
+        assert inter_cluster_hypotheses(gmb, lic)
+        _, b1 = l1_error_bound(gmb, lic, 3.0)
+        _, b2 = l1_error_bound(gmb, lic, 4.0)
         assert b2 / b1 == pytest.approx(math.exp(-1.0), rel=1e-6)
 
     def test_empty_truncation_gives_zero(self):
         rng = np.random.default_rng(53)
         mb1, mb2 = clustered_instance(rng, 2, max_per_side=1)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-        assert l1_error_bound(gmb, set(), 4.0) == (0.0, 0.0)
+        assert l1_error_bound(gmb, one_cluster(gmb), 4.0) == (0.0, 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fusion_pair(), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    def test_bound_matches_the_set_reference(self, instance, gamma):
+        # l1_error_bound finds the discarded hypotheses itself; the reference
+        # filters them by their set of pair tuples. Both must agree to the
+        # bit at gamma and gamma + 1, in either call order, for the gate's
+        # clustering and for one cluster that holds everything.
+        mb1, mb2, w = instance
+        for a, b, v in ((mb1, mb2, w), (mb2, mb1, w.swapped())):
+            _, gmb = naive_gci_mb_fuse(a, b, v)
+            for lic in (compute_lic(gmb.distances, gamma), one_cluster(gmb)):
+                truncated = inter_cluster_hypotheses(gmb, lic)
+                for g in (gamma, gamma + 1.0):
+                    got = l1_error_bound(gmb, lic, g)
+                    want = oracle.l1_error_bound(gmb, truncated, g)
+                    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestMultiSensorFuse:

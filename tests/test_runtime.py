@@ -18,7 +18,7 @@ import mbfuse
 import mbfuse.cli
 from mbfuse import (
     BernoulliComponent, FusionWeights, GaussianMixture, MultiBernoulliDensity,
-    compute_lic, inter_cluster_hypotheses, l1_error_bound, naive_gci_mb_fuse,
+    compute_lic, l1_error_bound, naive_gci_mb_fuse,
     run_montecarlo, scenario1,
 )
 
@@ -36,7 +36,7 @@ mb1, mb2 = density([0.0, 0.0], [3.0, 0.0]), density([0.5, 0.0], [9.0, 0.0])
 w = FusionWeights(0.5, 0.5)
 _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
 lic = compute_lic(gmb.distances, 4.0)
-exact, bound = l1_error_bound(gmb, inter_cluster_hypotheses(gmb, lic), 4.0)
+exact, bound = l1_error_bound(gmb, lic, 4.0)
 assert 0.0 < exact <= bound, (exact, bound)
 
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))

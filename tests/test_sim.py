@@ -314,13 +314,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             tiny_scenario(gamma=float("nan")).validate()
 
-    # An out-of-range fusion component cap empties every fused density, so
-    # validation rejects it.
+    # An out-of-range fusion component cap empties every fused density, and
+    # a fractional one cannot slice, so validation rejects both.
     @pytest.mark.parametrize(
         "field, value",
         [
             ("fusion_max_components", 0),
             ("fusion_max_components", float("nan")),
+            ("fusion_max_components", 2.5),
         ],
     )
     def test_bad_fusion_setting_rejected(self, field, value):
