@@ -11,8 +11,8 @@ Layers, bottom to top:
   enumeration (the correctness oracle).
 - ``clustering``: divergence gating and the largest isolated clustering,
   the connected components of the bipartite gate graph.
-- ``pgci``: per-cluster fusion that matches the exhaustive result when no
-  hypotheses cross clusters, plus the truncation error bound.
+- ``pgci``: per-cluster fusion, exact when no hypotheses cross clusters,
+  with its hypothesis counts, plus the truncation error bound.
 - ``sim``: scenarios, sensor networks, Monte-Carlo driver, OSPA metric.
 """
 
@@ -61,7 +61,6 @@ from .clustering import (
 )
 from .pgci import (
     FusionDiagnostics,
-    hypothesis_count_report,
     l1_error_bound,
     multi_sensor_fuse,
     pgci_fuse,

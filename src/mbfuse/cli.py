@@ -3,7 +3,7 @@
 Subcommands:
   run            Monte-Carlo scenario with clustered fusion, write CSV results.
   compare-oracle Run clustered fusion next to exhaustive fusion and report gaps.
-  bench-counts   Hypothesis-count bookkeeping for random instances.
+  bench-counts   Hypothesis counts that clustered fusion reports for random instances.
   bound-check    Empirical truncation error against the analytic bound.
 
 Exit codes: 0 ok, 2 configuration or argument error (any ConfigError, the
@@ -21,10 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IntractableFusionError, NumericalError
-from .gci import FusionWeights, naive_gci_mb_fuse, pairwise_distances
+from .gci import FusionWeights, naive_gci_mb_fuse
 from .mb import GaussianMixture, BernoulliComponent, MultiBernoulliDensity
-from .pgci import hypothesis_count_report, l1_error_bound
-from .clustering import compute_lic
+from .pgci import l1_error_bound, pgci_fuse
 from .sim import build_scenario, run_montecarlo
 
 
@@ -68,7 +67,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
 
 
 def _check_runs(args: argparse.Namespace) -> None:
-    """Reject a run count below 1; compute_lic checks the gate in every run."""
+    """Reject a run count below 1; the gate is checked in every run's clustering."""
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
 
@@ -79,18 +78,12 @@ def cmd_bench_counts(args: argparse.Namespace) -> int:
     w = FusionWeights(0.5, 0.5)
     print("n1,n2,N_H,N_distinct,N_H_prod,N_H_sum")
     for _ in range(args.runs):
-        # Either side may be the larger one; the report takes min and max.
+        # Either side may be the larger one; pgci_fuse orients them.
         n1 = int(rng.integers(2, 7))
         n2 = int(rng.integers(2, 8))
-        mb1 = _random_mb(rng, n1)
-        mb2 = _random_mb(rng, n2)
-        dists = pairwise_distances(mb1, mb2, w)
-        lic = compute_lic(dists, args.gamma)
-        report = hypothesis_count_report(mb1, mb2, lic)
-        print(
-            f"{n1},{n2},{report.n_h},{report.n_h_distinct},"
-            f"{report.n_h_truncated},{report.n_h_clustered}"
-        )
+        report = pgci_fuse(_random_mb(rng, n1), _random_mb(rng, n2), w, args.gamma)[1]
+        print(f"{n1},{n2},{report.n_h},{report.n_h_distinct},"
+              f"{report.n_h_truncated},{report.n_h_clustered}")
     return 0
 
 
@@ -104,8 +97,7 @@ def cmd_bound_check(args: argparse.Namespace) -> int:
         mb1 = _random_mb(rng, int(rng.integers(2, 5)), spread=20.0)
         mb2 = _random_mb(rng, int(rng.integers(2, 5)), spread=20.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
-        lic = compute_lic(gmb.distances, args.gamma)
-        exact, bound = l1_error_bound(gmb, lic, args.gamma)
+        exact, bound = l1_error_bound(gmb, args.gamma, args.gamma)
         if exact > bound + 1e-12:
             print(f"BOUND VIOLATED: exact={exact} bound={bound}")
             return 5

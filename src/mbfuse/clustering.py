@@ -74,6 +74,8 @@ def compute_lic(distances: np.ndarray, gamma: float) -> LargestIsolatedClusterin
     """
     if not gamma > 0:
         raise ConfigError("gate threshold must be positive")
+    if np.ndim(distances) != 2 or np.isnan(distances).any():
+        raise ConfigError("gate distances must be a 2-D matrix without NaN")
     n1, n2 = distances.shape
     rows, cols = np.nonzero(distances <= gamma)
     parts = connected_components(n1 + n2, zip(rows.tolist(), (cols + n1).tolist()))

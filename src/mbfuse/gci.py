@@ -35,6 +35,7 @@ from .errors import ConfigError, IncompatiblePairError, IntractableFusionError
 from .gm import (
     FusionWeights,
     GaussianMixture,
+    _is_cap,
     _pair_log_mass,
     _pair_product_parts,
     _power_parts,
@@ -105,15 +106,23 @@ def enumerate_hypotheses(l1, l2):
                 yield tuple(zip(i1, targets))
 
 
+def _check_counts(n1, n2) -> None:
+    """The rule for the set sizes of a hypothesis count: integers >= 0."""
+    if not (_is_cap(n1, least=0) and _is_cap(n2, least=0)):
+        raise ConfigError(f"counts must be integers >= 0, got {n1} and {n2}")
+
+
 def count_hypotheses_distinct(n1: int, n2: int) -> int:
     """Number of distinct (subset, injective-map) pairs: sum_n C(n1,n) A(n2,n)."""
+    _check_counts(n1, n2)
     return sum(math.comb(n1, n) * math.perm(n2, n) for n in range(min(n1, n2) + 1))
 
 
 def count_hypotheses_nominal(n1: int, n2: int) -> int:
     """Bookkeeping count 2^n1 * A(n2, n1), which tallies full-domain maps."""
-    if not 0 <= n1 <= n2:
-        raise ConfigError(f"count requires 0 <= n1 <= n2, got {n1} and {n2}")
+    _check_counts(n1, n2)
+    if n1 > n2:
+        raise ConfigError(f"count requires n1 <= n2, got {n1} and {n2}")
     return 2**n1 * math.perm(n2, n1)
 
 
@@ -378,8 +387,8 @@ def naive_gci_mb_fuse(
     _oriented, as in pgci_fuse, so both fusers see the same distances and
     moment-match onto the same side; fused components carry fresh ids.
     The GmbDensity holds the hypotheses as arrays and the oriented
-    distances, which compute_lic gates into the clustering that
-    l1_error_bound reads. As in pgci_fuse, the inputs were checked.
+    distances, which l1_error_bound gates into its own clustering. As in
+    pgci_fuse, the inputs were checked.
     """
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     n1, n2 = len(mb1), len(mb2)

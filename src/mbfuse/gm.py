@@ -78,9 +78,9 @@ class GaussianMixture:
         return cls(np.ones(1), mean[None, :], cov[None, :, :])
 
 
-def _is_cap(n) -> bool:
-    """The rule for every component cap: an integer >= 1, as it slices."""
-    return isinstance(n, (int, np.integer)) and n >= 1
+def _is_cap(n, least: int = 1) -> bool:
+    """The rule for every component cap and count: an integer >= least, as it slices."""
+    return isinstance(n, (int, np.integer)) and n >= least
 
 
 @dataclass(frozen=True)

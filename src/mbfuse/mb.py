@@ -315,14 +315,15 @@ class SensorModel:
 
 @dataclass(frozen=True)
 class MbReduceConfig:
-    """mb_reduce's parameters: truncation in [0, 1), an integer cap >= 1; checked when built."""
+    """mb_reduce's parameters: truncation in [0, 1), an integer cap >= 1, a GmReduceConfig gm."""
 
     trunc_threshold: float = 1e-4
     max_components: int = 100
     gm: GmReduceConfig = field(default_factory=GmReduceConfig)
 
     def __post_init__(self):
-        if not (0.0 <= self.trunc_threshold < 1.0 and _is_cap(self.max_components)):
+        if not (0.0 <= self.trunc_threshold < 1.0 and _is_cap(self.max_components)
+                and isinstance(self.gm, GmReduceConfig)):
             raise ConfigError(f"invalid multi-Bernoulli reduction parameters: {self}")
 
 

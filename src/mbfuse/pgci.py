@@ -12,8 +12,8 @@ one stack per density in one kernel call, and reduces the fused pdfs in
 one pass; the result is bit-identical to fusing each alone. Each larger
 cluster goes through fuse_cluster, on the same stack path (see gci). Each
 part is one stacked density; one stable gather by cluster position puts
-them in canonical order. Also provides the truncation-error bound and
-hypothesis-count bookkeeping used to verify the approximation claims.
+them in canonical order. pgci_fuse reports the hypothesis counts of the
+clustering it gated; l1_error_bound gates the exhaustive oracle's own matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Cluster, ClusterKind, LargestIsolatedClustering, compute_lic
+from .clustering import Cluster, ClusterKind, compute_lic
 from .errors import ConfigError
 from .gci import (
     FusionWeights,
@@ -66,8 +66,7 @@ class FusionDiagnostics:
 
 
 def cluster_hypothesis_count(cluster: Cluster) -> int:
-    n1, n2 = len(cluster.l1), len(cluster.l2)
-    return count_hypotheses_distinct(min(n1, n2), max(n1, n2))
+    return count_hypotheses_distinct(len(cluster.l1), len(cluster.l2))
 
 
 def fuse_cluster(
@@ -98,26 +97,6 @@ def fuse_cluster(
     )
 
 
-def hypothesis_count_report(
-    mb1: MultiBernoulliDensity,
-    mb2: MultiBernoulliDensity,
-    lic: LargestIsolatedClustering,
-) -> FusionDiagnostics:
-    """Hypothesis-count bookkeeping: full, truncated, and per-cluster totals."""
-    n1, n2 = len(mb1), len(mb2)
-    n_h = count_hypotheses_nominal(min(n1, n2), max(n1, n2))
-    n_h_distinct = count_hypotheses_distinct(n1, n2)
-    fused = lic.fused_clusters
-    per_cluster = [cluster_hypothesis_count(c) for c in fused]
-    return FusionDiagnostics(
-        n_h=n_h,
-        n_h_distinct=n_h_distinct,
-        n_h_truncated=math.prod(per_cluster),
-        n_h_clustered=sum(per_cluster),
-        cluster_sizes=[(len(c.l1), len(c.l2)) for c in fused],
-    )
-
-
 def pgci_fuse(
     mb1: MultiBernoulliDensity,
     mb2: MultiBernoulliDensity,
@@ -133,7 +112,9 @@ def pgci_fuse(
     oriented once, globally, by gci._oriented, the entry the exhaustive
     path shares: both see the same distances and moment-match onto the
     same side. Nothing is checked here: an invalid density raises
-    InvalidDensityError when it is built (see MultiBernoulliDensity).
+    InvalidDensityError when it is built (see MultiBernoulliDensity). The
+    diagnostics count the hypotheses of the clustering gated here, in the
+    oriented roles, where len(mb1) <= len(mb2).
     """
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     lic = compute_lic(distances, gamma)
@@ -156,23 +137,29 @@ def pgci_fuse(
         if len(parts) > 1:
             fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
         fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
-    return fused, hypothesis_count_report(mb1, mb2, lic)
+    per_cluster = [cluster_hypothesis_count(c) for c in clusters]
+    return fused, FusionDiagnostics(
+        n_h=count_hypotheses_nominal(len(mb1), len(mb2)),
+        n_h_distinct=count_hypotheses_distinct(len(mb1), len(mb2)),
+        n_h_truncated=math.prod(per_cluster),
+        n_h_clustered=sum(per_cluster),
+        cluster_sizes=[(len(c.l1), len(c.l2)) for c in clusters],
+    )
 
 
-def l1_error_bound(gmb_full: GmbDensity, lic: LargestIsolatedClustering,
-                   gamma: float) -> tuple[float, float]:
+def l1_error_bound(gmb_full: GmbDensity, gate: float, gamma: float) -> tuple[float, float]:
     """Measured truncated mass 2 sum_D w and its analytic bound A * exp(-gamma).
 
-    lic must cluster the index sets of gmb_full.distances, else ConfigError.
-    D holds the hypotheses with a pair (l, l') that no cluster holds. Both
-    sums run over D in hypothesis order: the mass adds w left to right, and
-    A sums the discarded Q-factor parts over eta, so the bound depends on
-    gamma only through exp(-gamma). Both are 0.0 when D is empty.
+    D holds the hypotheses with a pair (l, l') that no cluster of
+    compute_lic(gmb_full.distances, gate) holds, the clustering of the matrix
+    that weighed them. Both sums run over D in hypothesis order: the mass adds
+    w left to right, and A sums the discarded Q-factor parts over eta, so the
+    bound depends on gamma only through exp(-gamma), which must be finite
+    (else ConfigError). Both are 0.0 when D is empty.
     """
-    members1 = sorted(l for c in lic.clusters for l in c.l1)
-    members2 = sorted(lp for c in lic.clusters for lp in c.l2)
-    if [members1, members2] != [list(range(n)) for n in gmb_full.distances.shape]:
-        raise ConfigError("lic is not a clustering of the index sets of gmb_full.distances")
+    if not math.isfinite(gamma):
+        raise ConfigError(f"bound exponent gamma must be finite, got {gamma}")
+    lic = compute_lic(gmb_full.distances, gate)
     within = {(l, lp) for c in lic.clusters for l in c.l1 for lp in c.l2}
     discarded = np.array([not within.issuperset(h) for h in gmb_full.pairs], dtype=bool)
     exact_mass = 2.0 * sum(gmb_full.w[discarded].tolist())

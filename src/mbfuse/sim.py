@@ -373,8 +373,8 @@ def run_montecarlo(
     compare_oracle: bool = False,
 ) -> MonteCarloResult:
     """Independent seeded runs: local filtering, fusion at one node, OSPA."""
-    if n_runs < 1:
-        raise ConfigError("n_runs must be >= 1")
+    if not _is_cap(n_runs):
+        raise ConfigError(f"n_runs must be an integer >= 1, got {n_runs}")
     cfg.validate()
     T = cfg.duration
     truth = generate_truth(cfg)
@@ -492,7 +492,7 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
 
     Desk scale: 10 objects, 3 chain-linked sensors, T = 100.
     Full scale: 40 objects, 6 sensors, T = 200; one run takes about
-    13-19 s on a shared 2-vCPU x86_64 host.
+    12 s on a shared 2-vCPU x86_64 host, a level that drifts with the host.
     """
     region = Rectangle(-2000.0, 2000.0, -2000.0, 2000.0)
     motion = MotionModel.ncv(dt=1.0, sigma_v=5.0, p_survival=0.98)

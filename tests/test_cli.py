@@ -111,17 +111,16 @@ class TestBenchCounts:
 
     def test_rows_cover_both_orientations(self, monkeypatch, capsys):
         reports = []
-        report = cli_mod.hypothesis_count_report
+        fuse = cli_mod.pgci_fuse
 
-        def recording(mb1, mb2, lic):
-            # The instance's report, from its own distances.
-            dists = cli_mod.pairwise_distances(mb1, mb2, cli_mod.FusionWeights(0.5, 0.5))
-            r = report(mb1, mb2, cli_mod.compute_lic(dists, 4.0))
+        def recording(mb1, mb2, w, gamma):
+            # The diagnostics of the instance's own clustered fusion.
+            fused, r = fuse(mb1, mb2, w, gamma)
             reports.append((len(mb1), len(mb2), r.n_h, r.n_h_distinct, r.n_h_truncated,
                             r.n_h_clustered))
-            return report(mb1, mb2, lic)
+            return fused, r
 
-        monkeypatch.setattr(cli_mod, "hypothesis_count_report", recording)
+        monkeypatch.setattr(cli_mod, "pgci_fuse", recording)
         assert main(["bench-counts", "--runs", "20"]) == 0
         rows = [tuple(map(int, line.split(",")))
                 for line in capsys.readouterr().out.strip().splitlines()[1:]]

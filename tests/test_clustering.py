@@ -17,6 +17,7 @@ from mbfuse.clustering import (
     compute_lic,
     connected_components,
 )
+from mbfuse.errors import ConfigError
 
 INF = np.inf
 
@@ -195,11 +196,15 @@ class TestLicProperties:
     def test_clusters_match_bfs_on_bipartite_graph(self, D):
         # [DERIVED] the clusters, in order, are the BFS components of the
         # graph on sensor-1 vertices 0..n1-1 and sensor-2 vertices n1..n1+n2-1
-        # whose edges are the gated pairs.
+        # whose edges are the gated pairs. A NaN entry raises; as inf, it is
+        # outside the gate.
         n1, n2 = D.shape
         edges = [(l, n1 + lp) for l in range(n1) for lp in range(n2) if D[l, lp] <= 4.0]
         want = tuple(
             Cluster(frozenset(v for v in part if v < n1), frozenset(v - n1 for v in part if v >= n1))
             for part in bfs_components(n1 + n2, edges)
         )
-        assert compute_lic(D, 4.0).clusters == want
+        if np.isnan(D).any():
+            with pytest.raises(ConfigError):
+                compute_lic(D, 4.0)
+        assert compute_lic(np.where(np.isnan(D), INF, D), 4.0).clusters == want

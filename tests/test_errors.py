@@ -33,6 +33,7 @@ from mbfuse import (
     adaptive_birth,
     build_scenario,
     compute_lic,
+    count_hypotheses_distinct,
     count_hypotheses_nominal,
     gm_pair_product,
     gm_reduce,
@@ -81,6 +82,11 @@ def component(r=0.5, pdf=None, cid=0):
 ASYMMETRIC = np.eye(4) + np.triu(np.full((4, 4), 1e-3), 1)
 MIX = GaussianMixture(np.array([0.6, 0.4]), np.zeros((2, 2)), np.stack([np.eye(2)] * 2))
 
+
+def oracle_gmb():
+    """The exhaustive oracle's hypotheses of a 2x1 fusion whose pairs lie 10 apart."""
+    return naive_gci_mb_fuse(density(0.5, 0.5), density(0.5), W)[1]
+
 # (call, error type, raised a ValueError before it was typed)
 INVALID = {
     # gm
@@ -115,6 +121,11 @@ INVALID = {
     "mb-config-trunc-negative": (lambda: MbReduceConfig(trunc_threshold=-0.1), ConfigError, False),
     "mb-reduce-cap-0": (lambda: mb_reduce(density(0.5), MbReduceConfig(max_components=0)),
                         ConfigError, True),
+    # A gm of None used to skip Gaussian reduction; a string or tuple ended
+    # in an AttributeError at first use.
+    "mb-config-gm-none": (lambda: MbReduceConfig(gm=None), ConfigError, False),
+    "mb-config-gm-string": (lambda: MbReduceConfig(gm="default"), ConfigError, False),
+    "mb-config-gm-tuple": (lambda: MbReduceConfig(gm=(1e-5, 4.0, 5)), ConfigError, False),
     "rectangle-inverted": (lambda: Rectangle(1.0, -1.0, 0.0, 1.0), ConfigError, False),
     "motion-survival-nan": (lambda: MotionModel.ncv(1.0, 5.0, NAN), ConfigError, False),
     "motion-q-asymmetric": (lambda: MotionModel(np.eye(4), ASYMMETRIC, 0.9), ConfigError, False),
@@ -153,18 +164,26 @@ INVALID = {
     "fusion-weights-nan": (lambda: FusionWeights(NAN, NAN), ConfigError, True),
     "nominal-count-n1-above-n2": (lambda: count_hypotheses_nominal(3, 2), ConfigError, True),
     "nominal-count-negative": (lambda: count_hypotheses_nominal(-1, 2), ConfigError, True),
+    # A fractional count used to end in a TypeError, a negative one in a count of 0.
+    "nominal-count-fraction": (lambda: count_hypotheses_nominal(2.5, 3), ConfigError, False),
+    "distinct-count-negative": (lambda: count_hypotheses_distinct(-1, 3), ConfigError, False),
+    "distinct-count-fraction": (lambda: count_hypotheses_distinct(2.5, 3), ConfigError, False),
     "distances-dimensions": (lambda: pairwise_distances(density(0.5), density(0.5, d=2), W),
                              DimensionMismatchError, False),
     "oracle-over-cap": (lambda: naive_gci_mb_fuse(density(*[0.5] * 10), density(*[0.5] * 10), W),
                         IntractableFusionError, False),
     "lic-gamma-0": (lambda: compute_lic(np.zeros((1, 1)), 0.0), ConfigError, True),
     "lic-gamma-nan": (lambda: compute_lic(np.zeros((1, 1)), NAN), ConfigError, True),
+    # A 1-D or 3-D matrix used to fail to unpack; a NaN entry fell outside the gate.
+    "lic-matrix-1d": (lambda: compute_lic(np.zeros(2), 4.0), ConfigError, True),
+    "lic-matrix-3d": (lambda: compute_lic(np.zeros((1, 2, 2)), 4.0), ConfigError, True),
+    "lic-matrix-nan": (lambda: compute_lic(np.array([[NAN, 1.0]]), 4.0), ConfigError, False),
     "pgci-gamma-nan": (lambda: pgci_fuse(density(0.5), density(0.5), W, NAN), ConfigError, True),
-    # The oracle orients a 2x1 fusion as 1x2, so the 2x1 clustering is not of its index sets.
-    "bound-unoriented-clustering": (
-        lambda: l1_error_bound(naive_gci_mb_fuse(density(0.5, 0.5), density(0.5), W)[1],
-                               compute_lic(np.zeros((2, 1)), 4.0), 4.0),
-        ConfigError, False),
+    # The bound gates the oracle's own matrix, so compute_lic checks the gate.
+    "bound-gate-nan": (lambda: l1_error_bound(oracle_gmb(), NAN, 4.0), ConfigError, True),
+    # A NaN exponent used to give a NaN bound, an infinite one a bound of 0.
+    "bound-gamma-nan": (lambda: l1_error_bound(oracle_gmb(), 4.0, NAN), ConfigError, False),
+    "bound-gamma-inf": (lambda: l1_error_bound(oracle_gmb(), 4.0, np.inf), ConfigError, False),
     "fuse-cluster-one-sided": (
         lambda: fuse_cluster(Cluster(frozenset({0}), frozenset()), density(0.5), density(0.5), W,
                              np.zeros((1, 1))),
@@ -190,6 +209,7 @@ INVALID = {
     "metropolis-node": (lambda: metropolis_weights((frozenset({1}), frozenset({0})), 2),
                         ConfigError, False),
     "montecarlo-runs-0": (lambda: run_montecarlo(scenario1(), 0), ConfigError, False),
+    "montecarlo-runs-fraction": (lambda: run_montecarlo(scenario1(), 2.5), ConfigError, False),
     "ospa-cutoff-0": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=0.0), ConfigError, True),
     # An infinite cutoff used to give NaN, or the solver's "infeasible".
     "ospa-cutoff-inf": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=np.inf),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbfuse.cli as cli_mod
 import mbfuse.gci as gci_mod
 import mbfuse.gm as gm_mod
 import mbfuse.pgci as pgci_mod
@@ -37,7 +38,6 @@ from mbfuse.mb import (
 from mbfuse.pgci import (
     cluster_hypothesis_count,
     fuse_cluster,
-    hypothesis_count_report,
     l1_error_bound,
     multi_sensor_fuse,
     pgci_fuse,
@@ -593,7 +593,7 @@ class TestSharedOrientation:
         assert (n1, n2) == (min(len(mb1), len(mb2)), max(len(mb1), len(mb2)))
         for pairs in gmb.pairs:
             assert all(0 <= l < n1 and 0 <= lp < n2 for l, lp in pairs)
-        exact, bound = l1_error_bound(gmb, compute_lic(gmb.distances, gamma), gamma)
+        exact, bound = l1_error_bound(gmb, gamma, gamma)
         assert exact <= bound * (1 + 1e-12)
 
 
@@ -660,9 +660,7 @@ class TestHypothesisCounts:
     def test_report_fields(self):
         rng = np.random.default_rng(42)
         mb1, mb2 = clustered_instance(rng, 3, max_per_side=1)
-        D = pairwise_distances(mb1, mb2, W)
-        lic = compute_lic(D, 4.0)
-        report = hypothesis_count_report(mb1, mb2, lic)
+        _, report = pgci_fuse(mb1, mb2, W, 4.0)
         assert report.n_h_clustered == 6  # three 1x1 clusters, 2 each
         assert report.n_h_truncated == 8
         assert report.n_h_distinct == count_hypotheses_distinct(3, 3) == 34
@@ -691,7 +689,7 @@ class TestErrorBound:
             if not inter_cluster_hypotheses(gmb, lic):
                 continue
             checked += 1
-            exact, bound = l1_error_bound(gmb, lic, gamma)
+            exact, bound = l1_error_bound(gmb, gamma, gamma)
             assert exact <= bound * (1 + 1e-12)
         assert checked > 50
 
@@ -704,30 +702,49 @@ class TestErrorBound:
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         lic = compute_lic(gmb.distances, 3.0)
         assert inter_cluster_hypotheses(gmb, lic)
-        _, b1 = l1_error_bound(gmb, lic, 3.0)
-        _, b2 = l1_error_bound(gmb, lic, 4.0)
+        _, b1 = l1_error_bound(gmb, 3.0, 3.0)
+        _, b2 = l1_error_bound(gmb, 3.0, 4.0)
         assert b2 / b1 == pytest.approx(math.exp(-1.0), rel=1e-6)
 
     def test_empty_truncation_gives_zero(self):
         rng = np.random.default_rng(53)
         mb1, mb2 = clustered_instance(rng, 2, max_per_side=1)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-        assert l1_error_bound(gmb, one_cluster(gmb), 4.0) == (0.0, 0.0)
+        # An infinite gate puts every pair in one cluster, which discards nothing.
+        assert l1_error_bound(gmb, math.inf, 4.0) == (0.0, 0.0)
+
+    def test_square_fusion_reads_its_own_orientation(self):
+        # A square fusion used to accept the clustering of the transposed
+        # matrix and return (0.113, 0.153) in place of (0.0015, 0.169).
+        rng = np.random.default_rng(5)
+        for _ in range(4):  # the fourth pair drawn
+            mb1 = cli_mod._random_mb(rng, 3, spread=8.0)
+            mb2 = cli_mod._random_mb(rng, 3, spread=8.0)
+        _, gmb = naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.3, 0.7))
+        got = l1_error_bound(gmb, 4.0, 4.0)
+        truncated = inter_cluster_hypotheses(gmb, compute_lic(gmb.distances, 4.0))
+        want = oracle.l1_error_bound(gmb, truncated, 4.0)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got == (pytest.approx(0.0015, abs=5e-5), pytest.approx(0.169, abs=5e-4))
+        transposed = inter_cluster_hypotheses(gmb, compute_lic(gmb.distances.T, 4.0))
+        assert oracle.l1_error_bound(gmb, transposed, 4.0)[0] == pytest.approx(0.113, abs=5e-4)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(fusion_pair(), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
     def test_bound_matches_the_set_reference(self, instance, gamma):
-        # l1_error_bound finds the discarded hypotheses itself; the reference
-        # filters them by their set of pair tuples. Both must agree to the
-        # bit at gamma and gamma + 1, in either call order, for the gate's
-        # clustering and for one cluster that holds everything.
+        # l1_error_bound clusters the oracle's matrix and finds the discarded
+        # hypotheses itself; the reference filters them by their set of pair
+        # tuples. Both must agree to the bit at gamma and gamma + 1, in either
+        # call order, for the gates gamma and inf, whose clustering is one
+        # cluster that holds everything.
         mb1, mb2, w = instance
         for a, b, v in ((mb1, mb2, w), (mb2, mb1, w.swapped())):
             _, gmb = naive_gci_mb_fuse(a, b, v)
-            for lic in (compute_lic(gmb.distances, gamma), one_cluster(gmb)):
+            gates = ((gamma, compute_lic(gmb.distances, gamma)), (math.inf, one_cluster(gmb)))
+            for gate, lic in gates:
                 truncated = inter_cluster_hypotheses(gmb, lic)
                 for g in (gamma, gamma + 1.0):
-                    got = l1_error_bound(gmb, lic, g)
+                    got = l1_error_bound(gmb, gate, g)
                     want = oracle.l1_error_bound(gmb, truncated, g)
                     assert [x.hex() for x in got] == [x.hex() for x in want]
 
