@@ -55,8 +55,6 @@ from .gci import (
 )
 from .clustering import (
     Cluster,
-    ClusterKind,
-    LargestIsolatedClustering,
     compute_lic,
 )
 from .pgci import (

@@ -31,14 +31,8 @@ def _random_mb(rng: np.random.Generator, n: int, spread: float = 60.0):
     comps = []
     for i in range(n):
         mean = rng.uniform(-spread, spread, size=2)
-        cov = np.diag(rng.uniform(1.0, 6.0, size=2))
-        comps.append(
-            BernoulliComponent(
-                r=float(rng.uniform(0.2, 0.9)),
-                pdf=GaussianMixture.single(mean, cov),
-                id=i,
-            )
-        )
+        pdf = GaussianMixture.single(mean, np.diag(rng.uniform(1.0, 6.0, size=2)))
+        comps.append(BernoulliComponent(r=float(rng.uniform(0.2, 0.9)), pdf=pdf, id=i))
     return MultiBernoulliDensity(tuple(comps))
 
 

@@ -5,44 +5,31 @@ incompatible. The gated pairs are the edges of a bipartite graph whose
 vertices are the components of both sensors: sensor-1 component ``l`` is
 vertex ``l`` and sensor-2 component ``l'`` is vertex ``n1 + l'``. Its
 connected components are the finest partition in which every cross-cluster
-pair is incompatible (the largest isolated clustering).
+pair is incompatible (the largest isolated clustering). ``compute_lic``
+returns it as a tuple of Clusters, each its two sorted index tuples; a
+cluster with an empty side holds no pair to fuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
 
 
-class ClusterKind(Enum):
-    BOTH = "both"            # nonempty on both sensors
-    SENSOR1_ONLY = "s1"      # lone sensor-1 component with empty gate
-    SENSOR2_ONLY = "s2"      # sensor-2 component gated by nobody
-
-
 @dataclass(frozen=True)
 class Cluster:
-    l1: frozenset[int]
-    l2: frozenset[int]
+    """The sensor-1 and sensor-2 components of one cluster, each side a
+    sorted tuple of indices, built from any iterable of integers."""
 
-    @property
-    def kind(self) -> ClusterKind:
-        if self.l1 and self.l2:
-            return ClusterKind.BOTH
-        return ClusterKind.SENSOR1_ONLY if self.l1 else ClusterKind.SENSOR2_ONLY
+    l1: tuple[int, ...]
+    l2: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class LargestIsolatedClustering:
-    clusters: tuple[Cluster, ...]
-
-    @property
-    def fused_clusters(self) -> list[Cluster]:
-        return [c for c in self.clusters if c.kind == ClusterKind.BOTH]
+    def __post_init__(self):
+        object.__setattr__(self, "l1", tuple(sorted(map(int, self.l1))))
+        object.__setattr__(self, "l2", tuple(sorted(map(int, self.l2))))
 
 
 def connected_components(n_vertices: int, edges) -> list[set[int]]:
@@ -65,7 +52,7 @@ def connected_components(n_vertices: int, edges) -> list[set[int]]:
     return list(parts.values())
 
 
-def compute_lic(distances: np.ndarray, gamma: float) -> LargestIsolatedClustering:
+def compute_lic(distances: np.ndarray, gamma: float) -> tuple[Cluster, ...]:
     """The largest isolated clustering of the pairs with distance <= gamma.
 
     The boundary d == gamma is inside the gate. Clusters come in order of
@@ -79,7 +66,6 @@ def compute_lic(distances: np.ndarray, gamma: float) -> LargestIsolatedClusterin
     n1, n2 = distances.shape
     rows, cols = np.nonzero(distances <= gamma)
     parts = connected_components(n1 + n2, zip(rows.tolist(), (cols + n1).tolist()))
-    return LargestIsolatedClustering(tuple(
-        Cluster(frozenset(v for v in part if v < n1), frozenset(v - n1 for v in part if v >= n1))
-        for part in parts
-    ))
+    return tuple(
+        Cluster([v for v in part if v < n1], [v - n1 for v in part if v >= n1]) for part in parts
+    )

@@ -35,6 +35,8 @@ from .errors import ConfigError, IncompatiblePairError, IntractableFusionError
 from .gm import (
     FusionWeights,
     GaussianMixture,
+    GmReduceConfig,
+    _check_type,
     _is_cap,
     _pair_log_mass,
     _pair_product_parts,
@@ -63,6 +65,7 @@ def pairwise_distances(
     mb1: MultiBernoulliDensity, mb2: MultiBernoulliDensity, w: FusionWeights
 ) -> np.ndarray:
     """Full |L1| x |L2| matrix of GCI divergences, vectorized over all Gaussians."""
+    _check_type(w, FusionWeights, "fusion weights")
     n1, n2 = len(mb1), len(mb2)
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2))
@@ -163,6 +166,7 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
     the pdf of each pair, in the order of pairs, as consecutive segments of
     the given sizes, and each pair's Z.
     """
+    _check_type(w, FusionWeights, "fusion weights")
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     def side(mb, listed):
@@ -247,8 +251,8 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
             count=steps,
             cap=DP_STEP_CAP,
         )
-    log_1mr1, gain1 = _existence_gains(mb1.rs[l1_idx], w.w1)
-    log_1mr2, gain2 = _existence_gains(mb2.rs[l2_idx], w.w2)
+    log_1mr1, gain1 = _existence_gains(np.take(mb1.rs, l1_idx), w.w1)
+    log_1mr2, gain2 = _existence_gains(np.take(mb2.rs, l2_idx), w.w2)
     base = w.w1 * log_1mr1.sum() + w.w2 * log_1mr2.sum()
     g = np.exp(gain1[:, None] + gain2[None, :] - distances[np.ix_(l1_idx, l2_idx)])
 
@@ -388,8 +392,9 @@ def naive_gci_mb_fuse(
     moment-match onto the same side; fused components carry fresh ids.
     The GmbDensity holds the hypotheses as arrays and the oriented
     distances, which l1_error_bound gates into its own clustering. As in
-    pgci_fuse, the inputs were checked.
+    pgci_fuse, the densities were checked when they were built.
     """
+    _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
     n1, n2 = len(mb1), len(mb2)
     count = count_hypotheses_distinct(n1, n2)

@@ -83,6 +83,14 @@ def _is_cap(n, least: int = 1) -> bool:
     return isinstance(n, (int, np.integer)) and n >= least
 
 
+def _check_type(value, kind: type, what: str, optional: bool = False) -> None:
+    """The rule for every config object and weight pair a public entry takes:
+    an instance of kind, or None where optional; anything else is a ConfigError."""
+    if not (isinstance(value, kind) or (optional and value is None)):
+        raise ConfigError(f"{what} must be {kind.__name__}{' or None' * optional}, "
+                          f"got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class GmReduceConfig:
     """gm_reduce's parameters: thresholds >= 0 and an integer cap >= 1, checked when built."""

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _is_cap, _leader_groups,
-    _log_normal, _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
+    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _check_type, _is_cap,
+    _leader_groups, _log_normal, _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -322,8 +322,8 @@ class MbReduceConfig:
     gm: GmReduceConfig = field(default_factory=GmReduceConfig)
 
     def __post_init__(self):
-        if not (0.0 <= self.trunc_threshold < 1.0 and _is_cap(self.max_components)
-                and isinstance(self.gm, GmReduceConfig)):
+        _check_type(self.gm, GmReduceConfig, "gm")
+        if not (0.0 <= self.trunc_threshold < 1.0 and _is_cap(self.max_components)):
             raise ConfigError(f"invalid multi-Bernoulli reduction parameters: {self}")
 
 
@@ -478,8 +478,9 @@ def mb_reduce(
     """Drop low-existence components, cap the count, reduce each pdf.
 
     A component whose pdf has no weight at or above the prune threshold
-    is dropped. The config was checked when it was built.
+    is dropped. The config's parameters were checked when it was built.
     """
+    _check_type(config, MbReduceConfig, "config")
     ids, rs = density.stack[:2]
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
@@ -512,6 +513,7 @@ def mb_merge_components(
     """
     if not gate > 0:
         raise ConfigError("merge gate must be positive")
+    _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
         return MultiBernoulliDensity(())

@@ -1,10 +1,11 @@
 """Clustered, parallelizable GCI-MB fusion and its diagnostics.
 
 Pipeline: oriented pairwise divergences (gci._oriented, which the
-exhaustive oracle shares) -> gate -> largest isolated clustering ->
-independent exact fusion inside each two-sided cluster (association
-marginals by a subset DP, no hypothesis enumeration) -> fused components
-concatenated in canonical cluster order. The 1x1 clusters, which make up
+exhaustive oracle shares) -> gate -> largest isolated clustering (a tuple
+of Clusters, each two sorted index tuples) -> independent exact fusion
+inside each cluster with both sides nonempty (association marginals by a
+subset DP, no hypothesis enumeration) -> fused components concatenated
+in canonical cluster order. The 1x1 clusters, which make up
 nearly all clusters in tracking, are fused together in one batch: a lone
 pair's marginal has the closed form g / (1 + g), so they need no DP. The
 batch multiplies only the Gaussian pairs of its own pairs, gathered from
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import Cluster, ClusterKind, compute_lic
+from .clustering import Cluster, compute_lic
 from .errors import ConfigError
 from .gci import (
     FusionWeights,
@@ -36,6 +37,7 @@ from .gci import (
     count_hypotheses_distinct,
     count_hypotheses_nominal,
 )
+from .gm import GmReduceConfig, _check_type
 from .mb import (
     BernoulliComponent,
     MbReduceConfig,
@@ -84,14 +86,13 @@ def fuse_cluster(
     marginals and eta come from a subset DP whose steps ``DP_STEP_CAP`` bounds.
     Fused components are moment-matched onto the cluster's sensor-1 side;
     eta does not depend on which side that is, and ``pgci_fuse`` fixes one
-    orientation for every cluster. The density's ids are positions in sorted(cluster.l1).
+    orientation for every cluster. The density's ids are positions in cluster.l1.
     """
-    if cluster.kind != ClusterKind.BOTH:
+    if not (cluster.l1 and cluster.l2):
         raise ConfigError("fuse_cluster only applies to two-sided clusters")
-    l1_idx, l2_idx = sorted(cluster.l1), sorted(cluster.l2)
-    marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx)
+    marginal, log_eta = cluster_pair_marginals(mb1, mb2, w, distances, cluster.l1, cluster.l2)
     return ClusterFusionResult(
-        density=_moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config),
+        density=_moment_match(marginal, cluster.l1, cluster.l2, mb1, mb2, w, gm_config),
         log_eta=log_eta,
         hypothesis_count=cluster_hypothesis_count(cluster),
     )
@@ -111,21 +112,22 @@ def pgci_fuse(
     independent of any concurrency in per-cluster fusion. The inputs are
     oriented once, globally, by gci._oriented, the entry the exhaustive
     path shares: both see the same distances and moment-match onto the
-    same side. Nothing is checked here: an invalid density raises
-    InvalidDensityError when it is built (see MultiBernoulliDensity). The
-    diagnostics count the hypotheses of the clustering gated here, in the
-    oriented roles, where len(mb1) <= len(mb2).
+    same side. Only the type of gm_config is checked here, and that of w
+    in pairwise_distances: an invalid density raises InvalidDensityError
+    when it is built (see MultiBernoulliDensity). The diagnostics count the
+    hypotheses of the clustering gated here, in the oriented roles, where
+    len(mb1) <= len(mb2).
     """
+    _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     mb1, mb2, w, distances = _oriented(mb1, mb2, w)
-    lic = compute_lic(distances, gamma)
+    clusters = [c for c in compute_lic(distances, gamma) if c.l1 and c.l2]
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.
     # Each part is tagged with its clusters' positions, and one stable
     # gather puts the parts in cluster order.
-    clusters = lic.fused_clusters
     isolated = np.array([len(c.l1) == len(c.l2) == 1 for c in clusters], dtype=bool)
     batch = _fuse_isolated_pairs(
-        [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],
+        [(c.l1[0], c.l2[0]) for c, one in zip(clusters, isolated) if one],
         mb1, mb2, w, distances, gm_config,
     )
     parts, tags = [batch], [np.flatnonzero(isolated)[batch.stack.ids]]
@@ -159,8 +161,7 @@ def l1_error_bound(gmb_full: GmbDensity, gate: float, gamma: float) -> tuple[flo
     """
     if not math.isfinite(gamma):
         raise ConfigError(f"bound exponent gamma must be finite, got {gamma}")
-    lic = compute_lic(gmb_full.distances, gate)
-    within = {(l, lp) for c in lic.clusters for l in c.l1 for lp in c.l2}
+    within = {(l, lp) for c in compute_lic(gmb_full.distances, gate) for l in c.l1 for lp in c.l2}
     discarded = np.array([not within.issuperset(h) for h in gmb_full.pairs], dtype=bool)
     exact_mass = 2.0 * sum(gmb_full.w[discarded].tolist())
     log_a = _logsumexp(gmb_full.log_k[discarded]) + np.log(2.0) - gmb_full.log_eta
@@ -181,6 +182,7 @@ def multi_sensor_fuse(
     equal the prescribed per-sensor weights. With ``return_diagnostics``,
     also returns the per-pair FusionDiagnostics list.
     """
+    _check_type(reduce_config, MbReduceConfig, "reduce_config", optional=True)
     gm_config = reduce_config.gm if reduce_config is not None else None
     acc, diagnostics = _fold_pairwise(
         posteriors,

@@ -357,14 +357,11 @@ def _condense_for_fusion(mb: MultiBernoulliDensity, cfg) -> MultiBernoulliDensit
 
 
 def _fusion_inputs(cfg, posteriors_by_sensor, k):
-    node = cfg.fusion_node
-    self_w, neighbor_w = metropolis_weights(cfg.adjacency, node)
-    densities = [_condense_for_fusion(posteriors_by_sensor[node][k], cfg)]
-    weights = [self_w]
-    for j, wj in neighbor_w.items():
-        densities.append(_condense_for_fusion(posteriors_by_sensor[j][k], cfg))
-        weights.append(wj)
-    return densities, weights
+    # The node's own density first, then its neighbours' in index order.
+    self_w, neighbor_w = metropolis_weights(cfg.adjacency, cfg.fusion_node)
+    read = {cfg.fusion_node: self_w, **neighbor_w}
+    densities = [_condense_for_fusion(posteriors_by_sensor[j][k], cfg) for j in read]
+    return densities, list(read.values())
 
 
 def run_montecarlo(
@@ -372,7 +369,12 @@ def run_montecarlo(
     n_runs: int,
     compare_oracle: bool = False,
 ) -> MonteCarloResult:
-    """Independent seeded runs: local filtering, fusion at one node, OSPA."""
+    """Independent seeded runs: local filtering, fusion at one node, OSPA.
+
+    Only the sensors the node reads, its own and its neighbours', are
+    filtered; each draws its scans from its own seed, so skipping the rest
+    changes no output.
+    """
     if not _is_cap(n_runs):
         raise ConfigError(f"n_runs must be an integer >= 1, got {n_runs}")
     cfg.validate()
@@ -389,12 +391,12 @@ def run_montecarlo(
     n_h2 = np.zeros((n_runs, T))
 
     for run in range(n_runs):
-        posteriors = []
-        for s, sensor in enumerate(cfg.sensors):
+        posteriors = {}
+        for s in sorted({cfg.fusion_node, *cfg.adjacency[cfg.fusion_node]}):
             scans = generate_measurements(
-                truth, sensor, np.random.SeedSequence([cfg.base_seed, run, s]).entropy
+                truth, cfg.sensors[s], np.random.SeedSequence([cfg.base_seed, run, s]).entropy
             )
-            posteriors.append(run_local_filter(scans, cfg, sensor))
+            posteriors[s] = run_local_filter(scans, cfg, cfg.sensors[s])
 
         for k in range(T):
             # The fusion node's time includes condensing the exchanged densities.

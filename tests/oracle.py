@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from mbfuse.clustering import Cluster, ClusterKind, compute_lic
+from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.errors import DimensionMismatchError, IncompatiblePairError, NumericalError
 from mbfuse.gci import (
     MARGINAL_FLOOR, FusionWeights, _fuse_isolated_pairs, _logsumexp, pairwise_distances,
@@ -129,19 +129,19 @@ def cluster_log_eta(
     mb2: MultiBernoulliDensity,
     w: FusionWeights,
 ) -> float:
-    """log eta_g for any cluster type; one-sided clusters only carry the
+    """log eta_g of a cluster with an empty side, which carries only the
     empty hypothesis, whose weight is the (1 - r)^omega product."""
-    if cluster.kind == ClusterKind.SENSOR1_ONLY:
+    if not cluster.l2:
         return w.w1 * sum(math.log1p(-min(mb1.components[l].r, R_MAX)) for l in cluster.l1)
-    if cluster.kind == ClusterKind.SENSOR2_ONLY:
+    if not cluster.l1:
         return w.w2 * sum(math.log1p(-min(mb2.components[l].r, R_MAX)) for l in cluster.l2)
     raise ValueError("two-sided clusters need the full fusion path")
 
 
-def inter_cluster_hypotheses(gmb_full, lic) -> set:
-    """Pair-tuple keys of every hypothesis containing a cross-cluster pair."""
-    cluster_of_l1 = {l: g for g, c in enumerate(lic.clusters) for l in c.l1}
-    cluster_of_l2 = {lp: g for g, c in enumerate(lic.clusters) for lp in c.l2}
+def inter_cluster_hypotheses(gmb_full, clusters) -> set:
+    """Pair-tuple keys of every hypothesis containing a pair across the clusters."""
+    cluster_of_l1 = {l: g for g, c in enumerate(clusters) for l in c.l1}
+    cluster_of_l2 = {lp: g for g, c in enumerate(clusters) for lp in c.l2}
     return {
         pairs for pairs in gmb_full.pairs
         if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in pairs)
@@ -542,7 +542,7 @@ def pgci_fuse(mb1, mb2, w, gamma, gm_config=None):
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
-    clusters = compute_lic(distances, gamma).fused_clusters
+    clusters = [c for c in compute_lic(distances, gamma) if c.l1 and c.l2]
     isolated = [len(c.l1) == len(c.l2) == 1 for c in clusters]
     batch = iter(isolated_pairs(
         [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],

@@ -2,7 +2,7 @@
 
 Each test covers one numbered criterion and records a single pass/fail line;
 the conftest hook prints them as a scoreboard at the end of the run.  The
-heavy Monte-Carlo criteria (2 and 9) take a few minutes together.
+heavy Monte-Carlo criteria (2, 9 and 11) take a few minutes together.
 """
 
 import math
@@ -177,7 +177,6 @@ def test_criterion_4_hypothesis_count_inequality():
 
 
 def test_criterion_5_eta_factorization():
-    from mbfuse.clustering import ClusterKind
     from mbfuse.pgci import fuse_cluster
 
     rng = np.random.default_rng(1005)
@@ -189,12 +188,12 @@ def test_criterion_5_eta_factorization():
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         D = pairwise_distances(mb1, mb2, W)
         lic = compute_lic(D, 4.0)
-        if len(lic.clusters) < 2:
+        if len(lic) < 2:
             continue
         checked += 1
         total = 0.0
-        for cluster in lic.clusters:
-            if cluster.kind == ClusterKind.BOTH:
+        for cluster in lic:
+            if cluster.l1 and cluster.l2:
                 total += fuse_cluster(cluster, mb1, mb2, W, D).log_eta
             else:
                 total += cluster_log_eta(cluster, mb1, mb2, W)
@@ -367,3 +366,34 @@ def test_criterion_10_determinism(tmp_path):
         paths.append(p)
     ok = paths[0].read_bytes() == paths[1].read_bytes()
     report(10, ok, "identical seeds give byte-identical CSV output")
+
+
+# Fused OSPA is at or below local OSPA at no fewer than this share of steps.
+# Over base seeds 1-10 at two runs each, the share ranged from 0.715 to
+# 0.815 (0.795 at seed 1, the seed used here).
+FULL_SCALE_FUSED_LE_LOCAL = 0.65
+
+
+@pytest.mark.slow
+def test_criterion_11_scenario2_full_scale():
+    # The paper's case: 40 objects with staggered births, 6 sensors, fusion
+    # at node 4 over 5 densities. The cardinality is reported, not gated:
+    # staggered adaptive births start at r <= 0.03, and every estimate,
+    # local or fused, under-counts by about 1.5 objects on average.
+    res = run_montecarlo(scenario2("full"), n_runs=2)
+    fu, lo = res.ospa_fused, res.ospa_local
+    frac = (fu <= lo).mean()
+    slowest_s = res.t_fuse_max_ms.max() / 1e3
+    mask = res.truth_card >= 5
+    card_err = (res.card_mean - res.truth_card)[mask]
+    ok = fu.mean() < lo.mean() and frac >= FULL_SCALE_FUSED_LE_LOCAL and slowest_s < 1.0
+    report(
+        11,
+        ok,
+        f"scenario 2 (full), 2 runs: mean OSPA fused {fu.mean():.1f} m vs local "
+        f"{lo.mean():.1f} m, fused <= local at {frac:.0%} of steps, slowest fusion "
+        f"{slowest_s*1e3:.0f}ms; largest N_H2 {res.n_h_clustered.max():.0f} vs N_H "
+        f"10^{np.log10(res.n_h.max()):.1f}; cardinality error {card_err.mean():+.2f} "
+        f"on average, within +-1 at {(np.abs(card_err) <= 1.0).mean():.0%} of steps "
+        f"with >=5 objects",
+    )

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from mbfuse.clustering import (
     Cluster,
-    ClusterKind,
     compute_lic,
     connected_components,
 )
@@ -47,14 +46,14 @@ class TestGate:
     def test_boundary_is_inside(self):
         # [TRIVIAL] d == gamma is not a bad pair.
         D = np.array([[4.0, 4.0 + 1e-12]])
-        assert compute_lic(D, 4.0).clusters == (
+        assert compute_lic(D, 4.0) == (
             Cluster(frozenset({0}), frozenset({0})),
             Cluster(frozenset(), frozenset({1})),
         )
 
     def test_infinite_distance_excluded(self):
         D = np.array([[1.0, INF], [INF, 2.0]])
-        assert compute_lic(D, 4.0).clusters == (
+        assert compute_lic(D, 4.0) == (
             Cluster(frozenset({0}), frozenset({0})),
             Cluster(frozenset({1}), frozenset({1})),
         )
@@ -98,20 +97,13 @@ class TestLic:
         )
         lic = compute_lic(D, 4.0)
         assert [set(np.flatnonzero(row)) for row in D <= 4.0] == [{0}, set(), {1}]
-        assert lic.clusters == (
-            Cluster(frozenset({0}), frozenset({0})),
-            Cluster(frozenset({1}), frozenset()),
-            Cluster(frozenset({2}), frozenset({1})),
-            Cluster(frozenset(), frozenset({2})),
+        assert lic == (
+            Cluster((0,), (0,)),
+            Cluster((1,), ()),
+            Cluster((2,), (1,)),
+            Cluster((), (2,)),
         )
-        kinds = [c.kind for c in lic.clusters]
-        assert kinds == [
-            ClusterKind.BOTH,
-            ClusterKind.SENSOR1_ONLY,
-            ClusterKind.BOTH,
-            ClusterKind.SENSOR2_ONLY,
-        ]
-        assert len(lic.fused_clusters) == 2
+        assert len([c for c in lic if c.l1 and c.l2]) == 2
 
     def test_chain_merges_into_one_cluster(self):
         # Row 0 - col 0 - row 1 - col 1 - row 2: one connected cluster.
@@ -122,10 +114,7 @@ class TestLic:
                 [INF, 1.0],
             ]
         )
-        lic = compute_lic(D, 4.0)
-        assert lic.clusters == (
-            Cluster(frozenset({0, 1, 2}), frozenset({0, 1})),
-        )
+        assert compute_lic(D, 4.0) == (Cluster((0, 1, 2), (0, 1)),)
 
     def test_isolation_and_partition_properties(self):
         # [DERIVED] on random instances the LIC must (a) partition both index
@@ -136,13 +125,13 @@ class TestLic:
             D = np.where(rng.random((n1, n2)) < 0.25, rng.uniform(0, 4, (n1, n2)), INF)
             lic = compute_lic(D, 4.0)
             seen1, seen2 = set(), set()
-            for c in lic.clusters:
-                assert not (c.l1 & seen1) and not (c.l2 & seen2)
-                seen1 |= c.l1
-                seen2 |= c.l2
+            for c in lic:
+                assert not (seen1.intersection(c.l1) or seen2.intersection(c.l2))
+                seen1.update(c.l1)
+                seen2.update(c.l2)
             assert seen1 == set(range(n1)) and seen2 == set(range(n2))
-            for i, a in enumerate(lic.clusters):
-                for j, b in enumerate(lic.clusters):
+            for i, a in enumerate(lic):
+                for j, b in enumerate(lic):
                     if i == j:
                         continue
                     for l in a.l1:
@@ -156,9 +145,8 @@ class TestLic:
         for _ in range(100):
             n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             D = np.where(rng.random((n1, n2)) < 0.3, 1.0, INF)
-            lic = compute_lic(D, 4.0)
             gated = D <= 4.0
-            for c in lic.clusters:
+            for c in compute_lic(D, 4.0):
                 if len(c.l1) < 2:
                     continue
                 relabel = {l: i for i, l in enumerate(sorted(c.l1))}
@@ -172,10 +160,18 @@ class TestLic:
 
     def test_empty_matrix(self):
         lic = compute_lic(np.zeros((0, 3)), 4.0)
-        assert all(c.kind == ClusterKind.SENSOR2_ONLY for c in lic.clusters)
-        assert len(lic.clusters) == 3
+        assert all(not c.l1 and c.l2 for c in lic)
+        assert len(lic) == 3
         lic = compute_lic(np.zeros((2, 0)), 4.0)
-        assert all(c.kind == ClusterKind.SENSOR1_ONLY for c in lic.clusters)
+        assert all(c.l1 and not c.l2 for c in lic)
+
+    def test_cluster_sides_are_sorted_int_tuples(self):
+        # Any iterable of integers, frozensets and numpy arrays included,
+        # is stored once as a sorted tuple of Python ints.
+        c = Cluster(frozenset({3, 1}), np.array([2, 0]))
+        assert c == Cluster((1, 3), (0, 2))
+        assert all(type(v) is int for v in c.l1 + c.l2)
+        assert compute_lic(np.array([[1.0, 1.0], [INF, 1.0]]), 4.0) == (Cluster((0, 1), (0, 1)),)
 
 
 @st.composite
@@ -207,4 +203,4 @@ class TestLicProperties:
         if np.isnan(D).any():
             with pytest.raises(ConfigError):
                 compute_lic(D, 4.0)
-        assert compute_lic(np.where(np.isnan(D), INF, D), 4.0).clusters == want
+        assert compute_lic(np.where(np.isnan(D), INF, D), 4.0) == want

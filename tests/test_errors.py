@@ -52,6 +52,7 @@ from mbfuse import (
     scenario2,
 )
 from mbfuse.clustering import Cluster
+from mbfuse.gci import fused_pair_density
 from mbfuse.mb import mb_merge_components
 from mbfuse.pgci import fuse_cluster
 
@@ -158,6 +159,13 @@ INVALID = {
                           DimensionMismatchError, False),
     "merge-gate-0": (lambda: mb_merge_components(density(0.5), gate=0.0), ConfigError, True),
     "merge-gate-nan": (lambda: mb_merge_components(density(0.5), gate=NAN), ConfigError, True),
+    # A config object of the wrong type used to end in a bare AttributeError
+    # where it was first read; None stays allowed where it skips a step.
+    "mb-reduce-gm-config": (lambda: mb_reduce(density(0.5), GmReduceConfig()), ConfigError, False),
+    "mb-reduce-none": (lambda: mb_reduce(density(0.5), None), ConfigError, False),
+    "merge-gm-config-tuple": (
+        lambda: mb_merge_components(density(0.5), 4.0, gm_config=(1e-5, 4.0, 5)),
+        ConfigError, False),
     # gci, clustering, pgci
     "fusion-weights-0-1": (lambda: FusionWeights(0.0, 1.0), ConfigError, True),
     "fusion-weights-sum": (lambda: FusionWeights(0.3, 0.3), ConfigError, True),
@@ -179,6 +187,29 @@ INVALID = {
     "lic-matrix-3d": (lambda: compute_lic(np.zeros((1, 2, 2)), 4.0), ConfigError, True),
     "lic-matrix-nan": (lambda: compute_lic(np.array([[NAN, 1.0]]), 4.0), ConfigError, False),
     "pgci-gamma-nan": (lambda: pgci_fuse(density(0.5), density(0.5), W, NAN), ConfigError, True),
+    # As above: a config or weight pair of the wrong type used to end in an AttributeError.
+    "pgci-gm-config-mb-config": (
+        lambda: pgci_fuse(density(0.5), density(0.5), W, 4.0, gm_config=MbReduceConfig()),
+        ConfigError, False),
+    "pgci-gm-config-tuple": (
+        lambda: pgci_fuse(density(0.5), density(0.5), W, 4.0, gm_config=(1e-5, 4.0, 5)),
+        ConfigError, False),
+    "pgci-weights-tuple": (lambda: pgci_fuse(density(0.5), density(0.5), (0.5, 0.5), 4.0),
+                           ConfigError, False),
+    "oracle-gm-config-mb-config": (
+        lambda: naive_gci_mb_fuse(density(0.5), density(0.5), W, gm_config=MbReduceConfig()),
+        ConfigError, False),
+    "oracle-weights-tuple": (lambda: naive_gci_mb_fuse(density(0.5), density(0.5), (0.5, 0.5)),
+                             ConfigError, False),
+    "distances-weights-tuple": (
+        lambda: pairwise_distances(density(0.5), density(0.5), (0.5, 0.5)), ConfigError, False),
+    "fused-pair-weights-tuple": (
+        lambda: fused_pair_density([(0, 0)], density(0.5), density(0.5), (0.5, 0.5)),
+        ConfigError, False),
+    "multi-fuse-reduce-config-gm-config": (
+        lambda: multi_sensor_fuse([density(0.5)] * 2, [0.5, 0.5], 4.0,
+                                  reduce_config=GmReduceConfig()),
+        ConfigError, False),
     # The bound gates the oracle's own matrix, so compute_lic checks the gate.
     "bound-gate-nan": (lambda: l1_error_bound(oracle_gmb(), NAN, 4.0), ConfigError, True),
     # A NaN exponent used to give a NaN bound, an infinite one a bound of 0.

@@ -13,7 +13,7 @@ import mbfuse.cli as cli_mod
 import mbfuse.gci as gci_mod
 import mbfuse.gm as gm_mod
 import mbfuse.pgci as pgci_mod
-from mbfuse.clustering import Cluster, LargestIsolatedClustering, compute_lic
+from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.errors import (
     IntractableFusionError,
     InvalidDensityError,
@@ -136,12 +136,12 @@ class TestEtaFactorization:
             _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
             D = pairwise_distances(mb1, mb2, W)
             lic = compute_lic(D, 4.0)
-            assert len(lic.clusters) >= 2
+            assert len(lic) >= 2
             from mbfuse.pgci import fuse_cluster
 
             total = 0.0
-            for cluster in lic.clusters:
-                if cluster.kind.value == "both":
+            for cluster in lic:
+                if cluster.l1 and cluster.l2:
                     total += fuse_cluster(cluster, mb1, mb2, W, D).log_eta
                 else:
                     total += cluster_log_eta(cluster, mb1, mb2, W)
@@ -291,9 +291,10 @@ def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
-    lic = compute_lic(distances, gamma)
     components = []
-    for cluster in lic.fused_clusters:
+    for cluster in compute_lic(distances, gamma):
+        if not (cluster.l1 and cluster.l2):
+            continue
         result = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config)
         for comp in result.components:
             components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
@@ -671,7 +672,7 @@ class TestHypothesisCounts:
 def one_cluster(gmb):
     """The clustering that puts every component of both sides in one cluster."""
     n1, n2 = gmb.distances.shape
-    return LargestIsolatedClustering((Cluster(frozenset(range(n1)), frozenset(range(n2))),))
+    return (Cluster(range(n1), range(n2)),)
 
 
 class TestErrorBound:

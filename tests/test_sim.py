@@ -11,6 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 import oracle
 import mbfuse.pgci as pgci_mod
+import mbfuse.sim as sim_mod
 from mbfuse.errors import ConfigError
 from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel
 from mbfuse.pgci import multi_sensor_fuse
@@ -557,6 +558,25 @@ class TestMonteCarlo:
     def test_invalid_run_count(self):
         with pytest.raises(ConfigError):
             run_montecarlo(tiny_scenario(), n_runs=0)
+
+    def test_only_the_sensors_the_node_reads_are_filtered(self, monkeypatch):
+        # In the chain 0 - 1 - 2 fused at node 0, sensor 2 feeds nothing the
+        # node reads, so no run filters its scans.
+        region = tiny_scenario().region
+        sensors = tuple(SensorModel.position_sensor(10.0, p_d, 10.0, region)
+                        for p_d in (0.9, 0.95, 0.8))
+        cfg = tiny_scenario(sensors=sensors,
+                            adjacency=(frozenset({1}), frozenset({0, 2}), frozenset({1})))
+        filtered = []
+        local = sim_mod.run_local_filter
+
+        def counting(scans, cfg, sensor):
+            filtered.append(next(s for s, x in enumerate(sensors) if x is sensor))
+            return local(scans, cfg, sensor)
+
+        monkeypatch.setattr(sim_mod, "run_local_filter", counting)
+        run_montecarlo(cfg, n_runs=2)
+        assert filtered == [0, 1, 0, 1]
 
     def test_fused_tracks_truth_cardinality(self):
         cfg = tiny_scenario()
