@@ -180,7 +180,7 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
         rows1, p1 = side(mb1, l1)
         rows2, p2 = side(mb2, l2)
         # With no pairs there is no product to take, and no call to count.
-        prod = gm_pair_product(p1, w.w1, p2, w.w2) if l1.size else p1
+        prod = gm_pair_product(p1, p2, w) if l1.size else p1
         k = np.searchsorted(rows1, i1) * p2.n_components + np.searchsorted(rows2, i2)
         return prod.weights[k], prod.means[k], prod.covs[k]
 
@@ -289,9 +289,8 @@ def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
     fused, first = np.unique(row, return_index=True)
     sizes = np.add.reduceat(sizes, first)
     if gm_config is not None and fused.size:
-        config = gm_config.prune_threshold, gm_config.merge_threshold, gm_config.max_components
         pdfs = [
-            gm_reduce(GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]), *config)
+            gm_reduce(GaussianMixture(weights[e - n:e], means[e - n:e], covs[e - n:e]), gm_config)
             for n, e in zip(sizes.tolist(), np.cumsum(sizes).tolist())
         ]
         sizes = np.array([pdf.n_components for pdf in pdfs], dtype=np.int64)
@@ -327,7 +326,7 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     stack1, stack2 = mb1.stack[3:], mb2.stack[3:]
 
     def product(i1, i2):
-        log_alpha, means, covs = _pair_product_parts(stack1, w.w1, stack2, w.w2, i1, i2)
+        log_alpha, means, covs = _pair_product_parts(stack1, stack2, w, i1, i2)
         return np.exp(log_alpha), means, covs
 
     sizes, weights, means, covs, _ = _pair_blocks(l1[kept], l2[kept], mb1, mb2, product)

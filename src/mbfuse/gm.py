@@ -21,9 +21,10 @@ _leader_groups is the one greedy leader loop, for mb_merge_components and a
 lone segment's sweep. _check_gaussians is the one Gaussian validity check,
 for the MultiBernoulliDensity constructor, gm_reduce and gm_pair_product.
 GmReduceConfig and FusionWeights hold the one rule of their parameters and
-raise ConfigError when built; gm_reduce and gm_pair_product build one from
-their floats, and the kernels check nothing. _pair_log_mass is the one body
-of the exponent-weighted Gaussian pair mass, for divergences and products.
+raise ConfigError when built; gm_reduce and gm_pair_product take them built
+and check only their type, and the kernels check nothing. _pair_log_mass is
+the one body of the exponent-weighted Gaussian pair mass, for divergences
+and products.
 """
 
 from __future__ import annotations
@@ -171,19 +172,18 @@ def _pair_log_mass(lw1, S1, m1, lw2, S2, m2):
     return lw1 + lw2 + _log_normal(diff, _batch_cholesky(sig)), sig, diff
 
 
-def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
-    """Log-weights, means and covariances of the exponent-weighted products
-    of the Gaussian pairs (i1[k], i2[k]).
+def _pair_product_parts(stack1, stack2, w: FusionWeights, i1, i2):
+    """Log-weights, means and covariances of the products stack1^w.w1 *
+    stack2^w.w2 of the Gaussian pairs (i1[k], i2[k]).
 
     stack1 and stack2 are flat (weights, means, covs) stacks. Each
     Gaussian is raised to its exponent once; the pairs then gather their
     parts by index. Returns (log_alpha (K,), means (K, d), covs (K, d, d)).
-    The weights were checked where they entered (see FusionWeights).
     """
     a1, m1, P1 = stack1
     a2, m2, P2 = stack2
-    lw1, S1 = _power_parts(a1, P1, w1)
-    lw2, S2 = _power_parts(a2, P2, w2)
+    lw1, S1 = _power_parts(a1, P1, w.w1)
+    lw2, S2 = _power_parts(a2, P2, w.w2)
     S1, m1 = S1[i1], m1[i1]
     log_alpha, sig, diff = _pair_log_mass(lw1[i1], S1, m1, lw2[i2], S2[i2], m2[i2])
 
@@ -197,20 +197,18 @@ def _pair_product_parts(stack1, w1: float, stack2, w2: float, i1, i2):
     return log_alpha, means, covs
 
 
-def gm_pair_product(
-    p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float
-) -> GaussianMixture:
-    """Double-sum mixture for p1^w1 * p2^w2 (unnormalized, J1*J2 components,
-    p1's index major). Invalid weights raise ConfigError (see
-    FusionWeights), a non-finite mixture entry InvalidDensityError."""
-    FusionWeights(w1, w2)
+def gm_pair_product(p1: GaussianMixture, p2: GaussianMixture, w: FusionWeights) -> GaussianMixture:
+    """Double-sum mixture for p1^w.w1 * p2^w.w2 (unnormalized, J1*J2
+    components, p1's index major). Weights that are not a FusionWeights
+    raise ConfigError, a non-finite mixture entry InvalidDensityError."""
+    _check_type(w, FusionWeights, "fusion weights")
     for p in (p1, p2):
         _check_gaussians(p.weights, p.means, p.covs)
     if p1.n_components == 0 or p2.n_components == 0:
         return GaussianMixture.empty(p1.d)
     j1, j2 = p1.n_components, p2.n_components
     log_alpha, means, covs = _pair_product_parts(
-        (p1.weights, p1.means, p1.covs), w1, (p2.weights, p2.means, p2.covs), w2,
+        (p1.weights, p1.means, p1.covs), (p2.weights, p2.means, p2.covs), w,
         np.repeat(np.arange(j1), j2), np.tile(np.arange(j2), j1),
     )
     return GaussianMixture(np.exp(log_alpha), means, covs)
@@ -465,26 +463,22 @@ def _reduce_segments(sizes, weights, means, covs, config: GmReduceConfig):
     return (np.minimum(n_groups, config.max_components), *out)
 
 
-def gm_reduce(
-    mix: GaussianMixture,
-    prune_threshold: float,
-    merge_threshold: float,
-    max_components: int,
-) -> GaussianMixture:
-    """Prune light components, merge nearby ones, cap the component count.
+def gm_reduce(mix: GaussianMixture, config: GmReduceConfig) -> GaussianMixture:
+    """Prune light components, merge nearby ones, cap the component count,
+    by config's parameters.
 
     Pruned mass is redistributed proportionally so the total weight is
     preserved up to the final cap. Merging repeatedly takes the heaviest
     remaining component (ties to the lower index) and absorbs every remaining
     component within squared Mahalanobis distance merge_threshold of it
     (moment-preserving). The cap keeps the heaviest merged components (ties
-    to the lower index) in merge order. A NaN or infinite weight, mean or
-    covariance entry raises InvalidDensityError (see _check_gaussians), and
-    an invalid parameter ConfigError (see GmReduceConfig).
+    to the lower index) in merge order. A config that is not a
+    GmReduceConfig raises ConfigError, and a NaN or infinite weight, mean or
+    covariance entry InvalidDensityError (see _check_gaussians).
     """
+    _check_type(config, GmReduceConfig, "config")
     _check_gaussians(mix.weights, mix.means, mix.covs)
     _, w, m, p = _reduce_segments(
-        np.array([mix.n_components]), mix.weights, mix.means, mix.covs,
-        GmReduceConfig(prune_threshold, merge_threshold, max_components),
+        np.array([mix.n_components]), mix.weights, mix.means, mix.covs, config
     )
     return GaussianMixture(w, m, p)

@@ -67,10 +67,6 @@ class FusionDiagnostics:
     cluster_sizes: list[tuple[int, int]]
 
 
-def cluster_hypothesis_count(cluster: Cluster) -> int:
-    return count_hypotheses_distinct(len(cluster.l1), len(cluster.l2))
-
-
 def fuse_cluster(
     cluster: Cluster,
     mb1: MultiBernoulliDensity,
@@ -94,7 +90,7 @@ def fuse_cluster(
     return ClusterFusionResult(
         density=_moment_match(marginal, cluster.l1, cluster.l2, mb1, mb2, w, gm_config),
         log_eta=log_eta,
-        hypothesis_count=cluster_hypothesis_count(cluster),
+        hypothesis_count=count_hypotheses_distinct(len(cluster.l1), len(cluster.l2)),
     )
 
 
@@ -139,7 +135,7 @@ def pgci_fuse(
         if len(parts) > 1:
             fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
         fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
-    per_cluster = [cluster_hypothesis_count(c) for c in clusters]
+    per_cluster = [count_hypotheses_distinct(len(c.l1), len(c.l2)) for c in clusters]
     return fused, FusionDiagnostics(
         n_h=count_hypotheses_nominal(len(mb1), len(mb2)),
         n_h_distinct=count_hypotheses_distinct(len(mb1), len(mb2)),

@@ -73,13 +73,13 @@ def gm_power(mix: GaussianMixture, omega: float) -> GaussianMixture:
     return GaussianMixture(np.exp(log_w), mix.means.copy(), covs)
 
 
-def gm_pair_log_mass(p1: GaussianMixture, w1: float, p2: GaussianMixture, w2: float) -> float:
+def gm_pair_log_mass(p1: GaussianMixture, p2: GaussianMixture, w: FusionWeights) -> float:
     """log of the total mass of gm_pair_product, computed without underflow."""
     if p1.n_components == 0 or p2.n_components == 0:
         return -np.inf
     j1, j2 = p1.n_components, p2.n_components
     log_alpha, _, _ = _pair_product_parts(
-        (p1.weights, p1.means, p1.covs), w1, (p2.weights, p2.means, p2.covs), w2,
+        (p1.weights, p1.means, p1.covs), (p2.weights, p2.means, p2.covs), w,
         np.repeat(np.arange(j1), j2), np.tile(np.arange(j2), j1),
     )
     return float(logsumexp(log_alpha))
@@ -91,7 +91,7 @@ def gci_divergence(p1: GaussianMixture, p2: GaussianMixture, w: FusionWeights) -
     Large separations give large finite values (e.g. ~1250 for unit
     Gaussians 100 apart); +inf only when the mass is exactly zero.
     """
-    log_mass = gm_pair_log_mass(p1, w.w1, p2, w.w2)
+    log_mass = gm_pair_log_mass(p1, p2, w)
     if log_mass == -np.inf:
         return np.inf
     return -log_mass
@@ -464,7 +464,7 @@ def fused_pair_density(
 
     p1, spans1 = stack(mb1, sorted({l for l, _ in pairs}))
     p2, spans2 = stack(mb2, sorted({lp for _, lp in pairs}))
-    prod = gm_pair_product(p1, w.w1, p2, w.w2)
+    prod = gm_pair_product(p1, p2, w)
     j1, j2, d = p1.n_components, p2.n_components, p1.d
     weights = prod.weights.reshape(j1, j2)
     means = prod.means.reshape(j1, j2, d)

@@ -298,8 +298,8 @@ def test_criterion_7_gaussian_mixture_numerics():
         p2 = random_mb(rng, 1, spread=4.0).components[0].pdf
         from mbfuse.gm import gm_pair_product
 
-        mass = gm_pair_product(p1, w.w1, p2, w.w2).weights.sum()
-        want = math.exp(gm_pair_log_mass(p1, w.w1, p2, w.w2))
+        mass = gm_pair_product(p1, p2, w).weights.sum()
+        want = math.exp(gm_pair_log_mass(p1, p2, w))
         worst_pair = max(worst_pair, abs(mass - want) / want)
     ok_pair = worst_pair <= 1e-12
 

@@ -29,6 +29,7 @@ from mbfuse import (
     MultiBernoulliDensity,
     NumericalError,
     Rectangle,
+    ScenarioConfig,
     SensorModel,
     adaptive_birth,
     build_scenario,
@@ -93,21 +94,30 @@ INVALID = {
     # gm
     "mixture-shapes": (lambda: GaussianMixture(np.ones(2), np.zeros((3, 2)), np.zeros((3, 2, 2))),
                        DimensionMismatchError, False),
-    "pair-product-nan-mean": (lambda: gm_pair_product(gaussian([NAN, 0.0]), 0.5, MIX, 0.5),
+    "pair-product-nan-mean": (lambda: gm_pair_product(gaussian([NAN, 0.0]), MIX, W),
                               InvalidDensityError, False),
-    "pair-product-nan-weights": (lambda: gm_pair_product(MIX, NAN, MIX, NAN), ConfigError, False),
-    "pair-product-weight-above-1": (lambda: gm_pair_product(MIX, 1.2, MIX, -0.2),
+    "pair-product-nan-weights": (lambda: gm_pair_product(MIX, MIX, FusionWeights(NAN, NAN)),
+                                 ConfigError, False),
+    "pair-product-weight-above-1": (lambda: gm_pair_product(MIX, MIX, FusionWeights(1.2, -0.2)),
                                     ConfigError, True),
-    "pair-product-weight-0": (lambda: gm_pair_product(MIX, 0.0, MIX, 1.0), ConfigError, True),
-    "pair-product-sum": (lambda: gm_pair_product(MIX, 0.3, MIX, 0.3), ConfigError, True),
-    "pair-product-dimensions": (lambda: gm_pair_product(MIX, 0.5, gaussian(np.zeros(3)), 0.5),
+    "pair-product-weight-0": (lambda: gm_pair_product(MIX, MIX, FusionWeights(0.0, 1.0)),
+                              ConfigError, True),
+    "pair-product-sum": (lambda: gm_pair_product(MIX, MIX, FusionWeights(0.3, 0.3)),
+                         ConfigError, True),
+    "pair-product-dimensions": (lambda: gm_pair_product(MIX, gaussian(np.zeros(3)), W),
                                 DimensionMismatchError, False),
+    # A bare tuple is not a parameter set, whatever its values.
+    "pair-product-weights-tuple": (lambda: gm_pair_product(MIX, MIX, (0.5, 0.5)),
+                                   ConfigError, False),
     "gm-reduce-nan-weight": (
-        lambda: gm_reduce(GaussianMixture(np.array([NAN, 1.0]), MIX.means, MIX.covs), 0.0, 4.0, 5),
+        lambda: gm_reduce(GaussianMixture(np.array([NAN, 1.0]), MIX.means, MIX.covs),
+                          GmReduceConfig(0.0, 4.0, 5)),
         InvalidDensityError, False),
-    "gm-reduce-prune-nan": (lambda: gm_reduce(MIX, NAN, 4.0, 5), ConfigError, True),
-    "gm-reduce-merge-negative": (lambda: gm_reduce(MIX, 0.0, -1.0, 5), ConfigError, True),
-    "gm-reduce-cap-0": (lambda: gm_reduce(MIX, 0.0, 4.0, 0), ConfigError, True),
+    "gm-reduce-prune-nan": (lambda: gm_reduce(MIX, GmReduceConfig(NAN, 4.0, 5)), ConfigError, True),
+    "gm-reduce-merge-negative": (lambda: gm_reduce(MIX, GmReduceConfig(0.0, -1.0, 5)),
+                                 ConfigError, True),
+    "gm-reduce-cap-0": (lambda: gm_reduce(MIX, GmReduceConfig(0.0, 4.0, 0)), ConfigError, True),
+    "gm-reduce-config-tuple": (lambda: gm_reduce(MIX, (1e-5, 4.0, 5)), ConfigError, False),
     "gm-config-prune-nan": (lambda: GmReduceConfig(prune_threshold=NAN), ConfigError, False),
     "gm-config-prune-negative": (lambda: GmReduceConfig(prune_threshold=-1e-5), ConfigError, False),
     "gm-config-merge-nan": (lambda: GmReduceConfig(merge_threshold=NAN), ConfigError, False),
@@ -231,6 +241,23 @@ INVALID = {
                             ConfigError, False),
     "scenario-gamma-nan": (lambda: dataclasses.replace(scenario1(), gamma=NAN).validate(),
                            ConfigError, False),
+    # A scenario checks itself when it is built or replaced; these used to
+    # build, and failed only when validate() or run_montecarlo ran.
+    "scenario-built-duration-0": (lambda: dataclasses.replace(scenario1(), duration=0),
+                                  ConfigError, False),
+    "scenario-built-gamma-nan": (lambda: dataclasses.replace(scenario1(), gamma=NAN),
+                                 ConfigError, False),
+    "scenario-built-gamma-0": (lambda: dataclasses.replace(scenario1(), gamma=0.0),
+                               ConfigError, False),
+    "scenario-built-fusion-node": (lambda: dataclasses.replace(scenario1(), fusion_node=2),
+                                   ConfigError, False),
+    "scenario-built-asymmetric": (
+        lambda: dataclasses.replace(scenario1(), adjacency=(frozenset({1}), frozenset())),
+        ConfigError, False),
+    "scenario-built-fusion-cap-0": (
+        lambda: dataclasses.replace(scenario1(), fusion_max_components=0), ConfigError, False),
+    "scenario-built-direct": (
+        lambda: ScenarioConfig(**{**vars(scenario1()), "duration": 0}), ConfigError, False),
     # The fusion cap slices too; a fractional one used to end in mb._strongest's TypeError.
     "scenario-fusion-cap-fraction": (
         lambda: run_montecarlo(dataclasses.replace(scenario1(), fusion_max_components=2.5), 1),
@@ -241,21 +268,6 @@ INVALID = {
                         ConfigError, False),
     "montecarlo-runs-0": (lambda: run_montecarlo(scenario1(), 0), ConfigError, False),
     "montecarlo-runs-fraction": (lambda: run_montecarlo(scenario1(), 2.5), ConfigError, False),
-    "ospa-cutoff-0": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=0.0), ConfigError, True),
-    # An infinite cutoff used to give NaN, or the solver's "infeasible".
-    "ospa-cutoff-inf": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=np.inf),
-                        ConfigError, False),
-    "ospa-order-inf": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), p=np.inf),
-                       ConfigError, False),
-    "ospa-order-below-1": (lambda: ospa(np.zeros((1, 2)), np.zeros((1, 2)), p=0.5),
-                           ConfigError, True),
-    # c**p overflows: an infinite coordinate used to reach the solver's
-    # "infeasible", and unequal set sizes a bare OverflowError.
-    "ospa-power-overflow-infinite": (
-        lambda: ospa(np.array([[np.inf, 0.0]]), np.zeros((1, 2)), c=1e200, p=2.0),
-        ConfigError, True),
-    "ospa-power-overflow-sizes": (lambda: ospa(np.zeros((1, 2)), np.zeros((2, 2)), c=1e200, p=2.0),
-                                  ConfigError, False),
     "ospa-nan": (lambda: ospa(np.array([[NAN, 0.0]]), np.zeros((1, 2))), ConfigError, True),
     "ospa-shape": (lambda: ospa(np.zeros((2, 3)), np.zeros((1, 2))), ConfigError, True),
 }
@@ -278,17 +290,17 @@ weight_pair = st.one_of(st.tuples(weight, weight), st.floats(-0.5, 1.5).map(lamb
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(weight_pair)
 def test_fusion_weights_follow_one_rule(pair):
-    """FusionWeights and gm_pair_product accept exactly the same weights."""
+    """FusionWeights alone rules on the weights: gm_pair_product takes every
+    pair it builds, and refuses the bare pair, valid or not."""
     w1, w2 = pair
     valid = 0.0 < w1 < 1.0 and 0.0 < w2 < 1.0 and abs(w1 + w2 - 1.0) <= 1e-12
+    with pytest.raises(ConfigError):
+        gm_pair_product(MIX, MIX, pair)
     if valid:
-        FusionWeights(w1, w2)
-        gm_pair_product(MIX, w1, MIX, w2)
+        gm_pair_product(MIX, MIX, FusionWeights(w1, w2))
         return
     with pytest.raises(ConfigError):
         FusionWeights(w1, w2)
-    with pytest.raises(ConfigError):
-        gm_pair_product(MIX, w1, MIX, w2)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -296,12 +308,12 @@ def test_fusion_weights_follow_one_rule(pair):
        st.one_of(st.floats(-1.0, 10.0), st.just(NAN)),
        st.one_of(st.integers(-2, 4), st.sampled_from([NAN, 2.5, 3.0])))
 def test_reduction_parameters_follow_one_rule(prune, merge, cap):
-    """gm_reduce accepts exactly the parameters that GmReduceConfig accepts."""
+    """GmReduceConfig alone rules on the parameters: gm_reduce takes every
+    config it builds, and refuses the bare parameters, valid or not."""
+    with pytest.raises(ConfigError):
+        gm_reduce(MIX, (prune, merge, cap))
     if prune >= 0 and merge >= 0 and isinstance(cap, int) and cap >= 1:
-        GmReduceConfig(prune, merge, cap)
-        gm_reduce(MIX, prune, merge, cap)
+        gm_reduce(MIX, GmReduceConfig(prune, merge, cap))
         return
     with pytest.raises(ConfigError):
         GmReduceConfig(prune, merge, cap)
-    with pytest.raises(ConfigError):
-        gm_reduce(MIX, prune, merge, cap)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mbfuse import GaussianMixture, gm_pair_product, gm_reduce
+from mbfuse import FusionWeights, GaussianMixture, GmReduceConfig, gm_pair_product, gm_reduce
 from mbfuse.errors import ConfigError, InvalidDensityError, NumericalError
 from oracle import check_spd, gm_eval, gm_merge_moments, gm_normalize, gm_pair_log_mass, gm_power
 
@@ -75,19 +75,19 @@ class TestGmPower:
 class TestGmPairProduct:
     def test_identical_standard_normals_mass_one(self):
         g = GaussianMixture.single(np.zeros(1), np.eye(1))
-        assert gm_pair_log_mass(g, 0.5, g, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert gm_pair_log_mass(g, g, FusionWeights(0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_separated_normals_log_mass(self):
         # N(0,1) vs N(2,1) at equal weights: mass exp(-2^2/8) = exp(-1/2)
         g1 = GaussianMixture.single(np.zeros(1), np.eye(1))
         g2 = GaussianMixture.single(np.array([2.0]), np.eye(1))
-        assert gm_pair_log_mass(g1, 0.5, g2, 0.5) == pytest.approx(-0.5, abs=1e-12)
+        assert gm_pair_log_mass(g1, g2, FusionWeights(0.5, 0.5)) == pytest.approx(-0.5, abs=1e-12)
 
     def test_mass_matches_quadrature(self):
         # the componentwise power approximation needs well-separated components
         g1 = mix([(0.6, [0.0], [[1.0]]), (0.4, [30.0], [[2.0]])])
         g2 = mix([(1.0, [1.0], [[1.5]])])
-        prod = gm_pair_product(g1, 0.3, g2, 0.7)
+        prod = gm_pair_product(g1, g2, FusionWeights(0.3, 0.7))
         oracle = quad_mass_1d(
             lambda x: gm_eval(g1, [x]) ** 0.3 * gm_eval(g2, [x]) ** 0.7
         )
@@ -97,7 +97,7 @@ class TestGmPairProduct:
         # equal covariances and weights: fused component sits at the midpoint
         g1 = GaussianMixture.single(np.array([0.0]), np.eye(1))
         g2 = GaussianMixture.single(np.array([2.0]), np.eye(1))
-        prod = gm_pair_product(g1, 0.5, g2, 0.5)
+        prod = gm_pair_product(g1, g2, FusionWeights(0.5, 0.5))
         assert prod.n_components == 1
         assert prod.means[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert prod.covs[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -106,7 +106,7 @@ class TestGmPairProduct:
         rng = np.random.default_rng(3)
         g1 = mix([(1.0, rng.normal(size=2), np.eye(2)) for _ in range(3)])
         g2 = mix([(1.0, rng.normal(size=2), np.eye(2)) for _ in range(4)])
-        assert gm_pair_product(g1, 0.5, g2, 0.5).n_components == 12
+        assert gm_pair_product(g1, g2, FusionWeights(0.5, 0.5)).n_components == 12
 
     # Each case used to pass unchecked; the first two returned weight [nan].
     def test_nan_mean_raises(self):
@@ -114,19 +114,19 @@ class TestGmPairProduct:
         good = GaussianMixture.single(np.zeros(2), np.eye(2))
         for p1, p2 in ((bad, good), (good, bad)):
             with pytest.raises(InvalidDensityError):
-                gm_pair_product(p1, 0.5, p2, 0.5)
+                gm_pair_product(p1, p2, FusionWeights(0.5, 0.5))
 
     def test_nan_weights_raise(self):
         # abs(nan - 1) > 1e-12 is False, so the old sum test let them through.
         g = GaussianMixture.single(np.zeros(2), np.eye(2))
         with pytest.raises(ConfigError):
-            gm_pair_product(g, np.nan, g, np.nan)
+            gm_pair_product(g, g, FusionWeights(np.nan, np.nan))
 
     def test_weight_outside_unit_interval_raises(self):
         # It used to end in a bare "math domain error" from log(-0.2).
         g = GaussianMixture.single(np.zeros(2), np.eye(2))
         with pytest.raises(ConfigError):
-            gm_pair_product(g, 1.2, g, -0.2)
+            gm_pair_product(g, g, FusionWeights(1.2, -0.2))
 
 
 class TestGmNormalize:
@@ -147,14 +147,14 @@ class TestGmReduce:
         rng = np.random.default_rng(0)
         g = mix([(w, rng.normal(size=1) * 100, np.eye(1))
                  for w in (0.5, 0.3, 0.15, 4e-6, 1e-7)])
-        reduced = gm_reduce(g, prune_threshold=1e-5, merge_threshold=4.0,
-                            max_components=10)
+        reduced = gm_reduce(g, GmReduceConfig(prune_threshold=1e-5, merge_threshold=4.0,
+                                              max_components=10))
         assert reduced.weights.sum() == pytest.approx(g.weights.sum(), abs=1e-9)
         assert reduced.n_components == 3
 
     def test_merge_is_moment_preserving(self):
         g = mix([(0.5, [0.0], np.eye(1)), (0.5, [0.5], np.eye(1))])
-        reduced = gm_reduce(g, 0.0, 4.0, 10)
+        reduced = gm_reduce(g, GmReduceConfig(0.0, 4.0, 10))
         assert reduced.n_components == 1
         assert reduced.means[0, 0] == pytest.approx(0.25, abs=1e-12)
         # merged covariance picks up the spread of means
@@ -163,14 +163,14 @@ class TestGmReduce:
     def test_cap_keeps_heaviest(self):
         g = mix([(w, [100.0 * i], np.eye(1))
                  for i, w in enumerate([0.4, 0.3, 0.2, 0.1])])
-        reduced = gm_reduce(g, 0.0, 4.0, 2)
+        reduced = gm_reduce(g, GmReduceConfig(0.0, 4.0, 2))
         assert reduced.n_components == 2
         assert set(np.round(reduced.means[:, 0])) == {0.0, 100.0}
 
     @pytest.mark.parametrize("n", [3, 20])
     def test_cap_breaks_ties_toward_lower_index(self, n):
         g = mix([(1.0, [100.0 * i], np.eye(1)) for i in range(n)])
-        reduced = gm_reduce(g, 0.0, 4.0, 2)
+        reduced = gm_reduce(g, GmReduceConfig(0.0, 4.0, 2))
         assert reduced.means[:, 0].tolist() == [0.0, 100.0]
 
     def test_merge_moments_oracle(self):

@@ -36,7 +36,6 @@ from mbfuse.mb import (
     mb_merge_components,
 )
 from mbfuse.pgci import (
-    cluster_hypothesis_count,
     fuse_cluster,
     l1_error_bound,
     multi_sensor_fuse,
@@ -383,9 +382,9 @@ class TestIsolatedPairBatch:
         pair_counts = []
         kernel = gci_mod._pair_product_parts
 
-        def counting_kernel(stack1, w1, stack2, w2, i1, i2):
+        def counting_kernel(stack1, stack2, w, i1, i2):
             pair_counts.append(len(i1))
-            return kernel(stack1, w1, stack2, w2, i1, i2)
+            return kernel(stack1, stack2, w, i1, i2)
 
         monkeypatch.setattr(gci_mod, "_pair_product_parts", counting_kernel)
         fused, diag = pgci_fuse(mb1, mb2, W, gamma=4.0)
@@ -637,7 +636,9 @@ class TestInputValidation:
 class TestHypothesisCounts:
     def test_cluster_count_orientation_free(self):
         c = Cluster(frozenset({0, 1, 2}), frozenset({3, 4}))
-        assert cluster_hypothesis_count(c) == count_hypotheses_distinct(2, 3)
+        mb1, mb2 = random_mb(np.random.default_rng(5), 3), random_mb(np.random.default_rng(6), 5)
+        result = fuse_cluster(c, mb1, mb2, W, pairwise_distances(mb1, mb2, W))
+        assert result.hypothesis_count == count_hypotheses_distinct(2, 3)
 
     def test_clustered_never_exceeds_truncated(self):
         # [DERIVED] sum of per-cluster counts vs their product: every

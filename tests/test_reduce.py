@@ -180,7 +180,7 @@ class TestGreedySweep:
     @given(gm_reduce_case())
     def test_gm_reduce_matches_loop(self, case):
         mix, prune, merge, cap = case
-        assert_mixtures_equal(gm_reduce(mix, prune, merge, cap),
+        assert_mixtures_equal(gm_reduce(mix, GmReduceConfig(prune, merge, cap)),
                               reference_gm_reduce(mix, prune, merge, cap))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -269,7 +269,7 @@ class TestStackReduction:
     def test_stack_matches_each_segment_alone(self, case):
         segments, prune, merge, cap = case
         for mix, seg in zip(reduce_stack(segments, prune, merge, cap), segments):
-            assert_mixtures_equal(mix, gm_reduce(seg, prune, merge, cap))
+            assert_mixtures_equal(mix, gm_reduce(seg, GmReduceConfig(prune, merge, cap)))
 
     def test_cap_breaks_ties_in_group_weight_toward_earlier_groups(self):
         # Five far-apart Gaussians of equal weight in two segments: every
@@ -365,9 +365,9 @@ def mb_reduce_capped(max_components):
 # Each used to reduce without error: a NaN prune threshold kept nothing, a
 # NaN merge threshold merged nothing, and mb_reduce checked none of them.
 INVALID_REDUCTIONS = {
-    "gm-prune-nan": lambda: gm_reduce(TWO_GAUSSIANS, np.nan, 4.0, 5),
-    "gm-merge-nan": lambda: gm_reduce(TWO_GAUSSIANS, 0.0, np.nan, 5),
-    "gm-cap-nan": lambda: gm_reduce(TWO_GAUSSIANS, 0.0, 4.0, np.nan),
+    "gm-prune-nan": lambda: gm_reduce(TWO_GAUSSIANS, GmReduceConfig(np.nan, 4.0, 5)),
+    "gm-merge-nan": lambda: gm_reduce(TWO_GAUSSIANS, GmReduceConfig(0.0, np.nan, 5)),
+    "gm-cap-nan": lambda: gm_reduce(TWO_GAUSSIANS, GmReduceConfig(0.0, 4.0, np.nan)),
     "mb-prune-nan": lambda: mb_reduce_with(prune_threshold=np.nan),
     "mb-prune-negative": lambda: mb_reduce_with(prune_threshold=-1.0),
     "mb-merge-nan": lambda: mb_reduce_with(merge_threshold=np.nan),
@@ -395,7 +395,7 @@ class TestReductionErrors:
             np.array([bad, 0.5, 0.5]), np.arange(6.0).reshape(3, 2), np.tile(np.eye(2), (3, 1, 1))
         )
         with pytest.raises(InvalidDensityError):
-            gm_reduce(mix, 1e-5, 4.0, 5)
+            gm_reduce(mix, GmReduceConfig())
 
     def test_mb_reduce_of_a_nan_weight_raises(self):
         with pytest.raises(InvalidDensityError):
@@ -421,7 +421,7 @@ class TestReductionErrors:
         pdf = GaussianMixture(np.array([0.5, 0.5]), means, covs)
         with pytest.raises(InvalidDensityError):
             if reduction == "gm_reduce":
-                gm_reduce(pdf, 1e-5, 4.0, 5)
+                gm_reduce(pdf, GmReduceConfig())
             else:
                 density = MultiBernoulliDensity((BernoulliComponent(r=0.7, pdf=pdf, id=0),
                                                  track(0.9, 200.0, 1)))

@@ -17,6 +17,8 @@ from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel
 from mbfuse.pgci import multi_sensor_fuse
 from mbfuse.sim import (
     KNOWN_BIRTH_R,
+    OSPA_C,
+    OSPA_P,
     REDUCE_CONFIG,
     MonteCarloResult,
     ObjectBirth,
@@ -139,12 +141,10 @@ class TestMetropolisWeights:
 
 @st.composite
 def position_pair(draw):
-    """(x, y, c, p) for OSPA: sets of up to 12 positions each, drawn on an
+    """(x, y) for OSPA: sets of up to 12 positions each, drawn on an
     integer lattice (many tied distances), with duplicated points, in
     general position, or with one set wholly beyond the cutoff."""
     m, n = draw(st.integers(0, 12)), draw(st.integers(0, 12))
-    c = draw(st.sampled_from([1.0, 2.5, 100.0]))
-    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
     kind = draw(st.sampled_from(["lattice", "duplicates", "general", "beyond"]))
 
     def points(k, coord):
@@ -162,8 +162,8 @@ def position_pair(draw):
         general = st.floats(-150.0, 150.0, allow_nan=False)
         x, y = points(m, general), points(n, general)
         if kind == "beyond":
-            y = y + 10.0 * (c + 300.0)
-    return x, y, c, p
+            y = y + 10.0 * (OSPA_C + 300.0)
+    return x, y
 
 
 class TestOspa:
@@ -208,17 +208,6 @@ class TestOspa:
         assert ospa(np.zeros(shape), np.zeros((0, 2))) == 0.0
         assert ospa(np.zeros(shape), np.ones((1, 2))) == 100.0
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ospa(np.zeros((1, 2)), np.zeros((1, 2)), c=0.0)
-        with pytest.raises(ValueError):
-            ospa(np.zeros((1, 2)), np.zeros((1, 2)), p=0.5)
-        # NaN must be caught here, not by the assignment solver downstream.
-        with pytest.raises(ValueError, match="require c > 0"):
-            ospa(np.zeros((1, 2)), np.ones((2, 2)), c=float("nan"))
-        with pytest.raises(ValueError, match="require c > 0"):
-            ospa(np.zeros((1, 2)), np.ones((2, 2)), p=float("nan"))
-
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_nan_position_raises(self, side):
         sets = {"x": np.zeros((2, 2)), "y": np.ones((3, 2))}
@@ -244,8 +233,8 @@ class TestOspa:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(position_pair())
     def test_equals_scipy_reference_bit_for_bit(self, case):
-        x, y, c, p = case
-        assert ospa(x, y, c, p) == oracle.ospa(x, y, c, p)
+        x, y = case
+        assert ospa(x, y) == oracle.ospa(x, y, OSPA_C, OSPA_P)
 
 
 @st.composite
@@ -436,9 +425,8 @@ class TestConfigValidation:
         births = tuple(
             dataclasses.replace(b, state=np.concatenate([b.state, [0.0, 0.0]])) for b in cfg.births
         )
-        cfg = dataclasses.replace(cfg, motion=motion, sensors=sensors, births=births)
         with pytest.raises(ConfigError, match="motion F has shape"):
-            cfg.validate()
+            dataclasses.replace(cfg, motion=motion, sensors=sensors, births=births)
 
     # Unchecked, R = -I ends in NumericalError (exit 3, not 2).
     @pytest.mark.parametrize("name, value", [
@@ -524,8 +512,10 @@ class TestOutputsPassTheConstructorCheck:
             for s, sensor in enumerate(cfg.sensors)
         ]
         built = [d for p in posteriors for d in p]
+        self_w, neighbor_w = metropolis_weights(cfg.adjacency, cfg.fusion_node)
+        read = {cfg.fusion_node: self_w, **neighbor_w}
         for k in range(cfg.duration):
-            densities, weights = _fusion_inputs(cfg, posteriors, k)
+            densities, weights = _fusion_inputs(cfg, read, posteriors, k)
             built += densities
             built.append(multi_sensor_fuse(densities, weights, cfg.gamma,
                                            reduce_config=REDUCE_CONFIG))
@@ -577,6 +567,36 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim_mod, "run_local_filter", counting)
         run_montecarlo(cfg, n_runs=2)
         assert filtered == [0, 1, 0, 1]
+
+    def test_each_step_enters_the_node_once(self, monkeypatch):
+        # The chain 0 - 1 - 2 - 3 fused at node 1 reads sensors 1, 0 and 2.
+        # Its weights are worked out once per call, the config was checked
+        # when it was built, and each step condenses and fuses once.
+        region = tiny_scenario().region
+        sensors = tuple(SensorModel.position_sensor(10.0, p_d, 10.0, region)
+                        for p_d in (0.9, 0.95, 0.8, 0.85))
+        cfg = tiny_scenario(sensors=sensors, fusion_node=1, adjacency=(
+            frozenset({1}), frozenset({0, 2}), frozenset({1, 3}), frozenset({2})))
+        names = ("metropolis_weights", "_fusion_inputs", "multi_sensor_fuse", "run_local_filter")
+        calls = {name: [] for name in names}
+        for name in names:
+            def recording(*args, _fn=getattr(sim_mod, name), _calls=calls[name], **kwargs):
+                _calls.append(args)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sim_mod, name, recording)
+        validated = []
+        monkeypatch.setattr(ScenarioConfig, "validate", lambda self: validated.append(self))
+        run_montecarlo(cfg, n_runs=2)
+
+        self_w, neighbor_w = metropolis_weights(cfg.adjacency, 1)
+        assert len(calls["metropolis_weights"]) == 1
+        assert validated == []
+        assert len(calls["multi_sensor_fuse"]) == 2 * cfg.duration
+        assert [args[3] for args in calls["_fusion_inputs"]] == list(range(cfg.duration)) * 2
+        assert all(args[1] == {1: self_w, **neighbor_w} for args in calls["_fusion_inputs"])
+        filtered = [next(s for s, x in enumerate(sensors) if x is args[2])
+                    for args in calls["run_local_filter"]]
+        assert sorted(filtered) == [0, 0, 1, 1, 2, 2]
 
     def test_fused_tracks_truth_cardinality(self):
         cfg = tiny_scenario()
