@@ -12,15 +12,21 @@ computed in the given order and the roles swapped when |L1| > |L2|, so
 the oracle weighs its hypotheses with the matrix that clustered fusion gates.
 
 Fused pairs and moment matching run on one flat stack from the pair
-product to the fused density. The 1x1 batch and larger clusters share
-_pair_blocks: the Gaussian-pair index of each pair's block, the block
-masses with their underflow check, and the normalization. Two calls of
-the larger-cluster path stay only for the benchmark's span hooks and its
-fuse-dense oracle check: one gm_pair_product of the cluster's stacked
-sides in full, and one gm_reduce per fused component. Once the hooks
-move, two swaps put every cluster on the batch's path: gather only the
-kept Gaussian pairs through _pair_product_parts, and reduce all fused
-components in one _reduce_stack pass.
+product to the fused density. The 1x1 clusters, nearly all in tracking,
+are fused in one batch (_fuse_isolated_pairs): a lone pair's marginal is
+g / (1 + g), one _pair_product_parts call multiplies only the batch's
+Gaussian pairs, and one pass reduces its fused pdfs, to the bits that
+fuse_cluster gives each alone. A larger cluster's marginals come from a
+subset DP, and fused_pair_density multiplies the Gaussians that
+_pair_blocks gathers. Both paths share _pair_blocks: the Gaussian-pair
+index of each pair's block, the block masses with their underflow check,
+and the normalization. Two calls of the larger-cluster path stay only
+for the benchmark's span hooks and its fuse-dense oracle check: one
+gm_pair_product of the cluster's stacked sides in full, and one gm_reduce
+per fused component. Once the hooks move, two swaps put every cluster on
+the batch's path: gather only the kept Gaussian pairs through
+_pair_product_parts, and reduce all fused components in one _reduce_stack
+pass.
 """
 
 from __future__ import annotations
@@ -160,28 +166,23 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
                        w: FusionWeights):
     """Normalized GCI fusion of each listed pair (l, l') plus its mass Z = exp(-d).
 
-    The listed components' Gaussians are stacked on each side and multiplied
-    in one gm_pair_product call; each pair's block of the product is then
-    gathered into one stack. Returns (sizes, weights, means, covs, mass):
-    the pdf of each pair, in the order of pairs, as consecutive segments of
-    the given sizes, and each pair's Z.
+    The distinct Gaussian rows that _pair_blocks gathers on each side, in
+    stack order, are multiplied in one gm_pair_product call; each pair's
+    block of the product is then gathered into one stack. Returns (sizes,
+    weights, means, covs, mass): the pdf of each pair, in the order of
+    pairs, as consecutive segments of the given sizes, and each pair's Z.
     """
     _check_type(w, FusionWeights, "fusion weights")
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    def side(mb, listed):
-        # One mixture of the Gaussians of the listed components, and their rows in mb.
-        _, _, sizes, weights, means, covs = mb.stack
-        idx = np.unique(listed)
-        rows = _segment_rows((np.cumsum(sizes) - sizes)[idx], sizes[idx])
-        return rows, GaussianMixture(weights[rows], means[rows], covs[rows])
-
     def product(i1, i2):
-        rows1, p1 = side(mb1, l1)
-        rows2, p2 = side(mb2, l2)
+        rows1, k1 = np.unique(i1, return_inverse=True)
+        rows2, k2 = np.unique(i2, return_inverse=True)
+        p1 = GaussianMixture(*(a[rows1] for a in mb1.stack[3:]))
+        p2 = GaussianMixture(*(a[rows2] for a in mb2.stack[3:]))
         # With no pairs there is no product to take, and no call to count.
-        prod = gm_pair_product(p1, p2, w) if l1.size else p1
-        k = np.searchsorted(rows1, i1) * p2.n_components + np.searchsorted(rows2, i2)
+        prod = gm_pair_product(p1, p2, w) if i1.size else p1
+        k = k1 * rows2.size + k2
         return prod.weights[k], prod.means[k], prod.covs[k]
 
     return _pair_blocks(l1, l2, mb1, mb2, product)
@@ -280,7 +281,7 @@ def _moment_match(marginal, l1_idx, l2_idx, mb1, mb2, w, gm_config):
     """
     kept = marginal > MARGINAL_FLOOR
     row, col = np.nonzero(kept)
-    pairs = [(l1_idx[i], l2_idx[j]) for i, j in zip(row, col)]
+    pairs = np.stack([np.take(l1_idx, row), np.take(l2_idx, col)], axis=1)
     sizes, weights, means, covs, _ = fused_pair_density(pairs, mb1, mb2, w)
     # Python's sum adds left to right; ndarray.sum pairs terms from 8 up.
     r = np.array([sum(ms[k]) for ms, k in zip(marginal, kept)], dtype=float)
@@ -307,13 +308,11 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     A lone pair's marginal is g / (1 + g) with g as in
     cluster_pair_marginals; the subset DP computes it as g*1 over 1 + g*1,
     which is the same float. Pairs whose marginal is above MARGINAL_FLOOR,
-    as in _moment_match, are fused through _pair_blocks with the two steps
-    that larger clusters still lack (see the module docstring): the kernel
-    multiplies only the kept pairs' Gaussian pairs, and the fused pdfs are
-    reduced in one pass. A single pair's mixture needs no reweighting,
-    since _moment_match scales it by m / m = 1. Returns the density of the
-    fused components, one per kept pair in the order of pairs, each with
-    r = min(marginal, R_MAX) and the pair's position in pairs as its id.
+    as in _moment_match, are fused (see the module docstring). A single
+    pair's mixture needs no reweighting, since _moment_match scales it by
+    m / m = 1. Returns the density of the fused components, one per kept
+    pair in the order of pairs, each with r = min(marginal, R_MAX) and the
+    pair's position in pairs as its id.
     """
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     _, gain1 = _existence_gains(mb1.rs[l1], w.w1)

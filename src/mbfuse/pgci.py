@@ -5,16 +5,12 @@ exhaustive oracle shares) -> gate -> largest isolated clustering (a tuple
 of Clusters, each two sorted index tuples) -> independent exact fusion
 inside each cluster with both sides nonempty (association marginals by a
 subset DP, no hypothesis enumeration) -> fused components concatenated
-in canonical cluster order. The 1x1 clusters, which make up
-nearly all clusters in tracking, are fused together in one batch: a lone
-pair's marginal has the closed form g / (1 + g), so they need no DP. The
-batch multiplies only the Gaussian pairs of its own pairs, gathered from
-one stack per density in one kernel call, and reduces the fused pdfs in
-one pass; the result is bit-identical to fusing each alone. Each larger
-cluster goes through fuse_cluster, on the same stack path (see gci). Each
-part is one stacked density; one stable gather by cluster position puts
-them in canonical order. pgci_fuse reports the hypothesis counts of the
-clustering it gated; l1_error_bound gates the exhaustive oracle's own matrix.
+in canonical cluster order. The 1x1 clusters are fused together in one
+batch and each larger cluster through fuse_cluster; the gci module
+docstring describes both paths. Each part is one stacked density; one
+stable gather by cluster position puts them in canonical order. pgci_fuse
+reports the hypothesis counts of the clustering it gated; l1_error_bound
+gates the exhaustive oracle's own matrix.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@
 These are direct formulas kept for the tests only; the package itself
 never calls them. The filter, birth, per-cluster moment matching and
 fusion-assembly references work one Bernoulli component at a time, on the
-component objects, where the package works on a density's flat stack. The OSPA and log-sum-exp references call scipy, which the
-package itself does not import.
+component objects, where the package works on a density's flat stack.
+The pgci_fuse reference fuses every two-sided cluster, 1x1 ones included,
+through the package's fuse_cluster, the per-cluster path that clustered
+fusion rests on. The OSPA and log-sum-exp references call scipy, which
+the package itself does not import.
 """
 
 import math
@@ -15,9 +18,7 @@ from scipy.special import logsumexp
 
 from mbfuse.clustering import Cluster, compute_lic
 from mbfuse.errors import DimensionMismatchError, IncompatiblePairError, NumericalError
-from mbfuse.gci import (
-    MARGINAL_FLOOR, FusionWeights, _fuse_isolated_pairs, _logsumexp, pairwise_distances,
-)
+from mbfuse.gci import MARGINAL_FLOOR, FusionWeights, _logsumexp, pairwise_distances
 from mbfuse.gm import (
     GaussianMixture,
     _batch_cholesky,
@@ -525,37 +526,19 @@ def _reduce_pdf(pdf: GaussianMixture, config: GmReduceConfig | None) -> Gaussian
     return gm_normalize(pdf)[0]
 
 
-def isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
-    """The 1x1 batch cut into the fused component of each pair, None where
-    the pair is dropped; each component has id 0."""
-    out = [None] * len(pairs)
-    for comp in _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config).components:
-        out[comp.id] = BernoulliComponent(r=comp.r, pdf=comp.pdf, id=0)
-    return out
-
-
 def pgci_fuse(mb1, mb2, w, gamma, gm_config=None):
-    """pgci_fuse's density assembled one component object at a time: the
-    1x1 batch's component or the cluster's fused components, cluster by
-    cluster, each rebuilt with a fresh id."""
+    """pgci_fuse as a loop of fuse_cluster over every two-sided cluster, 1x1
+    ones included, its components rebuilt one object at a time with fresh
+    ids in cluster order."""
     distances = pairwise_distances(mb1, mb2, w)
     if len(mb1) > len(mb2):
         mb1, mb2, w = mb2, mb1, w.swapped()
         distances = distances.T
-    clusters = [c for c in compute_lic(distances, gamma) if c.l1 and c.l2]
-    isolated = [len(c.l1) == len(c.l2) == 1 for c in clusters]
-    batch = iter(isolated_pairs(
-        [(min(c.l1), min(c.l2)) for c, one in zip(clusters, isolated) if one],
-        mb1, mb2, w, distances, gm_config,
-    ))
     components = []
-    for cluster, one in zip(clusters, isolated):
-        if one:
-            comp = next(batch)
-            fused = [] if comp is None else [comp]
-        else:
-            fused = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components
-        for comp in fused:
+    for cluster in compute_lic(distances, gamma):
+        if not (cluster.l1 and cluster.l2):
+            continue
+        for comp in fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components:
             components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
     return MultiBernoulliDensity(tuple(components))
 

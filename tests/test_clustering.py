@@ -58,16 +58,6 @@ class TestGate:
             Cluster(frozenset({1}), frozenset({1})),
         )
 
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            compute_lic(np.zeros((1, 1)), 0.0)
-
-    def test_nan_threshold_rejected(self):
-        # A NaN gamma fails every d <= gamma test, so it would silently
-        # drop every pair and fuse to an empty density.
-        with pytest.raises(ValueError):
-            compute_lic(np.zeros((1, 1)), float("nan"))
-
 
 class TestDisjointSet:
     def test_components_vs_bfs_oracle(self):

@@ -191,6 +191,7 @@ INVALID = {
     "oracle-over-cap": (lambda: naive_gci_mb_fuse(density(*[0.5] * 10), density(*[0.5] * 10), W),
                         IntractableFusionError, False),
     "lic-gamma-0": (lambda: compute_lic(np.zeros((1, 1)), 0.0), ConfigError, True),
+    # A NaN gate fails every d <= gamma test, so it would drop every pair.
     "lic-gamma-nan": (lambda: compute_lic(np.zeros((1, 1)), NAN), ConfigError, True),
     # A 1-D or 3-D matrix used to fail to unpack; a NaN entry fell outside the gate.
     "lic-matrix-1d": (lambda: compute_lic(np.zeros(2), 4.0), ConfigError, True),

@@ -283,23 +283,6 @@ class TestSubsetDp:
         assert len(fuse_cluster(cluster, mb1, mb2, W, D).components) == 3
 
 
-def reference_pgci_fuse(mb1, mb2, w, gamma, gm_config):
-    """pgci_fuse as a loop of fuse_cluster over every two-sided cluster,
-    1x1 ones included, with fresh ids in cluster order."""
-    distances = pairwise_distances(mb1, mb2, w)
-    if len(mb1) > len(mb2):
-        mb1, mb2, w = mb2, mb1, w.swapped()
-        distances = distances.T
-    components = []
-    for cluster in compute_lic(distances, gamma):
-        if not (cluster.l1 and cluster.l2):
-            continue
-        result = fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config)
-        for comp in result.components:
-            components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
-    return MultiBernoulliDensity(tuple(components))
-
-
 # Group shapes (components on side 1, on side 2) of mixed_clusters.
 MIXED = [(1, 1), (1, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 0), (0, 1)]
 NO_1X1 = [shape for shape in MIXED if shape != (1, 1)]
@@ -345,20 +328,27 @@ def mixed_clusters(draw, shapes=MIXED, min_groups=1):
     return mb1, mb2, FusionWeights(w1, 1.0 - w1), draw(st.sampled_from([4.0, 20.0])), gm_config
 
 
+def assert_identical(got, want):
+    """Every stack array equal in dtype, shape and value, empty ones too."""
+    for name, a, b in zip(want.stack._fields, got.stack, want.stack):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def check_against_reference(instance):
+    """pgci_fuse against oracle.pgci_fuse, which sends every two-sided
+    cluster through fuse_cluster and assembles the components one object
+    at a time. Returns pgci_fuse's (fused, diagnostics)."""
+    mb1, mb2, w, gamma, gm_config = instance
+    got, diag = pgci_fuse(mb1, mb2, w, gamma, gm_config=gm_config)
+    assert_identical(got, oracle.pgci_fuse(mb1, mb2, w, gamma, gm_config))
+    return got, diag
+
+
 class TestIsolatedPairBatch:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(mixed_clusters())
     def test_pgci_fuse_matches_per_cluster_loop(self, instance):
-        mb1, mb2, w, gamma, gm_config = instance
-        got, _ = pgci_fuse(mb1, mb2, w, gamma, gm_config=gm_config)
-        want = reference_pgci_fuse(mb1, mb2, w, gamma, gm_config)
-        assert [c.id for c in got.components] == [c.id for c in want.components]
-        assert np.array_equal(got.rs, want.rs)
-        for a, b in zip(got.components, want.components):
-            assert np.array_equal(a.pdf.weights, b.pdf.weights)
-            assert np.array_equal(a.pdf.means, b.pdf.means)
-            assert np.array_equal(a.pdf.covs, b.pdf.covs)
-
+        check_against_reference(instance)
 
     def test_all_1x1_fusion_multiplies_only_its_gaussian_pairs(self, monkeypatch):
         # Far-apart groups of one component per side, each pdf of 1 to 4
@@ -396,42 +386,30 @@ class TestIsolatedPairBatch:
         )]
 
 
-def assert_identical(got, want):
-    """Every stack array equal in dtype, shape and value, empty ones too."""
-    for name, a, b in zip(want.stack._fields, got.stack, want.stack):
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-
-
 class TestAssemblyAgainstReference:
-    """pgci_fuse's stable gather against oracle.pgci_fuse, which assembles
-    the same parts one component object at a time."""
-
-    def check(self, instance):
-        mb1, mb2, w, gamma, gm_config = instance
-        got, diag = pgci_fuse(mb1, mb2, w, gamma, gm_config=gm_config)
-        assert_identical(got, oracle.pgci_fuse(mb1, mb2, w, gamma, gm_config))
-        return got, diag
+    """pgci_fuse, its 1x1 batch and its stable gather, against
+    oracle.pgci_fuse on each shape family."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mixed_clusters([(1, 1)]))
     def test_all_1x1(self, instance):
-        self.check(instance)
+        check_against_reference(instance)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mixed_clusters(NO_1X1))
     def test_no_1x1_cluster(self, instance):
-        _, diag = self.check(instance)
+        _, diag = check_against_reference(instance)
         assert (1, 1) not in diag.cluster_sizes
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mixed_clusters())
     def test_mixed(self, instance):
-        self.check(instance)
+        check_against_reference(instance)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(mixed_clusters([(1, 0), (0, 1)], min_groups=0))
     def test_empty_and_one_sided(self, instance):
-        got, _ = self.check(instance)
+        got, _ = check_against_reference(instance)
         assert len(got) == 0
 
     def test_dropped_pairs_leave_gaps_in_the_batch(self):
@@ -447,7 +425,7 @@ class TestAssemblyAgainstReference:
             ))
             for side, rs in enumerate((rs1, rs2))
         )
-        got, diag = self.check((mb1, mb2, W, 4.0, GmReduceConfig()))
+        got, diag = check_against_reference((mb1, mb2, W, 4.0, GmReduceConfig()))
         assert diag.cluster_sizes == [(1, 1)] * 5 + [(2, 2)]
         assert got.stack.ids.tolist() == list(range(5))
 
@@ -752,18 +730,6 @@ class TestErrorBound:
 
 
 class TestMultiSensorFuse:
-    def test_input_validation(self):
-        rng = np.random.default_rng(61)
-        mb = random_mb(rng, 1)
-        with pytest.raises(ValueError):
-            multi_sensor_fuse([], [], 4.0)
-        with pytest.raises(ValueError):
-            multi_sensor_fuse([mb, mb], [0.5], 4.0)
-        with pytest.raises(ValueError):
-            multi_sensor_fuse([mb, mb], [0.7, 0.7], 4.0)
-        with pytest.raises(ValueError):
-            multi_sensor_fuse([mb], [float("nan")], 4.0)
-
     def test_single_posterior_identity(self):
         rng = np.random.default_rng(62)
         mb = random_mb(rng, 2)
