@@ -5,8 +5,8 @@ hypothesis space (subset + injective association map), hypothesis
 weights, exact association marginals by a subset DP over partial
 matchings, the moment-matched MB approximation of the fused
 generalized-MB density, and the exhaustive two-step fusion that serves
-as the correctness oracle for the clustered pipeline. A hypothesis is
-its tuple of (l, l') pairs; the oracle returns its hypotheses as arrays.
+as the correctness oracle for the clustered pipeline. Its hypotheses are
+one (H, n1) integer array: each l's target in L2, or -1 if unassigned.
 Both fusers orient their inputs in _oriented: the divergences are
 computed in the given order and the roles swapped when |L1| > |L2|, so
 the oracle weighs its hypotheses with the matrix that clustered fusion gates.
@@ -56,11 +56,11 @@ from .mb import MultiBernoulliDensity, R_MAX, _reduced_density
 
 @dataclass
 class GmbDensity:
-    """Fused generalized-MB density: hypothesis k's pairs, normalized weight
-    and log Q-factor part (its weight without the distances) in enumeration
-    order, log eta, and the divergences that weighed them, as oriented."""
+    """Fused generalized-MB density: hypothesis k's targets (row k of
+    enumerate_hypotheses), normalized weight and log Q-factor part (weight
+    without the distances), log eta, and the oriented divergences that weighed them."""
 
-    pairs: list[tuple[tuple[int, int], ...]]
+    targets: np.ndarray
     w: np.ndarray
     log_k: np.ndarray
     log_eta: float
@@ -99,20 +99,20 @@ def pairwise_distances(
     return np.where(np.isfinite(shift), dist, np.inf)
 
 
-def enumerate_hypotheses(l1, l2):
-    """Yield every distinct hypothesis, a subset of l1 with an injective map
-    into l2, as its tuple of (l, l') pairs.
-
-    Includes the empty hypothesis. Subset sizes above min(|l1|, |l2|) have
-    no injective maps and contribute nothing.
-    """
-    l1 = list(l1)
-    l2 = list(l2)
-    yield ()
-    for n in range(1, min(len(l1), len(l2)) + 1):
-        for i1 in combinations(l1, n):
-            for targets in permutations(l2, n):
-                yield tuple(zip(i1, targets))
+def enumerate_hypotheses(n1: int, n2: int) -> np.ndarray:
+    """Every distinct hypothesis, a subset of range(n1) with an injective map
+    into range(n2), as one row of an (H, n1) int32 array: row k holds
+    hypothesis k's target of each l, or -1 where l is unassigned. Row 0 is
+    the empty hypothesis; then come subset sizes 1 to min(n1, n2), each
+    size's subsets in lexicographic order, each subset's maps likewise."""
+    blocks = [np.full((1, n1), -1, dtype=np.int32)]
+    for n in range(1, min(n1, n2) + 1):
+        subsets = np.array(list(combinations(range(n1), n)))
+        maps = np.array(list(permutations(range(n2), n)), dtype=np.int32)
+        block = np.full((len(subsets), len(maps), n1), -1, dtype=np.int32)
+        block[np.arange(len(subsets))[:, None], :, subsets] = maps.T
+        blocks.append(block.reshape(-1, n1))
+    return np.concatenate(blocks)
 
 
 def _check_counts(n1, n2) -> None:
@@ -133,6 +133,14 @@ def count_hypotheses_nominal(n1: int, n2: int) -> int:
     if n1 > n2:
         raise ConfigError(f"count requires n1 <= n2, got {n1} and {n2}")
     return 2**n1 * math.perm(n2, n1)
+
+
+def _check_indices(idx, n: int, what: str) -> None:
+    """Raise ConfigError unless every index in idx lies in range(n); numpy
+    would read a negative one from the end."""
+    idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ConfigError(f"{what} indices must lie in [0, {n}), got {idx.min()} to {idx.max()}")
 
 
 def _pair_blocks(l1, l2, mb1, mb2, product):
@@ -171,9 +179,12 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
     block of the product is then gathered into one stack. Returns (sizes,
     weights, means, covs, mass): the pdf of each pair, in the order of
     pairs, as consecutive segments of the given sizes, and each pair's Z.
+    An index outside its density raises ConfigError.
     """
     _check_type(w, FusionWeights, "fusion weights")
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    _check_indices(l1, len(mb1), "sensor-1 pair")
+    _check_indices(l2, len(mb2), "sensor-2 pair")
 
     def product(i1, i2):
         rows1, k1 = np.unique(i1, return_inverse=True)
@@ -241,8 +252,10 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     matchings of g; ``_matching_sums`` computes them over subsets of the
     smaller side instead of enumerating hypotheses. Returns (marginal,
     log eta), where marginal[i, j] is the pair marginal of l1_idx[i] and
-    l2_idx[j].
+    l2_idx[j]. An index outside its density raises ConfigError.
     """
+    _check_indices(l1_idx, len(mb1), "sensor-1 cluster")
+    _check_indices(l2_idx, len(mb2), "sensor-2 cluster")
     n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
     steps = n_l * n_s * 2**n_s
     if steps > DP_STEP_CAP:
@@ -407,23 +420,18 @@ def naive_gci_mb_fuse(
     log_1mr1, gain1 = _existence_gains(mb1.rs, w.w1)
     log_1mr2, gain2 = _existence_gains(mb2.rs, w.w2)
     base = w.w1 * sum(log_1mr1) + w.w2 * sum(log_1mr2)
-    hyps = list(enumerate_hypotheses(range(n1), range(n2)))
-    log_ks, log_ws = [], []
-    for pairs in hyps:
-        log_k = base
-        d_sum = 0.0
-        for l, lp in pairs:
-            log_k += gain1[l] + gain2[lp]
-            d_sum += distances[l, lp]
-        log_ks.append(log_k)
-        log_ws.append(log_k - d_sum)
-    log_eta = _logsumexp(log_ws)
-    norm_ws = np.exp(np.array(log_ws) - log_eta)
+    # Each hypothesis adds its pairs in ascending l, one column at a time,
+    # and each marginal its hypotheses' weights in hypothesis order.
+    targets = enumerate_hypotheses(n1, n2)
+    log_k, d_sum = np.full(len(targets), base), np.zeros(len(targets))
+    for l, t in enumerate(targets.T):
+        on = t >= 0
+        log_k[on] += gain1[l] + gain2[t[on]]
+        d_sum[on] += distances[l, t[on]]
+    log_eta = _logsumexp(log_k - d_sum)
+    norm_ws = np.exp(log_k - d_sum - log_eta)
 
-    marginal = np.zeros((n1, n2))
-    for pairs, wn in zip(hyps, norm_ws):
-        for l, lp in pairs:
-            marginal[l, lp] += wn
-
+    marginal = np.reshape([np.bincount(t[t >= 0], norm_ws[t >= 0], n2) for t in targets.T],
+                          (n1, n2))
     fused_mb = _moment_match(marginal, range(n1), range(n2), mb1, mb2, w, gm_config)
-    return fused_mb, GmbDensity(hyps, norm_ws, np.array(log_ks, dtype=float), log_eta, distances)
+    return fused_mb, GmbDensity(targets, norm_ws, log_k, log_eta, distances)

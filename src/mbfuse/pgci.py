@@ -79,6 +79,7 @@ def fuse_cluster(
     Fused components are moment-matched onto the cluster's sensor-1 side;
     eta does not depend on which side that is, and ``pgci_fuse`` fixes one
     orientation for every cluster. The density's ids are positions in cluster.l1.
+    An index outside its density raises ConfigError (see cluster_pair_marginals).
     """
     if not (cluster.l1 and cluster.l2):
         raise ConfigError("fuse_cluster only applies to two-sided clusters")
@@ -153,8 +154,12 @@ def l1_error_bound(gmb_full: GmbDensity, gate: float, gamma: float) -> tuple[flo
     """
     if not math.isfinite(gamma):
         raise ConfigError(f"bound exponent gamma must be finite, got {gamma}")
-    within = {(l, lp) for c in compute_lic(gmb_full.distances, gate) for l in c.l1 for lp in c.l2}
-    discarded = np.array([not within.issuperset(h) for h in gmb_full.pairs], dtype=bool)
+    n1, n2 = gmb_full.distances.shape
+    within = np.zeros((n1, n2 + 1), dtype=bool)
+    within[:, n2] = True  # the column that the target -1 of an unassigned l reads
+    for c in compute_lic(gmb_full.distances, gate):
+        within[np.ix_(c.l1, c.l2)] = True
+    discarded = ~within[np.arange(n1), gmb_full.targets].all(axis=1)
     exact_mass = 2.0 * sum(gmb_full.w[discarded].tolist())
     log_a = _logsumexp(gmb_full.log_k[discarded]) + np.log(2.0) - gmb_full.log_eta
     return exact_mass, float(np.exp(log_a - gamma))

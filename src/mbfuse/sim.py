@@ -416,7 +416,7 @@ def run_montecarlo(
                 n_h[run, k] = float(min(diags[0].n_h, 1e300))
                 n_h2[run, k] = float(diags[0].n_h_clustered)
 
-            truth_pos = truth[k][:, :2] if len(truth[k]) else np.zeros((0, 2))
+            truth_pos = truth[k][:, :2]
             local_est = extract_estimates(posteriors[cfg.fusion_node][k])
             fused_est = extract_estimates(fused)
             ospa_local[run, k] = ospa(local_est[:, :2], truth_pos)

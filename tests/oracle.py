@@ -6,11 +6,14 @@ fusion-assembly references work one Bernoulli component at a time, on the
 component objects, where the package works on a density's flat stack.
 The pgci_fuse reference fuses every two-sided cluster, 1x1 ones included,
 through the package's fuse_cluster, the per-cluster path that clustered
-fusion rests on. The OSPA and log-sum-exp references call scipy, which
-the package itself does not import.
+fusion rests on. The hypothesis references generate and read each
+hypothesis as its tuple of (l, l') pairs, one at a time, where the
+package keeps all of them in one integer array. The OSPA and log-sum-exp
+references call scipy, which the package itself does not import.
 """
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -139,12 +142,34 @@ def cluster_log_eta(
     raise ValueError("two-sided clusters need the full fusion path")
 
 
+def enumerate_hypotheses(l1, l2):
+    """Yield every distinct hypothesis, a subset of l1 with an injective map
+    into l2, as its tuple of (l, l') pairs.
+
+    Includes the empty hypothesis. Subset sizes above min(|l1|, |l2|) have
+    no injective maps and contribute nothing.
+    """
+    l1 = list(l1)
+    l2 = list(l2)
+    yield ()
+    for n in range(1, min(len(l1), len(l2)) + 1):
+        for i1 in combinations(l1, n):
+            for targets in permutations(l2, n):
+                yield tuple(zip(i1, targets))
+
+
+def hypothesis_pairs(targets) -> list:
+    """Each row of a targets array (see gci.enumerate_hypotheses) read as
+    its tuple of (l, l') pairs."""
+    return [tuple((l, int(t)) for l, t in enumerate(row) if t >= 0) for row in targets]
+
+
 def inter_cluster_hypotheses(gmb_full, clusters) -> set:
     """Pair-tuple keys of every hypothesis containing a pair across the clusters."""
     cluster_of_l1 = {l: g for g, c in enumerate(clusters) for l in c.l1}
     cluster_of_l2 = {lp: g for g, c in enumerate(clusters) for lp in c.l2}
     return {
-        pairs for pairs in gmb_full.pairs
+        pairs for pairs in hypothesis_pairs(gmb_full.targets)
         if any(cluster_of_l1[l] != cluster_of_l2[lp] for l, lp in pairs)
     }
 
@@ -153,7 +178,9 @@ def l1_error_bound(gmb_full, truncated: set, gamma: float) -> tuple[float, float
     """Measured truncated mass 2 sum_D w and its bound A * exp(-gamma), for
     the discarded hypotheses given as a set of their pair tuples: the
     package's bound before it found the discarded hypotheses itself."""
-    discarded = [k for k, pairs in enumerate(gmb_full.pairs) if pairs in truncated]
+    discarded = [
+        k for k, pairs in enumerate(hypothesis_pairs(gmb_full.targets)) if pairs in truncated
+    ]
     if not discarded:
         return 0.0, 0.0
     exact_mass = 2.0 * sum(float(gmb_full.w[k]) for k in discarded)

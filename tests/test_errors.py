@@ -53,7 +53,7 @@ from mbfuse import (
     scenario2,
 )
 from mbfuse.clustering import Cluster
-from mbfuse.gci import fused_pair_density
+from mbfuse.gci import cluster_pair_marginals, fused_pair_density
 from mbfuse.mb import mb_merge_components
 from mbfuse.pgci import fuse_cluster
 
@@ -216,6 +216,29 @@ INVALID = {
         lambda: pairwise_distances(density(0.5), density(0.5), (0.5, 0.5)), ConfigError, False),
     "fused-pair-weights-tuple": (
         lambda: fused_pair_density([(0, 0)], density(0.5), density(0.5), (0.5, 0.5)),
+        ConfigError, False),
+    # An index outside its density: numpy used to read a negative one from
+    # the end, and one past the end ended in a bare IndexError.
+    "fused-pair-index-negative": (
+        lambda: fused_pair_density([(0, 0), (-1, 0)], density(0.5, 0.5), density(0.5), W),
+        ConfigError, False),
+    "fused-pair-index-past-end": (
+        lambda: fused_pair_density([(0, 1)], density(0.5), density(0.5), W),
+        ConfigError, False),
+    "cluster-marginals-index-negative": (
+        lambda: cluster_pair_marginals(density(0.5), density(0.5, 0.5), W, np.zeros((1, 2)),
+                                       (0,), (-1, 0)),
+        ConfigError, False),
+    "cluster-marginals-index-past-end": (
+        lambda: cluster_pair_marginals(density(0.5), density(0.5), W, np.zeros((1, 1)), (1,), (0,)),
+        ConfigError, False),
+    "fuse-cluster-index-negative": (
+        lambda: fuse_cluster(Cluster([-1], [1]), density(0.5, 0.5), density(0.5, 0.5), W,
+                             np.zeros((2, 2))),
+        ConfigError, False),
+    "fuse-cluster-index-past-end": (
+        lambda: fuse_cluster(Cluster([0], [2]), density(0.5, 0.5), density(0.5, 0.5), W,
+                             np.zeros((2, 2))),
         ConfigError, False),
     "multi-fuse-reduce-config-gm-config": (
         lambda: multi_sensor_fuse([density(0.5)] * 2, [0.5, 0.5], 4.0,

@@ -124,8 +124,18 @@ class TestHypothesisSpace:
     def test_enumeration_count_and_distinctness(self):
         for n1 in range(0, 4):
             for n2 in range(0, 4):
-                hyps = list(enumerate_hypotheses(range(n1), range(n2)))
-                assert len(set(hyps)) == len(hyps) == count_hypotheses_distinct(n1, n2)
+                targets = enumerate_hypotheses(n1, n2)
+                assert targets.shape == (count_hypotheses_distinct(n1, n2), n1)
+                assert len(np.unique(targets, axis=0)) == len(targets)
+
+    def test_enumeration_matches_pair_tuple_reference_in_order(self):
+        # [DERIVED] oracle: the tuple generator the array replaced.
+        sizes = [(n1, n2) for n1 in range(5) for n2 in range(5)] + [(5, 3), (3, 5)]
+        for n1, n2 in sizes:
+            targets = enumerate_hypotheses(n1, n2)
+            assert targets.dtype.kind == "i" and targets.shape[1] == n1
+            want = list(oracle.enumerate_hypotheses(range(n1), range(n2)))
+            assert oracle.hypothesis_pairs(targets) == want
 
     def test_distinct_counts_small_cases(self):
         # [DERIVED] sum_n C(n1,n) A(n2,n) worked by hand.
@@ -283,7 +293,7 @@ class TestExhaustiveFusion:
             D = pairwise_distances(mb1, mb2, w)
             total = 0.0
             marginal = np.zeros(len(mb1))
-            for hyp in enumerate_hypotheses(range(len(mb1)), range(len(mb2))):
+            for hyp in oracle.enumerate_hypotheses(range(len(mb1)), range(len(mb2))):
                 wt = hypothesis_weight(hyp, mb1, mb2, w, D)
                 total += wt
                 for l, _ in hyp:

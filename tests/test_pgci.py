@@ -237,7 +237,7 @@ class TestSubsetDp:
         naive, gmb = naive_gci_mb_fuse(sub_density(mb1, l1), sub_density(mb2, l2), w)
 
         enumerated = np.zeros((len(l1), len(l2)))
-        for pairs, wn in zip(gmb.pairs, gmb.w):
+        for pairs, wn in zip(oracle.hypothesis_pairs(gmb.targets), gmb.w):
             for a, b in pairs:
                 enumerated[(b, a) if len(l1) > len(l2) else (a, b)] += wn
         assert marginal.shape == enumerated.shape
@@ -569,8 +569,8 @@ class TestSharedOrientation:
         assert len(gated) == 1 and np.array_equal(gmb.distances, gated[0])
         n1, n2 = gmb.distances.shape
         assert (n1, n2) == (min(len(mb1), len(mb2)), max(len(mb1), len(mb2)))
-        for pairs in gmb.pairs:
-            assert all(0 <= l < n1 and 0 <= lp < n2 for l, lp in pairs)
+        assert gmb.targets.shape[1] == n1
+        assert ((gmb.targets >= -1) & (gmb.targets < n2)).all()
         exact, bound = l1_error_bound(gmb, gamma, gamma)
         assert exact <= bound * (1 + 1e-12)
 
