@@ -324,9 +324,13 @@ def _sweep(w, means, chol, starts, sizes, merge_threshold):
     as a padded table of rows (see _segment_table) and each Gaussian's
     group number in its segment.
 
-    Many segments sweep together in rounds, one group per segment a round;
-    a lone segment sweeps in _leader_groups' loop over its leaders, which
-    costs less than a round's two-dimensional indexing.
+    Many segments sweep together in rounds, one group per segment a round:
+    a round gathers its leaders once and solves all their distance rows in
+    one call, and each leader joins its own group by its distance to
+    itself, exactly 0, as GmReduceConfig holds merge_threshold >= 0 (a NaN
+    mean or covariance makes it NaN; the rounds then raise NumericalError
+    rather than loop). A lone segment sweeps in _leader_groups' loop over
+    its leaders, which costs less than a round's two-dimensional indexing.
     """
     rows, valid = _segment_table(starts, sizes)
     order = np.where(valid, -w[rows], np.nan).argsort(axis=1, kind="stable")
@@ -345,25 +349,24 @@ def _sweep(w, means, chol, starts, sizes, merge_threshold):
     # part in rounds 0, 1, ... until it has no free Gaussian, so a group's
     # number is the round that formed it.
     last = rows.shape[1]
-    rank = order.argsort(axis=1)
-    rank[~valid] = last
+    rank = np.where(valid, order.argsort(axis=1), last)
+    mT = m.swapaxes(1, 2)
     active = np.arange(sizes.shape[0])
-    k = 0
-    while active.size:
-        at = np.arange(active.size)
+    for k in range(last):
         ranks = rank[active]
-        lead = ranks.argmin(axis=1)
-        ma = m[active]
-        diff = (ma - ma[at, lead, None]).swapaxes(1, 2)
-        dist_sq = (np.linalg.solve(chol[rows[active, lead]], diff) ** 2).sum(axis=1)
+        lead = rows[active, ranks.argmin(axis=1)]
+        diff = mT[active] - means[lead][:, :, None]
+        dist_sq = (np.linalg.solve(chol[lead], diff) ** 2).sum(axis=1)
         grab = (ranks < last) & (dist_sq <= merge_threshold)
-        grab[at, lead] = True
         s, j = np.nonzero(grab)
         label[active[s], j] = k
         rank[active[s], j] = last
         active = active[(rank[active] < last).any(axis=1)]
-        k += 1
-    return rows, valid, label
+        if not active.size:
+            return rows, valid, label
+    # A segment grouped nothing in some round: a NaN mean or covariance gave
+    # its leader a NaN distance to itself.
+    raise NumericalError("a Gaussian's distance to itself is not 0")
 
 
 def _reduce_segments(sizes, weights, means, covs, config: GmReduceConfig):

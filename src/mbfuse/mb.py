@@ -522,19 +522,21 @@ def mb_merge_components(
     order = np.lexsort((ids, -rs))
     dominant = _segment_argmax(weights, sizes)[order]
     dom_mean, dom_cov = means[dominant], covs[dominant]
-    # within[h, i]: diff^T (P_h + P_i)^-1 diff <= gate with diff = m_i - m_h.
-    # That form is at least |diff|^2 / tr(P_h + P_i), as the largest
+    # within[h, i], for h < i in that order: diff^T (P_h + P_i)^-1 diff <=
+    # gate with diff = m_i - m_h. The leader loop reads h's row only past h,
+    # as every earlier component is already grouped, so no other entry is
+    # set. The form is at least |diff|^2 / tr(P_h + P_i), as the largest
     # eigenvalue of a positive-definite matrix is at most its trace, so only
     # the pairs with |diff|^2 <= 2 gate tr(P_h + P_i) are solved (the 2 is a
-    # margin for rounding; the diagonal always passes). No other pair can lie
-    # in the gate.
-    diff = dom_mean[None, :, :] - dom_mean[:, None, :]
+    # margin for rounding). No other pair can lie in the gate.
+    h, i = np.triu_indices(len(ids), 1)
+    diff = dom_mean[i] - dom_mean[h]
     trace = np.trace(dom_cov, axis1=1, axis2=2)
-    near = np.sum(diff**2, axis=-1) <= 2.0 * gate * (trace[:, None] + trace[None, :])
-    h, i = np.nonzero(near)
-    sol = np.linalg.solve(dom_cov[h] + dom_cov[i], diff[h, i, :, None])
-    within = np.zeros(near.shape, dtype=bool)
-    within[h, i] = (diff[h, i, None, :] @ sol)[:, 0, 0] <= gate
+    near = np.einsum("kd,kd->k", diff, diff) <= 2.0 * gate * (trace[h] + trace[i])
+    h, i, diff = h[near], i[near], diff[near]
+    sol = np.linalg.solve(dom_cov[h] + dom_cov[i], diff[:, :, None])
+    within = np.zeros((len(ids), len(ids)), dtype=bool)
+    within[h, i] = (diff[:, None, :] @ sol)[:, 0, 0] <= gate
 
     # Groups as positions in the density, in the id order of their leaders.
     groups = sorted((order[g] for g in _leader_groups(range(len(ids)), within.__getitem__)),

@@ -194,6 +194,59 @@ class TestGreedySweep:
         for a, b in zip(got.components, want.components):
             assert_mixtures_equal(a.pdf, b.pdf)
 
+    @pytest.mark.parametrize("spacing", [None, 10.0, 1e3])
+    @pytest.mark.parametrize("gm_config", [None, GmReduceConfig(0.0, 4.0, 2)])
+    def test_mb_merge_components_with_no_pair_to_solve(self, spacing, gm_config):
+        # One component, or components at least 10 gate widths apart: no
+        # pair passes the trace screen, so the gate solve gets an empty batch.
+        gate = 4.0
+        if spacing is None:
+            comps = [track(0.6, 3.0, 4)]
+        else:
+            width = np.sqrt(2.0 * gate)
+            comps = [track(r, k * spacing * width, i)
+                     for k, (r, i) in enumerate([(0.3, 5), (0.7, 2), (0.3, 0), (0.5, 9)])]
+        # Each pdf gains a second, lighter Gaussian near its first.
+        density = MultiBernoulliDensity(tuple(
+            BernoulliComponent(r=c.r, id=c.id, pdf=GaussianMixture(
+                np.array([0.8, 0.2]), c.pdf.means + [[0.0] * 4, [0.5, 0.5, 0.0, 0.0]],
+                np.stack([np.eye(4), 2.0 * np.eye(4)])))
+            for c in comps
+        ))
+        dom = density.stack.means[::2]
+        sq = ((dom[:, None] - dom[None]) ** 2).sum(axis=-1)[np.triu_indices(len(comps), 1)]
+        assert np.all(sq > 2.0 * gate * 8.0)
+        got = mb_merge_components(density, gate, gm_config)
+        want = reference_mb_merge(density, gate, gm_config)
+        assert [c.id for c in got.components] == sorted(c.id for c in comps)
+        assert [c.id for c in got.components] == [c.id for c in want.components]
+        assert np.array_equal(got.rs, want.rs)
+        for a, b in zip(got.components, want.components):
+            assert_mixtures_equal(a.pdf, b.pdf)
+
+    def test_mb_reduce_at_merge_threshold_zero_groups_exact_duplicates(self):
+        # Several multi-Gaussian pdfs sweep together in rounds. At threshold
+        # 0 a leader groups itself and its exact copies by their distance of
+        # exactly 0, and nothing else, however near.
+        rng = np.random.default_rng(5)
+        comps = []
+        for i, n_distinct in enumerate([1, 2, 3, 4]):
+            distinct = rng.normal(size=(n_distinct, 2))
+            distinct[-1] = distinct[0] + 1e-9
+            pick = np.concatenate([np.arange(n_distinct), rng.integers(0, n_distinct, 4)])
+            a = rng.normal(size=(n_distinct, 2, 2))
+            covs = a @ np.swapaxes(a, 1, 2) + np.eye(2)
+            weights = rng.choice([0.1, 0.2, 0.3], size=pick.size)
+            pdf = gm_normalize(GaussianMixture(weights, distinct[pick], covs[pick]))[0]
+            comps.append(BernoulliComponent(r=0.5, pdf=pdf, id=i))
+        density = MultiBernoulliDensity(tuple(comps))
+        gm_config = GmReduceConfig(0.0, 0.0, 8)
+        got = mb_reduce(density, MbReduceConfig(trunc_threshold=0.0, gm=gm_config))
+        assert [c.pdf.n_components for c in got.components] == [1, 2, 3, 4]
+        for c, orig in zip(got.components, comps):
+            want = reference_gm_reduce(orig.pdf, 0.0, 0.0, 8)
+            assert_mixtures_equal(c.pdf, gm_normalize(want)[0])
+
 
 SEGMENT_SIZES = [0, 1, 2, 3, 5, 8, 9, 16, 31, 58, 60]
 
@@ -429,6 +482,20 @@ class TestReductionErrors:
                     mb_reduce(density, MbReduceConfig())
                 else:
                     mb_merge_components(density, 4.0, GmReduceConfig())
+
+    @pytest.mark.parametrize("entry", ["nan-mean", "nan-cov"])
+    def test_sweep_rounds_with_a_nan_leader_raise_instead_of_looping(self, entry):
+        # The kernel checks no input: a NaN leader's distance to itself is
+        # NaN, so its segment would group nothing in every round.
+        means = np.arange(8.0).reshape(4, 2)
+        covs = np.tile(np.eye(2), (4, 1, 1))
+        if entry == "nan-mean":
+            means[0, 1] = np.nan
+        else:
+            covs[0, 1, 1] = np.nan
+        with pytest.raises(NumericalError):
+            _reduce_segments(np.array([2, 2]), np.array([0.6, 0.4, 0.5, 0.5]), means, covs,
+                             GmReduceConfig())
 
     def test_non_pd_covariance_in_a_kept_gaussian_raises(self):
         density = density_with_covariance(NOT_PD, 0.3, 0.7)
