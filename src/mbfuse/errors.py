@@ -5,8 +5,8 @@ class MbFuseError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatchError(MbFuseError):
-    """Operands have incompatible state/measurement dimensions."""
+class DimensionMismatchError(MbFuseError, ValueError):
+    """Operands have incompatible state/measurement dimensions; also a ValueError."""
 
 
 class NumericalError(MbFuseError):
@@ -18,7 +18,8 @@ class IncompatiblePairError(NumericalError):
 
 
 class InvalidDensityError(NumericalError, ValueError):
-    """A density holds a non-finite entry, an r outside [0, 1] or a repeated id."""
+    """A density holds a non-finite entry, a negative weight, a pdf with no
+    positive weight, an r outside [0, 1] or a repeated id."""
 
 
 class IntractableFusionError(MbFuseError):

@@ -52,7 +52,7 @@ from .gm import (
     gm_pair_product,
     gm_reduce,
 )
-from .mb import MultiBernoulliDensity, R_MAX, _reduced_density
+from .mb import MultiBernoulliDensity, R_MAX, _reduced_density, _take
 
 @dataclass
 class GmbDensity:
@@ -325,7 +325,8 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     pair's mixture needs no reweighting, since _moment_match scales it by
     m / m = 1. Returns the density of the fused components, one per kept
     pair in the order of pairs, each with r = min(marginal, R_MAX) and the
-    pair's position in pairs as its id.
+    pair's position in pairs as its id; with no kept pair it is empty in
+    mb1's dimension.
     """
     l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     _, gain1 = _existence_gains(mb1.rs[l1], w.w1)
@@ -334,7 +335,7 @@ def _fuse_isolated_pairs(pairs, mb1, mb2, w, distances, gm_config):
     marginal = g / (1.0 + g)
     kept = np.flatnonzero(marginal > MARGINAL_FLOOR)
     if not kept.size:
-        return MultiBernoulliDensity(())
+        return _take(mb1, kept, mb1.rs)
     stack1, stack2 = mb1.stack[3:], mb2.stack[3:]
 
     def product(i1, i2):

@@ -124,10 +124,15 @@ class FusionWeights:
 
 
 def _check_gaussians(weights, means, covs) -> None:
-    """Raise InvalidDensityError unless every weight, mean and covariance
-    entry is finite."""
-    if not (np.isfinite(weights).all() and np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise InvalidDensityError("a Gaussian weight, mean or covariance entry is NaN or infinite")
+    """Raise InvalidDensityError unless every weight is finite and >= 0 and
+    every mean and covariance entry is finite."""
+    # 0 <= w < inf fails for NaN, which min and max propagate, and for both
+    # infinities; two reductions cost less than the elementwise test.
+    if not (0.0 <= weights.min(initial=0.0) and weights.max(initial=0.0) < np.inf
+            and np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise InvalidDensityError(
+            "a Gaussian weight is negative, or a weight, mean or covariance entry is NaN or infinite"
+        )
 
 
 def _batch_cholesky(covs: np.ndarray) -> np.ndarray:
@@ -199,13 +204,13 @@ def _pair_product_parts(stack1, stack2, w: FusionWeights, i1, i2):
 
 def gm_pair_product(p1: GaussianMixture, p2: GaussianMixture, w: FusionWeights) -> GaussianMixture:
     """Double-sum mixture for p1^w.w1 * p2^w.w2 (unnormalized, J1*J2
-    components, p1's index major). Weights that are not a FusionWeights
-    raise ConfigError, a non-finite mixture entry InvalidDensityError."""
+    components, p1's index major), empty in their dimension if either is.
+    Weights that are not a FusionWeights raise ConfigError, a negative weight
+    or a non-finite mixture entry InvalidDensityError, and mixtures of
+    different dimensions DimensionMismatchError, empty ones too."""
     _check_type(w, FusionWeights, "fusion weights")
     for p in (p1, p2):
         _check_gaussians(p.weights, p.means, p.covs)
-    if p1.n_components == 0 or p2.n_components == 0:
-        return GaussianMixture.empty(p1.d)
     j1, j2 = p1.n_components, p2.n_components
     log_alpha, means, covs = _pair_product_parts(
         (p1.weights, p1.means, p1.covs), (p2.weights, p2.means, p2.covs), w,

@@ -16,6 +16,11 @@ measurement components join the stack as one block. Births are built as a
 stack of one-Gaussian components and appended as one block. Truncation,
 the component caps and the reductions work on the stack as well, so the
 filter builds no component object.
+
+Every operation that returns no component returns it in its input's state
+dimension: its stack's means are (0, d). Only a density built from no
+components, such as ``MultiBernoulliDensity(())``, has no dimension, and
+its means are (0, 0).
 """
 
 from __future__ import annotations
@@ -73,9 +78,10 @@ class MultiBernoulliDensity:
     The constructor stacks the given components once; ``.components``
     returns them as views into the stack. It is the one place where a
     density is checked: it raises InvalidDensityError for a repeated id,
-    an r outside [0, 1] or NaN, a pdf that holds no Gaussian, a NaN or
-    infinite Gaussian weight, mean or covariance entry, or a covariance
-    that is not _symmetric. The package's own operations build densities
+    an r outside [0, 1] or NaN, a pdf that holds no Gaussian or no positive
+    weight, a negative Gaussian weight, a NaN or infinite Gaussian weight,
+    mean or covariance entry, or a covariance that is not _symmetric. A pdf
+    need not be normalized. The package's own operations build densities
     from valid ones and check nothing again.
     """
 
@@ -104,6 +110,10 @@ class MultiBernoulliDensity:
         if not sizes.all():
             raise InvalidDensityError("a component's pdf holds no Gaussian")
         _check_gaussians(weights, means, covs)
+        # Every weight is finite and >= 0 here, so a pdf's weights have a
+        # positive sum exactly when the largest is positive.
+        if not np.all(np.maximum.reduceat(weights, np.cumsum(sizes) - sizes) > 0.0):
+            raise InvalidDensityError("a component's pdf has no positive weight")
         if not _symmetric(covs):
             raise InvalidDensityError("density holds an asymmetric covariance")
         self._adopt(stack)
@@ -151,6 +161,14 @@ class MultiBernoulliDensity:
 
     def next_id(self) -> int:
         return int(self.stack.ids.max()) + 1 if len(self) else 0
+
+
+def _check_dimension(density: MultiBernoulliDensity, d: int, what: str) -> None:
+    """Raise DimensionMismatchError unless density's Gaussians have d
+    dimensions; a density built from no components has none and passes."""
+    means = density.stack.means
+    if means.shape[1] != d and means.shape != (0, 0):
+        raise DimensionMismatchError(f"{what} has dimension {means.shape[1]}, expected {d}")
 
 
 def _check_unique_ids(ids: np.ndarray) -> None:
@@ -332,7 +350,15 @@ def mb_predict(
     motion: MotionModel,
     births: MultiBernoulliDensity | None = None,
 ) -> MultiBernoulliDensity:
-    """Survival-scaled existence, linear-Gaussian pdf propagation, births appended."""
+    """Survival-scaled existence, linear-Gaussian pdf propagation, births appended.
+
+    A prior or births whose dimension is not that of motion.F raise
+    DimensionMismatchError.
+    """
+    d = motion.F.shape[0]
+    _check_dimension(prior, d, "prior")
+    if births is not None:
+        _check_dimension(births, d, "births")
     ids, rs, sizes, weights, means, covs = prior.stack
     if len(ids):
         rs = np.clip(motion.p_survival * rs, 0.0, R_MAX)
@@ -368,8 +394,10 @@ def mb_update(
 
     The measurement tracks follow the legacy ones, in scan order, each
     with a pdf of one updated Gaussian per predicted Gaussian. A non-empty
-    scan is an (m, dz) array; another shape raises DimensionMismatchError.
+    scan is an (m, dz) array, and the density's dimension is that of
+    sensor.H's columns; either mismatch raises DimensionMismatchError.
     """
+    _check_dimension(predicted, sensor.H.shape[1], "predicted density")
     scan = _rows(scan, sensor.H.shape[0], DimensionMismatchError)
     if not np.isfinite(scan).all():
         raise NumericalError("scan holds a non-finite measurement")
@@ -484,8 +512,6 @@ def mb_reduce(
     ids, rs = density.stack[:2]
     kept = _strongest(ids, rs, np.flatnonzero(rs >= config.trunc_threshold),
                       config.max_components)
-    if not kept.size:
-        return MultiBernoulliDensity(())
     ids, rs, *stack = _take(density, kept, rs).stack
     sizes, weights, means, covs = _reduce_stack(*stack, config.gm)
     # A pdf with no weight at or above the prune threshold reduces to nothing.
@@ -508,15 +534,17 @@ def mb_merge_components(
     within the squared-Mahalanobis gate of a stronger component's (ties in
     r go to the lower id), summing r (clamped below 1) and mixing pdfs with
     r-proportional weights, so the intensity (PHD) of the density is
-    unchanged up to the clamp. A merged pdf that reduction empties raises
-    NumericalError (see _reduced_density).
+    unchanged up to the clamp. A group whose r sum is 0 keeps r = 0 and
+    mixes its members' pdfs with equal shares; its PHD is 0 either way. A
+    merged pdf that reduction empties raises NumericalError (see
+    _reduced_density). An empty density is returned as it is.
     """
     if not gate > 0:
         raise ConfigError("merge gate must be positive")
     _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
-        return MultiBernoulliDensity(())
+        return density
     # Components strongest first, ties in r to the lower id; the dominant
     # Gaussian of each is the first of its heaviest.
     order = np.lexsort((ids, -rs))
@@ -543,15 +571,17 @@ def mb_merge_components(
                     key=lambda g: ids[g[0]])
     # One flat stack of every group's pdfs, group after group, gathered from
     # the density's stack, each pdf's weights scaled by its share of the
-    # group's summed r. The sums add left to right, as a loop over the
-    # group would.
+    # group's summed r, or by 1 / members where that sum is 0. The sums add
+    # left to right, as a loop over the group would.
     r_list = rs.tolist()
-    r_sums = [sum(r_list[i] for i in g.tolist()) for g in groups]
+    r_sums = np.array([sum(r_list[i] for i in g.tolist()) for g in groups])
     members = np.array([len(g) for g in groups])
     absorbed = np.concatenate(groups)
     n = sizes[absorbed]
     rows = _segment_rows((np.cumsum(sizes) - sizes)[absorbed], n)
-    share = rs[absorbed] / np.repeat(r_sums, members)
+    zero = r_sums == 0.0
+    share = (np.where(np.repeat(zero, members), 1.0, rs[absorbed])
+             / np.repeat(np.where(zero, members, r_sums), members))
     return _reduced_density(
         ids[[g[0] for g in groups]], r_sums, np.add.reduceat(n, np.cumsum(members) - members),
         weights[rows] * np.repeat(share, n), means[rows], covs[rows], gm_config,
@@ -559,14 +589,15 @@ def mb_merge_components(
 
 
 def extract_estimates(density: MultiBernoulliDensity) -> np.ndarray:
-    """Means of the highest-weight Gaussian of every component with r above ESTIMATE_R.
+    """Means of the highest-weight Gaussian of every component with r above
+    ESTIMATE_R, as an (n, d) array in the density's dimension d.
 
     Ties in Gaussian weights resolve to the lowest component index; every
-    pdf holds a Gaussian, as the constructor requires.
+    pdf holds a Gaussian, as the constructor requires. With no such
+    component the result is (0, d), and (0, 0) for a density built from no
+    components.
     """
-    ids, rs, sizes, weights, means, _ = density.stack
+    _, rs, sizes, weights, means, _ = density.stack
     sel = np.flatnonzero(rs > ESTIMATE_R)
-    if not sel.size:
-        return np.zeros((0, means.shape[1] if len(ids) else 4))
     rows = _segment_rows((np.cumsum(sizes) - sizes)[sel], sizes[sel])
     return means[rows[_segment_argmax(weights[rows], sizes[sel])]]

@@ -128,10 +128,9 @@ def pgci_fuse(
         parts.append(fuse_cluster(clusters[g], mb1, mb2, w, distances, gm_config=gm_config).density)
         tags.append(np.full(len(parts[-1]), g))
     fused = _concat(*parts)
-    if len(fused):
-        if len(parts) > 1:
-            fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
-        fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
+    if len(parts) > 1:
+        fused = _take(fused, np.argsort(np.concatenate(tags), kind="stable"), fused.rs)
+    fused = MultiBernoulliDensity._from_stack(np.arange(len(fused)), *fused.stack[1:])
     per_cluster = [count_hypotheses_distinct(len(c.l1), len(c.l2)) for c in clusters]
     return fused, FusionDiagnostics(
         n_h=count_hypotheses_nominal(len(mb1), len(mb2)),

@@ -376,7 +376,7 @@ def mb_reduce(density, config):
 def mb_merge_components(density, gate, gm_config):
     """mb_merge_components as a loop: the strongest remaining component
     (ties to the lower id) absorbs every remaining one in its gate, with one
-    solve per pair."""
+    solve per pair. A group of r sum 0 mixes its pdfs with equal shares."""
     remaining = sorted(density.components, key=lambda c: (-c.r, c.id))
     merged = []
     while remaining:
@@ -391,7 +391,8 @@ def mb_merge_components(density, gate, gm_config):
             maha = diff @ np.linalg.solve(cov_h + comp.pdf.covs[i], diff)
             (absorbed if maha <= gate else rest).append(comp)
         r_sum = sum(c.r for c in absorbed)
-        weights = np.concatenate([c.r / r_sum * c.pdf.weights for c in absorbed])
+        shares = [c.r / r_sum if r_sum else 1.0 / len(absorbed) for c in absorbed]
+        weights = np.concatenate([s * c.pdf.weights for s, c in zip(shares, absorbed)])
         means = np.concatenate([c.pdf.means for c in absorbed])
         covs = np.concatenate([c.pdf.covs for c in absorbed])
         pdf, _ = gm_normalize(_reduced(GaussianMixture(weights, means, covs), gm_config))
@@ -567,6 +568,9 @@ def pgci_fuse(mb1, mb2, w, gamma, gm_config=None):
             continue
         for comp in fuse_cluster(cluster, mb1, mb2, w, distances, gm_config=gm_config).components:
             components.append(BernoulliComponent(r=comp.r, pdf=comp.pdf, id=len(components)))
+    if not components:
+        # An empty result keeps its input's dimension.
+        return _take(mb1, np.zeros(0, dtype=np.intp), mb1.rs)
     return MultiBernoulliDensity(tuple(components))
 
 

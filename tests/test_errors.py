@@ -3,8 +3,9 @@
 One row per invalid input: the call, the error type it must raise, and
 whether it raised a ValueError before its error was typed. Such a row must
 still raise a ValueError, so ``except ValueError`` callers keep working;
-ConfigError and InvalidDensityError derive from both bases. The file needs
-numpy, pytest and hypothesis only, so it runs where scipy is not installed.
+ConfigError, InvalidDensityError and DimensionMismatchError derive from
+both bases. The file needs numpy, pytest and hypothesis only, so it runs
+where scipy is not installed.
 """
 
 import dataclasses
@@ -106,6 +107,9 @@ INVALID = {
                          ConfigError, True),
     "pair-product-dimensions": (lambda: gm_pair_product(MIX, gaussian(np.zeros(3)), W),
                                 DimensionMismatchError, False),
+    # An empty mixture of another dimension used to give an empty product.
+    "pair-product-empty-dimensions": (lambda: gm_pair_product(GaussianMixture.empty(3), MIX, W),
+                                      DimensionMismatchError, False),
     # A bare tuple is not a parameter set, whatever its values.
     "pair-product-weights-tuple": (lambda: gm_pair_product(MIX, MIX, (0.5, 0.5)),
                                    ConfigError, False),
@@ -156,11 +160,40 @@ INVALID = {
         InvalidDensityError, False),
     "density-repeated-id": (lambda: MultiBernoulliDensity((component(cid=2), component(cid=2))),
                             InvalidDensityError, True),
+    # Accepted, then reduction pruned the -0.5 and rescaled the rest to 1.0,
+    # and fusion against a valid track fused nothing.
+    "density-negative-weight": (
+        lambda: MultiBernoulliDensity((component(pdf=GaussianMixture(
+            np.array([1.5, -0.5]), np.zeros((2, 4)), np.stack([np.eye(4)] * 2))),)),
+        InvalidDensityError, False),
+    # Accepted, then fusion and reduction dropped it and merging raised NumericalError.
+    "density-zero-weights": (
+        lambda: MultiBernoulliDensity((component(pdf=GaussianMixture(
+            np.zeros(2), np.zeros((2, 4)), np.stack([np.eye(4)] * 2))),)),
+        InvalidDensityError, False),
+    "gm-reduce-negative-weight": (
+        lambda: gm_reduce(GaussianMixture(np.array([1.5, -0.5]), MIX.means, MIX.covs),
+                          GmReduceConfig()),
+        InvalidDensityError, False),
+    "pair-product-negative-weight": (
+        lambda: gm_pair_product(GaussianMixture(np.array([1.5, -0.5]), MIX.means, MIX.covs),
+                                MIX, W),
+        InvalidDensityError, False),
     "density-dimensions": (
         lambda: MultiBernoulliDensity((component(), component(pdf=gaussian(np.zeros(2)), cid=1))),
         DimensionMismatchError, False),
     "predict-birth-id-clash": (lambda: mb_predict(density(0.5, 0.4), MOTION, density(0.03)),
                                InvalidDensityError, True),
+    # A prior, births or density of another dimension than the model's used
+    # to end in numpy's bare ValueError from a matmul or a concatenate.
+    "predict-motion-dimensions": (lambda: mb_predict(density(0.5, d=2), MOTION),
+                                  DimensionMismatchError, True),
+    "predict-births-dimensions": (
+        lambda: mb_predict(density(0.5), MOTION,
+                           MultiBernoulliDensity((component(pdf=gaussian(np.zeros(2)), cid=1),))),
+        DimensionMismatchError, True),
+    "update-sensor-dimensions": (lambda: mb_update(density(0.5, d=2), np.zeros((1, 2)), SENSOR),
+                                 DimensionMismatchError, True),
     "birth-nan-scan": (lambda: adaptive_birth(np.array([[NAN, 0.0]])), NumericalError, False),
     "birth-scan-shape": (lambda: adaptive_birth(np.zeros((2, 3))), DimensionMismatchError, False),
     "update-nan-scan": (lambda: mb_update(density(0.5), np.array([[0.0, NAN]]), SENSOR),

@@ -108,6 +108,13 @@ class TestGmPairProduct:
         g2 = mix([(1.0, rng.normal(size=2), np.eye(2)) for _ in range(4)])
         assert gm_pair_product(g1, g2, FusionWeights(0.5, 0.5)).n_components == 12
 
+    @pytest.mark.parametrize("j1, j2", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_side_gives_empty_product_in_dimension(self, j1, j2):
+        g1, g2 = (mix([(1.0, [float(i), 0.0], np.eye(2)) for i in range(j)]) if j
+                  else GaussianMixture.empty(2) for j in (j1, j2))
+        prod = gm_pair_product(g1, g2, FusionWeights(0.5, 0.5))
+        assert prod.means.shape == (0, 2) and prod.covs.shape == (0, 2, 2)
+
     # It used to pass unchecked and return weight [nan].
     def test_nan_mean_raises(self):
         bad = GaussianMixture.single(np.array([np.nan, 0.0]), np.eye(2))

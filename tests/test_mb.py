@@ -225,8 +225,8 @@ class TestAdaptiveBirth:
 
 
 # One corrupted entry of an otherwise valid density per case.
-CORRUPTIONS = ("r-above-1", "r-below-0", "r-nan", "weight", "mean", "cov", "asymmetric-cov",
-               "empty-pdf")
+CORRUPTIONS = ("r-above-1", "r-below-0", "r-nan", "weight", "negative-weight", "zero-weights",
+               "mean", "cov", "asymmetric-cov", "empty-pdf")
 
 
 @st.composite
@@ -262,6 +262,10 @@ def corrupted_density(draw):
         rs[k] = np.nan
     elif kind == "weight":
         weights[j] = bad
+    elif kind == "negative-weight":
+        weights[j] = -draw(st.floats(1e-300, 10.0))
+    elif kind == "zero-weights":
+        weights[:] = 0.0
     elif kind == "mean":
         means[j, draw(st.integers(0, d - 1))] = bad
     elif kind == "cov":

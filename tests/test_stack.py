@@ -1,6 +1,7 @@
 """The flat-stack filter chain and births against the per-component
-references in oracle.py, bit for bit; the read-only stack arrays; and a
-filter and a 1x1 fusion that build no component object."""
+references in oracle.py, bit for bit; the read-only stack arrays; empty
+results in their input's dimension; and a filter and a 1x1 fusion that
+build no component object."""
 
 from dataclasses import replace
 
@@ -22,12 +23,13 @@ from mbfuse.mb import (
     Rectangle,
     SensorModel,
     adaptive_birth,
+    extract_estimates,
     mb_merge_components,
     mb_predict,
     mb_reduce,
     mb_update,
 )
-from mbfuse.pgci import pgci_fuse
+from mbfuse.pgci import multi_sensor_fuse, pgci_fuse
 from mbfuse.sim import (
     CONDENSE_R_CAP,
     ObjectBirth,
@@ -114,10 +116,9 @@ def filter_step(draw):
 @st.composite
 def exchanged_density(draw):
     """A density for merging and condensation, in which several components
-    may hold r at or above the condensation cap, and a component cap. No r
-    is 0, as in a truncated posterior: a group of r sum 0 has no shares."""
+    may hold r at or above the condensation cap, or r = 0, and a component cap."""
     ids = draw(st.permutations(range(20)))[:draw(st.integers(0, 9))]
-    density = MultiBernoulliDensity(draw(components(ids, R_POOL.filter(lambda r: r > 0))))
+    density = MultiBernoulliDensity(draw(components(ids)))
     return density, draw(st.sampled_from([1, 2, 3, 6]))
 
 
@@ -144,6 +145,27 @@ class TestAgainstReference:
                         oracle.mb_merge_components(density, gate, gm))
         cfg = replace(scenario1(), fusion_max_components=cap)
         assert_same(_condense_for_fusion(density, cfg), oracle.condense_for_fusion(density, cfg))
+
+    @pytest.mark.parametrize("gm", [None, GmReduceConfig()])
+    @pytest.mark.parametrize("rs, xs, merged_rs", [
+        ((0.0,), (0.0,), [0.0]),                             # a lone r = 0 component
+        ((0.0, 0.0), (0.0, 1.0), [0.0]),                     # two co-located ones
+        ((0.6, 0.0, 0.0), (0.0, 1.0, 500.0), [0.6, 0.0]),    # r = 0 beside r > 0, and alone
+    ])
+    def test_groups_of_r_sum_0_mix_with_equal_shares(self, rs, xs, merged_rs, gm):
+        # Such a group used to divide 0 by 0 and raise NumericalError.
+        density = MultiBernoulliDensity(tuple(
+            BernoulliComponent(r=r, pdf=GaussianMixture(
+                np.array([0.25, 0.75]), np.array([[x, 0, 0, 0], [x, 2.0, 0, 0]]),
+                np.stack([np.eye(4)] * 2)), id=i)
+            for i, (r, x) in enumerate(zip(rs, xs))
+        ))
+        merged = mb_merge_components(density, 4.0, gm)
+        assert_same(merged, oracle.mb_merge_components(density, 4.0, gm))
+        assert merged.rs.tolist() == merged_rs
+        if merged_rs == [0.0] and gm is None:
+            n = len(rs)
+            assert merged.stack.weights.tolist() == [0.25 / n, 0.75 / n] * n
 
     def test_ties_at_the_condensation_cap_go_to_the_lower_id(self):
         # Far apart, so nothing merges; all four read CONDENSE_R_CAP once capped.
@@ -204,6 +226,43 @@ class TestBirthsAgainstReference:
         got = known_birth_components(cfg)
         assert_same(got, MultiBernoulliDensity(oracle.known_birth_components(cfg)))
         assert got.stack.ids.tolist() == [i for i, b in enumerate(births) if b.birth_step == 0]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+class TestEmptyResultsKeepTheirDimension:
+    """An operation that returns no component returns it in its input's
+    dimension; these used to return a density with no dimension."""
+
+    def density(self, d, x=0.0):
+        """Two components 10 apart from x, r 0.6 and 0.7."""
+        return MultiBernoulliDensity(tuple(
+            BernoulliComponent(r=r, pdf=GaussianMixture.single(
+                np.r_[x + 10.0 * i, np.zeros(d - 1)], np.eye(d)), id=i)
+            for i, r in enumerate((0.6, 0.7))
+        ))
+
+    def assert_empty(self, density, d):
+        assert len(density) == 0
+        assert density.stack.means.shape == (0, d)
+        assert density.stack.covs.shape == (0, d, d)
+        assert extract_estimates(density).shape == (0, d)
+
+    def test_filter_and_condensation(self, d):
+        motion = MotionModel(np.eye(d), np.eye(d), 0.9)
+        sensor = SensorModel(np.eye(2, d), np.eye(2), 0.9, 1.0, REGION)
+        emptied = mb_reduce(self.density(d), MbReduceConfig(trunc_threshold=0.9))
+        self.assert_empty(emptied, d)
+        self.assert_empty(mb_merge_components(emptied), d)
+        self.assert_empty(mb_update(emptied, np.array([[0.0, 0.0]]), sensor), d)
+        self.assert_empty(mb_predict(emptied, motion), d)
+
+    def test_fusion_with_every_pair_out_of_gate(self, d):
+        near, far = self.density(d), self.density(d, x=1e4)
+        fused, diag = pgci_fuse(near, far, FusionWeights(0.5, 0.5), 4.0)
+        assert diag.cluster_sizes == []
+        self.assert_empty(fused, d)
+        for config in (None, MbReduceConfig()):
+            self.assert_empty(multi_sensor_fuse([near, far], [0.5, 0.5], 4.0, config), d)
 
 
 class TestNoComponentObjects:
