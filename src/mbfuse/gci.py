@@ -11,6 +11,22 @@ Both fusers orient their inputs in _oriented: the divergences are
 computed in the given order and the roles swapped when |L1| > |L2|, so
 the oracle weighs its hypotheses with the matrix that clustered fusion gates.
 
+pairwise_distances evaluates only the cells its gate can reach. With no
+factorization of S1 + S2, a Gaussian pair's Mahalanobis term is at least
+|m1 - m2|^2 / (tr S1 + tr S2), and log det(S1 + S2) at least the larger of
+log det S1 and log det S2, which _power_parts returns; a cell's divergence
+is then at least the smallest bound over its Gaussian pairs less
+log(n_l n_l'). A cell whose bound, with the Mahalanobis term halved,
+exceeds the gate plus BOUND_MARGIN reads inf: the halving covers the
+solve's rounding on ill-conditioned sums, the margin that of the log
+terms. The other cells' Gaussian pairs are gathered in row-major order, so
+each cell adds its pairs in the order of the full matrix, to the same
+bits. pgci_fuse gates at gamma. The DP of a cluster with 2 or more
+components on a side reads every cell of its block, so pgci_fuse refills
+a cleared cell there from pairwise_distances on the cluster's own
+components, which gives the full matrix's bits. The oracle, the CLI and
+l1_error_bound keep the default gate, inf, which clears nothing.
+
 Fused pairs and moment matching run on one flat stack from the pair
 product to the fused density. The 1x1 clusters, nearly all in tracking,
 are fused in one batch (_fuse_isolated_pairs): a lone pair's marginal is
@@ -39,6 +55,7 @@ import numpy as np
 
 from .errors import ConfigError, IncompatiblePairError, IntractableFusionError
 from .gm import (
+    LOG_2PI,
     FusionWeights,
     GaussianMixture,
     GmReduceConfig,
@@ -52,7 +69,7 @@ from .gm import (
     gm_pair_product,
     gm_reduce,
 )
-from .mb import MultiBernoulliDensity, R_MAX, _reduced_density, _take
+from .mb import MultiBernoulliDensity, R_MAX, _check_dimension, _reduced_density, _take
 
 @dataclass
 class GmbDensity:
@@ -67,27 +84,56 @@ class GmbDensity:
     distances: np.ndarray
 
 
+# A cell is cleared only when its bound, with the Mahalanobis term halved,
+# exceeds the gate by this much more, so that rounding in the exact
+# divergence cannot bring a cleared cell inside the gate.
+BOUND_MARGIN = 1.0
+
+
 def pairwise_distances(
-    mb1: MultiBernoulliDensity, mb2: MultiBernoulliDensity, w: FusionWeights
+    mb1: MultiBernoulliDensity, mb2: MultiBernoulliDensity, w: FusionWeights,
+    gate: float = math.inf,
 ) -> np.ndarray:
-    """Full |L1| x |L2| matrix of GCI divergences, vectorized over all Gaussians."""
+    """Full |L1| x |L2| matrix of GCI divergences, vectorized over all Gaussians.
+
+    A cell whose lower bound (see the module docstring) exceeds gate plus
+    BOUND_MARGIN reads inf, and none of its Gaussian pairs is evaluated;
+    every other cell is exact. The default gate clears no cell. A NaN gate
+    raises ConfigError, as it would clear every cell, and densities of
+    different dimensions DimensionMismatchError, empty ones too; a density
+    built from no components has no dimension.
+    """
     _check_type(w, FusionWeights, "fusion weights")
+    if math.isnan(gate):
+        raise ConfigError("distance gate must not be NaN")
+    _, _, sizes1, a1, m1, p1 = mb1.stack
+    _, _, sizes2, a2, m2, p2 = mb2.stack
+    if m1.shape != (0, 0):
+        _check_dimension(mb2, m1.shape[1], "sensor-2 density")
     n1, n2 = len(mb1), len(mb2)
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2))
 
-    _, _, sizes1, a1, m1, p1 = mb1.stack
-    _, _, sizes2, a2, m2, p2 = mb2.stack
     o1 = np.repeat(np.arange(n1), sizes1)
     o2 = np.repeat(np.arange(n2), sizes2)
-    lw1, s1 = _power_parts(a1, p1, w.w1)
-    lw2, s2 = _power_parts(a2, p2, w.w2)
-    log_alpha, _, _ = _pair_log_mass(lw1[:, None], s1[:, None], m1[:, None],
-                                     lw2[None], s2[None], m2[None])
+    lw1, s1, logdet1 = _power_parts(a1, p1, w.w1)
+    lw2, s2, logdet2 = _power_parts(a2, p2, w.w2)
+    # Each Gaussian pair's -log_alpha, bounded below with no factorization.
+    maha = (np.square(m1[:, None] - m2[None]).sum(axis=-1)
+            / (np.trace(s1, axis1=1, axis2=2)[:, None] + np.trace(s2, axis1=1, axis2=2)[None]))
+    logdet = np.maximum(logdet1[:, None], logdet2[None])
+    pair_bound = 0.5 * (m1.shape[1] * LOG_2PI + logdet + 0.5 * maha) - lw1[:, None] - lw2[None]
+    bound = np.minimum.reduceat(np.minimum.reduceat(pair_bound, np.cumsum(sizes1) - sizes1),
+                                np.cumsum(sizes2) - sizes2, axis=1)
+    near = ~(bound - np.log(np.outer(sizes1, sizes2)) > gate + BOUND_MARGIN)
+
+    # The near cells' Gaussian pairs in row-major order, so that each cell
+    # adds its pairs in the order of the full matrix.
+    g1, g2 = np.nonzero(near[o1][:, o2])
+    log_alpha, _, _ = _pair_log_mass(lw1[g1], s1[g1], m1[g1], lw2[g2], s2[g2], m2[g2])
 
     # Group-wise logsumexp over the Gaussian pairs of each (l, l') cell.
-    rows = np.broadcast_to(o1[:, None], log_alpha.shape)
-    cols = np.broadcast_to(o2[None, :], log_alpha.shape)
+    rows, cols = o1[g1], o2[g2]
     shift = np.full((n1, n2), -np.inf)
     np.maximum.at(shift, (rows, cols), log_alpha)
     safe_shift = np.where(np.isfinite(shift), shift, 0.0)
@@ -370,17 +416,17 @@ def _logsumexp(values) -> float:
     return float(out)
 
 
-def _oriented(mb1, mb2, w):
+def _oriented(mb1, mb2, w, gate=math.inf):
     """The inputs of a fusion in the orientation both fusers use, and their
     divergences.
 
-    Computes pairwise_distances(mb1, mb2, w) in the given order; when
+    Computes pairwise_distances(mb1, mb2, w, gate) in the given order; when
     |L1| > |L2| it swaps the roles and transposes the matrix, so the subset
     side is never the larger one. Returns (mb1, mb2, w, distances),
     distances of shape (|L1|, |L2|) in the returned roles. The densities
     were checked when they were built, so nothing is checked here.
     """
-    distances = pairwise_distances(mb1, mb2, w)
+    distances = pairwise_distances(mb1, mb2, w, gate)
     if len(mb1) > len(mb2):
         return mb2, mb1, w.swapped(), distances.T
     return mb1, mb2, w, distances

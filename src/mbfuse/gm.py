@@ -155,14 +155,14 @@ def _log_normal(diff: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 def _power_parts(weights: np.ndarray, covs: np.ndarray, omega: float):
-    """(log(a^w rho(P, w)), P / w) of each Gaussian a N(m, P) raised to omega,
-    with rho(P, w) = sqrt(det(2 pi P / w) * det(2 pi P)^(-w)); the means are
-    unchanged."""
+    """(log(a^w rho(P, w)), P / w, log det(P / w)) of each Gaussian a N(m, P)
+    raised to omega, with rho(P, w) = sqrt(det(2 pi P / w) * det(2 pi P)^(-w));
+    the means are unchanged."""
     d = covs.shape[-1]
     logdet = 2.0 * np.sum(np.log(np.diagonal(_batch_cholesky(covs), axis1=-2, axis2=-1)), axis=-1)
     log_rho = 0.5 * ((d * (LOG_2PI - math.log(omega)) + logdet) - omega * (d * LOG_2PI + logdet))
     with np.errstate(divide="ignore"):
-        return omega * np.log(weights) + log_rho, covs / omega
+        return omega * np.log(weights) + log_rho, covs / omega, logdet - d * math.log(omega)
 
 
 def _pair_log_mass(lw1, S1, m1, lw2, S2, m2):
@@ -187,8 +187,8 @@ def _pair_product_parts(stack1, stack2, w: FusionWeights, i1, i2):
     """
     a1, m1, P1 = stack1
     a2, m2, P2 = stack2
-    lw1, S1 = _power_parts(a1, P1, w.w1)
-    lw2, S2 = _power_parts(a2, P2, w.w2)
+    lw1, S1, _ = _power_parts(a1, P1, w.w1)
+    lw2, S2, _ = _power_parts(a2, P2, w.w2)
     S1, m1 = S1[i1], m1[i1]
     log_alpha, sig, diff = _pair_log_mass(lw1[i1], S1, m1, lw2[i2], S2[i2], m2[i2])
 

@@ -229,10 +229,10 @@ def _strongest(ids, rs, idx, cap):
     return top[np.argsort(ids[top])]
 
 
-def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
-    """A model matrix must be finite and of its shape; a covariance must also
-    be _symmetric and positive semi-definite within SYM_TOL times its largest
-    entry, so the singular NCV process noise passes."""
+def _check_matrix(a, shape, what: str, covariance: bool = False) -> np.ndarray:
+    """a as a float array, which must be finite and of its shape; a covariance
+    must also be _symmetric and positive semi-definite within SYM_TOL times its
+    largest entry, so the singular NCV process noise passes."""
     a = np.asarray(a, dtype=float)
     if a.shape != shape:
         raise ConfigError(f"{what} has shape {a.shape}, expected {shape}")
@@ -241,6 +241,7 @@ def _check_matrix(a, shape, what: str, covariance: bool = False) -> None:
     tol = SYM_TOL * np.abs(a).max(initial=0.0)
     if covariance and not (_symmetric(a) and np.linalg.eigvalsh(a).min(initial=0.0) >= -tol):
         raise ConfigError(f"{what} must be symmetric positive semi-definite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -279,8 +280,9 @@ class MotionModel:
 
     def __post_init__(self):
         n = np.shape(self.F)[0] if np.ndim(self.F) else 0
-        _check_matrix(self.F, (n, n), "motion F")
-        _check_matrix(self.Q, (n, n), "motion Q", covariance=True)
+        # The checked float arrays are stored, so list-valued matrices work too.
+        object.__setattr__(self, "F", _check_matrix(self.F, (n, n), "motion F"))
+        object.__setattr__(self, "Q", _check_matrix(self.Q, (n, n), "motion Q", covariance=True))
         # Each check also rejects NaN, which fails every comparison.
         if not 0 <= self.p_survival <= 1:
             raise ConfigError("survival probability must be in [0, 1]")
@@ -311,8 +313,8 @@ class SensorModel:
 
     def __post_init__(self):
         m, n = np.shape(self.H) if np.ndim(self.H) == 2 else (0, 0)
-        _check_matrix(self.H, (m, n), "sensor H")
-        _check_matrix(self.R, (m, m), "sensor R", covariance=True)
+        object.__setattr__(self, "H", _check_matrix(self.H, (m, n), "sensor H"))
+        object.__setattr__(self, "R", _check_matrix(self.R, (m, m), "sensor R", covariance=True))
         if not 0 <= self.p_detect <= 1:
             raise ConfigError("detection probability must be in [0, 1]")
         if not 0 <= self.clutter_rate < np.inf:

@@ -1,16 +1,17 @@
 """Clustered, parallelizable GCI-MB fusion and its diagnostics.
 
-Pipeline: oriented pairwise divergences (gci._oriented, which the
-exhaustive oracle shares) -> gate -> largest isolated clustering (a tuple
-of Clusters, each two sorted index tuples) -> independent exact fusion
-inside each cluster with both sides nonempty (association marginals by a
-subset DP, no hypothesis enumeration) -> fused components concatenated
-in canonical cluster order. The 1x1 clusters are fused together in one
-batch and each larger cluster through fuse_cluster; the gci module
-docstring describes both paths. Each part is one stacked density; one
-stable gather by cluster position puts them in canonical order. pgci_fuse
-reports the hypothesis counts of the clustering it gated; l1_error_bound
-gates the exhaustive oracle's own matrix.
+Pipeline: oriented pairwise divergences, evaluated only where the gate
+can reach (gci._oriented, which the exhaustive oracle shares) -> gate ->
+largest isolated clustering (a tuple of Clusters, each two sorted index
+tuples) -> independent exact fusion inside each cluster with both sides
+nonempty (association marginals by a subset DP, no hypothesis
+enumeration) -> fused components concatenated in canonical cluster order.
+The 1x1 clusters are fused together in one batch and each larger cluster
+through fuse_cluster; the gci module docstring describes both paths.
+Each part is one stacked density; one stable gather by cluster position
+puts them in canonical order. pgci_fuse reports the hypothesis counts of
+the clustering it gated; l1_error_bound gates the exhaustive oracle's own
+matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .gci import (
     cluster_pair_marginals,
     count_hypotheses_distinct,
     count_hypotheses_nominal,
+    pairwise_distances,
 )
 from .gm import GmReduceConfig, _check_type
 from .mb import (
@@ -61,6 +63,7 @@ class FusionDiagnostics:
     n_h_truncated: int       # product of per-cluster counts (post truncation)
     n_h_clustered: int       # sum of per-cluster counts
     cluster_sizes: list[tuple[int, int]]
+    far_cells: int           # cells the gate's bound cleared, no Gaussian pair evaluated
 
 
 def fuse_cluster(
@@ -105,15 +108,19 @@ def pgci_fuse(
     independent of any concurrency in per-cluster fusion. The inputs are
     oriented once, globally, by gci._oriented, the entry the exhaustive
     path shares: both see the same distances and moment-match onto the
-    same side. Only the type of gm_config is checked here, and that of w
-    in pairwise_distances: an invalid density raises InvalidDensityError
-    when it is built (see MultiBernoulliDensity). The diagnostics count the
-    hypotheses of the clustering gated here, in the oriented roles, where
-    len(mb1) <= len(mb2).
+    same side. The divergences are gated at gamma: a cell the bound clears
+    reads inf, unless a cluster's DP reads it, and then it is refilled
+    exactly (see the gci module docstring). Only the type of gm_config is
+    checked here, and that of w and gamma in pairwise_distances: an invalid
+    density raises InvalidDensityError when it is built (see
+    MultiBernoulliDensity). The diagnostics count the hypotheses of the
+    clustering gated here, in the oriented roles, where len(mb1) <=
+    len(mb2), and the cells cleared before any refill.
     """
     _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
-    mb1, mb2, w, distances = _oriented(mb1, mb2, w)
+    mb1, mb2, w, distances = _oriented(mb1, mb2, w, gamma)
     clusters = [c for c in compute_lic(distances, gamma) if c.l1 and c.l2]
+    far_cells = int(np.isinf(distances).sum())
 
     # 1x1 clusters are fused in one batch; the rest one cluster at a time.
     # Each part is tagged with its clusters' positions, and one stable
@@ -125,7 +132,15 @@ def pgci_fuse(
     )
     parts, tags = [batch], [np.flatnonzero(isolated)[batch.stack.ids]]
     for g in np.flatnonzero(~isolated).tolist():
-        parts.append(fuse_cluster(clusters[g], mb1, mb2, w, distances, gm_config=gm_config).density)
+        c = clusters[g]
+        block = np.ix_(c.l1, c.l2)
+        if np.isinf(distances[block]).any():
+            # The DP reads every cell of the block: the cells the bound
+            # cleared are computed exactly, as the full matrix holds them.
+            distances[block] = pairwise_distances(
+                _take(mb1, np.array(c.l1), mb1.rs), _take(mb2, np.array(c.l2), mb2.rs), w
+            )
+        parts.append(fuse_cluster(c, mb1, mb2, w, distances, gm_config=gm_config).density)
         tags.append(np.full(len(parts[-1]), g))
     fused = _concat(*parts)
     if len(parts) > 1:
@@ -138,6 +153,7 @@ def pgci_fuse(
         n_h_truncated=math.prod(per_cluster),
         n_h_clustered=sum(per_cluster),
         cluster_sizes=[(len(c.l1), len(c.l2)) for c in clusters],
+        far_cells=far_cells,
     )
 
 

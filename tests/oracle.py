@@ -73,7 +73,7 @@ def gm_power(mix: GaussianMixture, omega: float) -> GaussianMixture:
         raise ValueError(f"omega must be in (0, 1], got {omega}")
     if mix.n_components == 0:
         raise ValueError("gm_power requires a nonempty mixture")
-    log_w, covs = _power_parts(mix.weights, mix.covs, omega)
+    log_w, covs, _ = _power_parts(mix.weights, mix.covs, omega)
     return GaussianMixture(np.exp(log_w), mix.means.copy(), covs)
 
 

@@ -221,6 +221,14 @@ INVALID = {
     "distinct-count-fraction": (lambda: count_hypotheses_distinct(2.5, 3), ConfigError, False),
     "distances-dimensions": (lambda: pairwise_distances(density(0.5), density(0.5, d=2), W),
                              DimensionMismatchError, False),
+    # An empty density of another dimension used to give a (0, 2) result.
+    "multi-fuse-empty-dimensions": (
+        lambda: multi_sensor_fuse([density(0.5), mb_reduce(density(1e-6, d=2), MbReduceConfig())],
+                                  [0.5, 0.5], 4.0),
+        DimensionMismatchError, False),
+    # A NaN gate fails every bound > gate test, so it would clear every cell.
+    "distances-gate-nan": (lambda: pairwise_distances(density(0.5), density(0.5), W, NAN),
+                           ConfigError, False),
     "oracle-over-cap": (lambda: naive_gci_mb_fuse(density(*[0.5] * 10), density(*[0.5] * 10), W),
                         IntractableFusionError, False),
     "lic-gamma-0": (lambda: compute_lic(np.zeros((1, 1)), 0.0), ConfigError, True),

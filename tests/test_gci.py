@@ -120,6 +120,50 @@ class TestDivergence:
         assert pairwise_distances(mb, mbd(), w).shape == (2, 0)
 
 
+@st.composite
+def gated_instance(draw):
+    """Two 2-D densities of 1 to 4 components, each a mixture of 1 to 3
+    Gaussians, some far apart and some near, with covariances up to 400 to 1
+    anisotropic, and a gate. Returns (mb1, mb2, w, gate)."""
+
+    def side():
+        comps = []
+        for i in range(draw(st.integers(1, 4))):
+            j = draw(st.integers(1, 3))
+            means = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=2 * j,
+                                           max_size=2 * j))).reshape(j, 2)
+            covs = []
+            for _ in range(j):
+                angle = draw(st.floats(0.0, math.pi))
+                rot = np.array([[math.cos(angle), -math.sin(angle)],
+                                [math.sin(angle), math.cos(angle)]])
+                scales = draw(st.lists(st.sampled_from([0.05, 1.0, 20.0]), min_size=2, max_size=2))
+                cov = rot @ np.diag(scales) @ rot.T
+                covs.append(0.5 * (cov + cov.T))
+            weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=j, max_size=j)))
+            pdf = GaussianMixture(weights / weights.sum(), means, np.array(covs))
+            comps.append(BernoulliComponent(r=0.5, pdf=pdf, id=i))
+        return mbd(*comps)
+
+    w1 = draw(st.floats(0.1, 0.9))
+    return side(), side(), FusionWeights(w1, 1.0 - w1), draw(st.sampled_from([0.5, 4.0, 20.0]))
+
+
+class TestGatedDistances:
+    """pairwise_distances with a gate evaluates only the cells whose bound
+    does not clear it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(gated_instance())
+    def test_gated_cells_are_exact_or_beyond_the_gate(self, instance):
+        mb1, mb2, w, gate = instance
+        gated = pairwise_distances(mb1, mb2, w, gate)
+        exact = pairwise_distances(mb1, mb2, w)
+        near = np.isfinite(gated)
+        assert gated[near].tobytes() == exact[near].tobytes()
+        assert np.all(exact[~near] > gate)
+
+
 class TestHypothesisSpace:
     def test_enumeration_count_and_distinctness(self):
         for n1 in range(0, 4):

@@ -50,6 +50,22 @@ class TestMotionModel:
         np.testing.assert_allclose(m.Q[2:, 2:], 25.0 * np.eye(2))
         np.testing.assert_allclose(m.Q, m.Q.T)
 
+    def test_list_valued_models_filter_as_array_valued_ones(self):
+        # Lists used to be stored as given, so mb_predict ended in an AttributeError.
+        motion = MotionModel.ncv(1.0, 5.0, 0.98)
+        sensor = make_sensor()
+        as_lists = (
+            MotionModel(F=motion.F.tolist(), Q=motion.Q.tolist(), p_survival=0.98),
+            SensorModel(H=sensor.H.tolist(), R=sensor.R.tolist(), p_detect=sensor.p_detect,
+                        clutter_rate=sensor.clutter_rate, region=REGION),
+        )
+        prior = MultiBernoulliDensity((single_component(0.6, pos=(5.0, -3.0), vel=(1.0, 2.0)),
+                                       single_component(0.3, pos=(-40.0, 20.0), cid=1)))
+        scan = np.array([[6.0, -1.0], [-38.0, 22.0], [200.0, 100.0]])
+        posteriors = [mb_update(mb_predict(prior, m), scan, s) for m, s in ((motion, sensor), as_lists)]
+        for a, b in zip(*(p.stack for p in posteriors)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
 
 class TestModelsRejectBadValues:
     """Each model used to be built without error, and predict or update

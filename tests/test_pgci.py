@@ -429,6 +429,25 @@ class TestAssemblyAgainstReference:
         assert diag.cluster_sizes == [(1, 1)] * 5 + [(2, 2)]
         assert got.stack.ids.tolist() == list(range(5))
 
+    @pytest.mark.parametrize("decoys", [0, 1], ids=["as-given", "swapped"])
+    def test_cleared_cell_inside_a_cluster_is_refilled(self, decoys):
+        # A 2x2 chain 5.5 apart along x: each link lies 5.5^2 / 8 = 3.8
+        # inside the gate, and the corner 16.5 apart (exact 34.0) is cleared
+        # by the bound, 7.8 against the gate 4 plus the margin 1. The DP
+        # reads the corner, so it must see the exact value. A far decoy on
+        # sensor 1 swaps the roles, so the refill writes through the
+        # transposed matrix.
+        mb1 = MultiBernoulliDensity((bern(0.9, [0.0, 0.0], comp_id=0),
+                                     bern(0.7, [11.0, 0.0], comp_id=1))
+                                    + (bern(0.5, [1e3, 0.0], comp_id=2),) * decoys)
+        mb2 = MultiBernoulliDensity((bern(0.8, [5.5, 0.0], comp_id=0),
+                                     bern(0.6, [16.5, 0.0], comp_id=1)))
+        gated = pairwise_distances(mb1, mb2, W, 4.0)
+        assert np.isinf(gated[0, 1]) and np.isfinite(np.delete(gated[:2].ravel(), 1)).all()
+        assert compute_lic(gated, 4.0)[0] == Cluster([0, 1], [0, 1])
+        _, diag = check_against_reference((mb1, mb2, W, 4.0, None))
+        assert diag.cluster_sizes == [(2, 2)] and diag.far_cells == 1 + 2 * decoys
+
 
 @st.composite
 def mixture_cluster(draw):
@@ -646,6 +665,7 @@ class TestHypothesisCounts:
         assert report.n_h_distinct == count_hypotheses_distinct(3, 3) == 34
         assert report.n_h == 2**3 * 6 == 48
         assert report.cluster_sizes == [(1, 1)] * 3
+        assert report.far_cells == 6  # every cross-cluster cell, 1000 apart
 
 
 def one_cluster(gmb):
