@@ -2,7 +2,7 @@
 
 Subcommands:
   run            Monte-Carlo scenario with clustered fusion, write CSV results.
-  compare-oracle Run clustered fusion next to exhaustive fusion and report gaps.
+  compare-oracle Clustered against exact fusion (no gate, subset DP): OSPA gaps.
   bench-counts   Hypothesis counts that clustered fusion reports for random instances.
   bound-check    Empirical truncation error against the analytic bound.
 
@@ -54,16 +54,18 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(cfg, gamma=args.gamma)
     result = run_montecarlo(cfg, n_runs=args.runs, compare_oracle=True)
     gap = np.abs(result.ospa_fused - result.ospa_naive)
-    print(f"mean fused OSPA (clustered):  {result.ospa_fused.mean():.4f}")
-    print(f"mean fused OSPA (exhaustive): {result.ospa_naive.mean():.4f}")
-    print(f"max per-step gap:             {gap.max():.4f}")
+    print(f"mean fused OSPA, clustered fusion:                  {result.ospa_fused.mean():.4f}")
+    print(f"mean fused OSPA, exact fusion (no gate, subset DP): {result.ospa_naive.mean():.4f}")
+    print(f"max per-step gap:                                   {gap.max():.4f}")
     return 0
 
 
 def _check_runs(args: argparse.Namespace) -> None:
-    """Reject a run count below 1; the gate is checked in every run's clustering."""
+    """Reject --runs below 1 and a negative --seed; pgci_fuse checks the gate."""
     if args.runs < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {args.seed}")
 
 
 def cmd_bench_counts(args: argparse.Namespace) -> int:

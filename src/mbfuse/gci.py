@@ -298,10 +298,13 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     matchings of g; ``_matching_sums`` computes them over subsets of the
     smaller side instead of enumerating hypotheses. Returns (marginal,
     log eta), where marginal[i, j] is the pair marginal of l1_idx[i] and
-    l2_idx[j]. An index outside its density raises ConfigError.
+    l2_idx[j]. An index outside its density, a distances matrix not of shape
+    (len(mb1), len(mb2)), or NaN in the cluster's block raises ConfigError.
     """
     _check_indices(l1_idx, len(mb1), "sensor-1 cluster")
     _check_indices(l2_idx, len(mb2), "sensor-2 cluster")
+    if np.shape(distances) != (len(mb1), len(mb2)):
+        raise ConfigError(f"distances must be {len(mb1)} x {len(mb2)}, got {np.shape(distances)}")
     n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
     steps = n_l * n_s * 2**n_s
     if steps > DP_STEP_CAP:
@@ -314,7 +317,10 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     log_1mr1, gain1 = _existence_gains(np.take(mb1.rs, l1_idx), w.w1)
     log_1mr2, gain2 = _existence_gains(np.take(mb2.rs, l2_idx), w.w2)
     base = w.w1 * log_1mr1.sum() + w.w2 * log_1mr2.sum()
-    g = np.exp(gain1[:, None] + gain2[None, :] - distances[np.ix_(l1_idx, l2_idx)])
+    block = distances[np.ix_(l1_idx, l2_idx)]
+    if np.isnan(block).any():
+        raise ConfigError("cluster distances must not be NaN")
+    g = np.exp(gain1[:, None] + gain2[None, :] - block)
 
     if g.shape[0] <= g.shape[1]:
         z, pair = _matching_sums(g)

@@ -376,7 +376,10 @@ def mb_predict(
 
 def adaptive_birth(prev_scan: np.ndarray, start_id: int = 0) -> MultiBernoulliDensity:
     """One birth component per previous-scan measurement, zero-velocity prior,
-    with ids from start_id on; a non-finite measurement raises NumericalError."""
+    with ids from start_id on, an integer (else ConfigError); a non-finite
+    measurement raises NumericalError."""
+    if not isinstance(start_id, (int, np.integer)):
+        raise ConfigError(f"start_id must be an integer, got {start_id!r}")
     prev_scan = _rows(prev_scan, 2, DimensionMismatchError)
     if not np.isfinite(prev_scan).all():
         raise NumericalError("previous scan holds a non-finite measurement")

@@ -187,30 +187,17 @@ def multi_sensor_fuse(
     reduce_config: MbReduceConfig | None = None,
     return_diagnostics: bool = False,
 ):
-    """Sequential pairwise fusion of several posteriors.
+    """Sequential pairwise fusion of several posteriors by pgci_fuse.
 
     The running result carries the accumulated weight mass; each pairwise
     step renormalizes (w_acc, w_i) so the final geometric-mean exponents
-    equal the prescribed per-sensor weights. With ``return_diagnostics``,
-    also returns the per-pair FusionDiagnostics list.
+    equal the prescribed per-sensor weights, and reduces the fused density
+    when reduce_config is set. With gamma = inf the gate discards no
+    hypothesis, so each step is the exact GCI-MB fusion. With
+    ``return_diagnostics``, also returns the per-pair FusionDiagnostics list.
     """
     _check_type(reduce_config, MbReduceConfig, "reduce_config", optional=True)
     gm_config = reduce_config.gm if reduce_config is not None else None
-    acc, diagnostics = _fold_pairwise(
-        posteriors,
-        weights,
-        lambda a, b, w: pgci_fuse(a, b, w, gamma, gm_config=gm_config),
-        reduce_config,
-    )
-    return (acc, diagnostics) if return_diagnostics else acc
-
-
-def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
-    """Left fold of fuse_pair(acc, next, pair_w) -> (fused, extra) over posteriors.
-
-    Returns the fused density and the list of each step's extra output.
-    The fused density is reduced after every step when reduce_config is set.
-    """
     posteriors = list(posteriors)
     weights = [float(v) for v in weights]
     if len(posteriors) < 1:
@@ -220,14 +207,13 @@ def _fold_pairwise(posteriors, weights, fuse_pair, reduce_config):
     if not all(v > 0 for v in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
         raise ConfigError("weights must be positive and sum to 1")
 
-    acc = posteriors[0]
-    w_acc = weights[0]
-    extras = []
+    acc, w_acc = posteriors[0], weights[0]
+    diagnostics = []
     for mb_next, w_next in zip(posteriors[1:], weights[1:]):
         pair_w = FusionWeights(w_acc / (w_acc + w_next), w_next / (w_acc + w_next))
-        acc, extra = fuse_pair(acc, mb_next, pair_w)
-        extras.append(extra)
+        acc, diag = pgci_fuse(acc, mb_next, pair_w, gamma, gm_config=gm_config)
+        diagnostics.append(diag)
         if reduce_config is not None:
             acc = mb_reduce(acc, reduce_config)
         w_acc += w_next
-    return acc, extras
+    return (acc, diagnostics) if return_diagnostics else acc

@@ -20,7 +20,6 @@ import numpy as np
 
 from .clustering import connected_components
 from .errors import ConfigError
-from .gci import naive_gci_mb_fuse
 from .gm import _is_cap
 from .mb import (
     _check_matrix,
@@ -40,7 +39,7 @@ from .mb import (
     mb_reduce,
     mb_update,
 )
-from .pgci import _fold_pairwise, multi_sensor_fuse
+from .pgci import multi_sensor_fuse
 
 # Mixture and Bernoulli reduction for local filters and fused densities.
 REDUCE_CONFIG = MbReduceConfig()
@@ -134,6 +133,8 @@ class ScenarioConfig:
             raise ConfigError("gamma must be positive")
         if not _is_cap(self.fusion_max_components):
             raise ConfigError("fusion component cap must be an integer of at least 1")
+        if not _is_cap(self.base_seed, least=0):
+            raise ConfigError(f"base seed must be an integer >= 0, got {self.base_seed}")
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
@@ -378,7 +379,10 @@ def run_montecarlo(
 
     Only the sensors the node reads, its own and its neighbours', are
     filtered; each draws its scans from its own seed, so skipping the rest
-    changes no output. cfg was checked when it was built.
+    changes no output. cfg was checked when it was built. With
+    compare_oracle, ospa_naive scores exact fusion (no gate, subset DP):
+    the same pipeline at gamma = inf. A cluster over gci.DP_STEP_CAP
+    raises IntractableFusionError, as at full-scale scenario2.
     """
     if not _is_cap(n_runs):
         raise ConfigError(f"n_runs must be an integer >= 1, got {n_runs}")
@@ -424,13 +428,8 @@ def run_montecarlo(
             card[run, k] = fused_est.shape[0]
 
             if compare_oracle:
-                acc, _ = _fold_pairwise(
-                    densities, weights,
-                    lambda a, b, w: naive_gci_mb_fuse(a, b, w, gm_config=REDUCE_CONFIG.gm),
-                    REDUCE_CONFIG,
-                )
-                naive_est = extract_estimates(acc)
-                ospa_naive[run, k] = ospa(naive_est[:, :2], truth_pos)
+                exact = multi_sensor_fuse(densities, weights, math.inf, reduce_config=REDUCE_CONFIG)
+                ospa_naive[run, k] = ospa(extract_estimates(exact)[:, :2], truth_pos)
 
     return MonteCarloResult(
         steps=np.arange(T),
@@ -500,8 +499,8 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
     """Adaptive-birth multi-object scenario; desk scale by default.
 
     Desk scale: 10 objects, 3 chain-linked sensors, T = 100.
-    Full scale: 40 objects, 6 sensors, T = 200; one run takes about
-    12 s on a shared 2-vCPU x86_64 host, a level that drifts with the host.
+    Full scale: 40 objects, 6 sensors, T = 200; one run takes 6-7 s on a
+    shared 2-vCPU x86_64 host, a level that drifts up to 2x with the host.
     """
     region = Rectangle(-2000.0, 2000.0, -2000.0, 2000.0)
     motion = MotionModel.ncv(dt=1.0, sigma_v=5.0, p_survival=0.98)

@@ -111,7 +111,8 @@ def test_criterion_2_scenario1_truncation_closeness():
         2,
         ok,
         f"scenario 1, 50 runs: max OSPA gap {gap.max():.2%}, "
-        f"fused/exhaustive below local at {frac_fused:.0%}/{frac_naive:.0%} of steps",
+        f"fused/exact (no gate, subset DP) below local at {frac_fused:.0%}/{frac_naive:.0%} "
+        f"of steps",
     )
 
 

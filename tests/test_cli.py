@@ -87,6 +87,13 @@ class TestExitCodes:
         assert main([command, *option]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "bench-counts", "bound-check"])
+    def test_negative_seed_maps_to_2(self, command, tmp_path, capsys):
+        # numpy's seeding used to raise an uncaught ValueError.
+        out = ["--out", str(tmp_path)] if command == "run" else []
+        assert main([command, "--seed", "-1", *out]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -96,7 +103,7 @@ class TestCompareOracle:
     def test_reports_gap(self, fast_scenarios, capsys):
         assert main(["compare-oracle", "--runs", "1"]) == 0
         out = capsys.readouterr().out
-        assert "exhaustive" in out and "max per-step gap" in out
+        assert "exact fusion (no gate, subset DP)" in out and "max per-step gap" in out
 
 
 class TestBenchCounts:

@@ -196,6 +196,9 @@ INVALID = {
                                  DimensionMismatchError, True),
     "birth-nan-scan": (lambda: adaptive_birth(np.array([[NAN, 0.0]])), NumericalError, False),
     "birth-scan-shape": (lambda: adaptive_birth(np.zeros((2, 3))), DimensionMismatchError, False),
+    # A fractional first id used to give the ids [1, 2].
+    "birth-start-id-fraction": (lambda: adaptive_birth(np.zeros((2, 2)), start_id=1.5),
+                                ConfigError, False),
     "update-nan-scan": (lambda: mb_update(density(0.5), np.array([[0.0, NAN]]), SENSOR),
                         NumericalError, False),
     "update-scan-shape": (lambda: mb_update(density(0.5), np.zeros((2, 3)), SENSOR),
@@ -290,6 +293,20 @@ INVALID = {
     # A NaN exponent used to give a NaN bound, an infinite one a bound of 0.
     "bound-gamma-nan": (lambda: l1_error_bound(oracle_gmb(), 4.0, NAN), ConfigError, False),
     "bound-gamma-inf": (lambda: l1_error_bound(oracle_gmb(), 4.0, np.inf), ConfigError, False),
+    # A matrix of another shape used to end in a bare IndexError; a NaN
+    # block gave an empty density.
+    "fuse-cluster-distances-1x1": (
+        lambda: fuse_cluster(Cluster([0, 1], [0, 1]), density(0.5, 0.5), density(0.5, 0.5), W,
+                             np.zeros((1, 1))),
+        ConfigError, False),
+    "fuse-cluster-distances-1d": (
+        lambda: fuse_cluster(Cluster([0, 1], [0, 1]), density(0.5, 0.5), density(0.5, 0.5), W,
+                             np.zeros(2)),
+        ConfigError, False),
+    "fuse-cluster-distances-nan": (
+        lambda: fuse_cluster(Cluster([0, 1], [0, 1]), density(0.5, 0.5), density(0.5, 0.5), W,
+                             np.full((2, 2), NAN)),
+        ConfigError, False),
     "fuse-cluster-one-sided": (
         lambda: fuse_cluster(Cluster(frozenset({0}), frozenset()), density(0.5), density(0.5), W,
                              np.zeros((1, 1))),
@@ -321,6 +338,11 @@ INVALID = {
         ConfigError, False),
     "scenario-built-fusion-cap-0": (
         lambda: dataclasses.replace(scenario1(), fusion_max_components=0), ConfigError, False),
+    # A negative or fractional seed used to build, then fail in run_montecarlo.
+    "scenario-built-seed-negative": (lambda: dataclasses.replace(scenario1(), base_seed=-1),
+                                     ConfigError, False),
+    "scenario-built-seed-fraction": (lambda: dataclasses.replace(scenario1(), base_seed=1.5),
+                                     ConfigError, False),
     "scenario-built-direct": (
         lambda: ScenarioConfig(**{**vars(scenario1()), "duration": 0}), ConfigError, False),
     # The fusion cap slices too; a fractional one used to end in mb._strongest's TypeError.

@@ -2,6 +2,7 @@
 the OSPA metric, configuration validation, and Monte-Carlo determinism."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import oracle
 import mbfuse.pgci as pgci_mod
 import mbfuse.sim as sim_mod
 from mbfuse.errors import ConfigError
-from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel
+from mbfuse.gci import FusionWeights, naive_gci_mb_fuse
+from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel, mb_reduce
 from mbfuse.pgci import multi_sensor_fuse
 from mbfuse.sim import (
     KNOWN_BIRTH_R,
@@ -523,6 +525,49 @@ class TestOutputsPassTheConstructorCheck:
         assert len(fused) == cfg.duration * (len(densities) - 1)
         for d in built:
             MultiBernoulliDensity(d.components)
+
+
+def oracle_fold(densities, weights):
+    """multi_sensor_fuse's fold, with the exhaustive oracle fusing each pair."""
+    acc, w_acc = densities[0], weights[0]
+    for mb, w in zip(densities[1:], weights[1:]):
+        pair_w = FusionWeights(w_acc / (w_acc + w), w / (w_acc + w))
+        acc = mb_reduce(naive_gci_mb_fuse(acc, mb, pair_w, gm_config=REDUCE_CONFIG.gm)[0],
+                        REDUCE_CONFIG)
+        w_acc += w
+    return acc
+
+
+class TestExactFusionAgainstOracle:
+    """With no gate the clustered pipeline discards no hypothesis: at every
+    step of run 0 it fuses the condensed densities as the exhaustive oracle
+    does, within criterion 1's tolerances."""
+
+    @pytest.mark.parametrize("cfg", [scenario1(), scenario1(seed=7)],
+                             ids=lambda cfg: f"seed{cfg.base_seed}")
+    def test_run0_steps(self, cfg):
+        truth = generate_truth(cfg)
+        self_w, neighbor_w = metropolis_weights(cfg.adjacency, cfg.fusion_node)
+        read = {cfg.fusion_node: self_w, **neighbor_w}
+        posteriors = {s: run_local_filter(generate_measurements(
+            truth, cfg.sensors[s], np.random.SeedSequence([cfg.base_seed, 0, s]).entropy
+        ), cfg, cfg.sensors[s]) for s in read}
+        sizes = []
+        for k in range(cfg.duration):
+            densities, weights = _fusion_inputs(cfg, read, posteriors, k)
+            sizes.append(tuple(map(len, densities)))
+            got = multi_sensor_fuse(densities, weights, math.inf, reduce_config=REDUCE_CONFIG)
+            want = oracle_fold(densities, weights)
+            got_c, want_c = (sorted(d.components, key=lambda c: c.r) for d in (got, want))
+            assert len(got_c) == len(want_c)
+            for a, b in zip(got_c, want_c):
+                assert a.r == pytest.approx(b.r, rel=1e-9, abs=1e-12)
+                assert len(a.pdf.weights) == len(b.pdf.weights)
+                assert a.pdf.weights == pytest.approx(b.pdf.weights, rel=1e-9)
+                assert a.pdf.means == pytest.approx(b.pdf.means, rel=1e-9, abs=1e-9)
+                assert a.pdf.covs == pytest.approx(b.pdf.covs, rel=1e-9)
+        # Some step fuses a density at the condensation cap.
+        assert max(map(max, sizes)) == cfg.fusion_max_components
 
 
 class TestMonteCarlo:
