@@ -288,6 +288,12 @@ def _existence_gains(rs, omega):
 DP_STEP_CAP = 10**6
 
 
+def _dp_steps(n1: int, n2: int) -> int:
+    """The subset DP's step count n_l * n_s * 2^n_s for an n1 x n2 cluster."""
+    n_s, n_l = sorted((n1, n2))
+    return n_l * n_s * 2**n_s
+
+
 def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     """Exact pair marginals and log eta over the index sets l1_idx x l2_idx.
 
@@ -305,8 +311,7 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     _check_indices(l2_idx, len(mb2), "sensor-2 cluster")
     if np.shape(distances) != (len(mb1), len(mb2)):
         raise ConfigError(f"distances must be {len(mb1)} x {len(mb2)}, got {np.shape(distances)}")
-    n_s, n_l = sorted((len(l1_idx), len(l2_idx)))
-    steps = n_l * n_s * 2**n_s
+    steps = _dp_steps(len(l1_idx), len(l2_idx))
     if steps > DP_STEP_CAP:
         raise IntractableFusionError(
             f"fusing components {list(l1_idx)} with {list(l2_idx)} needs "

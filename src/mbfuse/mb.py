@@ -12,10 +12,12 @@ constant velocity model, update against the scan with constant detection
 probability and uniform clutter intensity, then truncate. Predict and
 update are batched over the whole stack: one F P F^T for every Gaussian,
 and one update of all (Gaussian, measurement) pairs of a scan, whose
-measurement components join the stack as one block. Births are built as a
-stack of one-Gaussian components and appended as one block. Truncation,
-the component caps and the reductions work on the stack as well, so the
-filter builds no component object.
+measurement components join the stack as one block. Given the prune
+threshold of the reduction that follows, the update builds only the
+measurement-track Gaussians that the reduction keeps (see mb_update).
+Births are built as a stack of one-Gaussian components and appended as
+one block. Truncation, the component caps and the reductions work on the
+stack as well, so the filter builds no component object.
 
 Every operation that returns no component returns it in its input's state
 dimension: its stack's means are (0, d). Only a density built from no
@@ -25,6 +27,7 @@ its means are (0, 0).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -394,14 +397,29 @@ def mb_update(
     predicted: MultiBernoulliDensity,
     scan: np.ndarray,
     sensor: SensorModel,
+    prune_threshold: float = 0.0,
 ) -> MultiBernoulliDensity:
     """Cardinality-balanced MB update: legacy tracks plus one track per measurement.
 
     The measurement tracks follow the legacy ones, in scan order, each
-    with a pdf of one updated Gaussian per predicted Gaussian. A non-empty
-    scan is an (m, dz) array, and the density's dimension is that of
-    sensor.H's columns; either mismatch raises DimensionMismatchError.
+    with a pdf of one updated Gaussian per predicted Gaussian, in stack
+    order. A non-empty scan is an (m, dz) array, and the density's
+    dimension is that of sensor.H's columns; either mismatch raises
+    DimensionMismatchError.
+
+    With prune_threshold above 0, each measurement track keeps only the
+    Gaussians whose normalized weight is at or above it, and only those
+    are built. A track that lost Gaussians is rescaled as gm_reduce
+    rescales a pruned mixture: its kept weights are multiplied by its
+    total over all its Gaussians divided by its total over the kept ones.
+    mb_reduce with that prune threshold then gives, bit for bit, what it
+    gives after an update that pruned nothing. A track is left whole if
+    it keeps no Gaussian, or if rounding in the rescale takes a kept
+    weight below the threshold: mb_reduce would prune it again. The
+    threshold must be a finite real >= 0, else ConfigError.
     """
+    if not (isinstance(prune_threshold, numbers.Real) and 0.0 <= prune_threshold < np.inf):
+        raise ConfigError(f"prune threshold must be finite and >= 0, got {prune_threshold!r}")
     _check_dimension(predicted, sensor.H.shape[1], "predicted density")
     scan = _rows(scan, sensor.H.shape[0], DimensionMismatchError)
     if not np.isfinite(scan).all():
@@ -455,23 +473,53 @@ def mb_update(
     if not kept.size:
         return legacy
 
-    # K innov, laid out (measurement, Gaussian), summed term by term: for a
-    # 2-D measurement that is np.einsum("nij,nmj->nmi") bit for bit, at a
-    # fraction of its cost.
-    innov = np.swapaxes(innov[:, kept], 0, 1)[:, :, None, :]
+    # The (track, Gaussian) pairs that survive the prune, row-major, so each
+    # track keeps stack order.
+    track, g, weights = _prune_tracks(w[kept] / mass[kept, None], prune_threshold)
+    # K innov of each pair, summed term by term: for a 2-D measurement that
+    # is np.einsum("nij,nj->ni") bit for bit, at a fraction of its cost.
+    innov = innov[g, kept[track]][:, None, :]
+    K = K[g]
     shift = K[:, :, 0] * innov[..., 0]
     for j in range(1, K.shape[2]):
         shift = shift + K[:, :, j] * innov[..., j]
-    n, d = means.shape
     updated = MultiBernoulliDensity._from_stack(
         predicted.next_id() + np.arange(kept.size),
         r_u[kept],
-        np.full(kept.size, n),
-        (w[kept] / mass[kept, None]).reshape(-1),
-        (means + shift).reshape(-1, d),
-        np.broadcast_to(covs_upd, (kept.size, n, d, d)).reshape(-1, d, d),
+        np.bincount(track, minlength=kept.size),
+        weights,
+        means[g] + shift,
+        covs_upd[g],
     )
     return _concat(legacy, updated)
+
+
+def _prune_tracks(w: np.ndarray, threshold: float):
+    """The Gaussians that each row of normalized weights keeps at threshold,
+    as (track, Gaussian, weight) arrays in row-major order.
+
+    A row that loses Gaussians is rescaled as _reduce_segments rescales a
+    pruned segment, both totals summed as _segment_sums sums them. A row
+    is kept whole if no weight reaches the threshold, or if the rescale
+    takes a kept weight below it. A row's largest weight is at least 1 / N,
+    so below N = 1 / threshold every row keeps a Gaussian.
+    """
+    keep = w >= threshold
+    n_keep = keep.sum(axis=1)
+    scale = np.ones(w.shape[0])
+    cut = np.flatnonzero((n_keep > 0) & (n_keep < w.shape[1]))
+    if cut.size:
+        # A C-contiguous row sums as _segment_sums sums it as a segment.
+        scale[cut] = w[cut].sum(axis=1) / _segment_sums(w[cut][keep[cut]], n_keep[cut])
+    whole = n_keep == 0
+    # A rescale below 1 can only come from rounding, when the pruned mass
+    # is below the sums' rounding error.
+    low = np.flatnonzero(scale < 1.0)
+    whole[low] |= ((w[low] * scale[low, None] < threshold) & keep[low]).any(axis=1)
+    keep[whole] = True
+    scale[whole] = 1.0
+    track, g = np.nonzero(keep)
+    return track, g, w[track, g] * scale[track]
 
 
 def _reduce_stack(sizes, weights, means, covs, config: GmReduceConfig | None):

@@ -26,6 +26,7 @@ from .errors import ConfigError
 from .gci import (
     FusionWeights,
     GmbDensity,
+    _dp_steps,
     _fuse_isolated_pairs,
     _logsumexp,
     _moment_match,
@@ -64,6 +65,8 @@ class FusionDiagnostics:
     n_h_clustered: int       # sum of per-cluster counts
     cluster_sizes: list[tuple[int, int]]
     far_cells: int           # cells the gate's bound cleared, no Gaussian pair evaluated
+    refilled_cells: int      # cleared cells recomputed exactly for a cluster's DP
+    dp_steps: int            # largest n_l * n_s * 2^n_s of a DP run, 0 if none ran
 
 
 def fuse_cluster(
@@ -115,7 +118,9 @@ def pgci_fuse(
     density raises InvalidDensityError when it is built (see
     MultiBernoulliDensity). The diagnostics count the hypotheses of the
     clustering gated here, in the oriented roles, where len(mb1) <=
-    len(mb2), and the cells cleared before any refill.
+    len(mb2), the cells cleared before any refill, the cells refilled, and
+    the largest DP that a cluster's fusion ran, in the steps that
+    gci.DP_STEP_CAP bounds.
     """
     _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     mb1, mb2, w, distances = _oriented(mb1, mb2, w, gamma)
@@ -131,10 +136,14 @@ def pgci_fuse(
         mb1, mb2, w, distances, gm_config,
     )
     parts, tags = [batch], [np.flatnonzero(isolated)[batch.stack.ids]]
+    refilled_cells = dp_steps = 0
     for g in np.flatnonzero(~isolated).tolist():
         c = clusters[g]
+        dp_steps = max(dp_steps, _dp_steps(len(c.l1), len(c.l2)))
         block = np.ix_(c.l1, c.l2)
-        if np.isinf(distances[block]).any():
+        cleared = int(np.isinf(distances[block]).sum())
+        refilled_cells += cleared
+        if cleared:
             # The DP reads every cell of the block: the cells the bound
             # cleared are computed exactly, as the full matrix holds them.
             distances[block] = pairwise_distances(
@@ -154,6 +163,8 @@ def pgci_fuse(
         n_h_clustered=sum(per_cluster),
         cluster_sizes=[(len(c.l1), len(c.l2)) for c in clusters],
         far_cells=far_cells,
+        refilled_cells=refilled_cells,
+        dp_steps=dp_steps,
     )
 
 

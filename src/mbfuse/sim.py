@@ -303,7 +303,13 @@ def run_local_filter(
     cfg: ScenarioConfig,
     sensor: SensorModel,
 ) -> list[MultiBernoulliDensity]:
-    """GM cardinality-balanced MB filter over one sensor's scan sequence."""
+    """GM cardinality-balanced MB filter over one sensor's scan sequence.
+
+    Each scan is predict, update, then mb_reduce with REDUCE_CONFIG. The
+    update is given REDUCE_CONFIG's prune threshold, so it builds only the
+    measurement-track Gaussians that the reduction keeps; every posterior
+    is bit for bit what an update that builds them all would give.
+    """
     posterior = MultiBernoulliDensity(())
     prev_scan = np.zeros((0, 2))    # no adaptive births before the first scan
     out = []
@@ -313,7 +319,8 @@ def run_local_filter(
         else:
             births = known_birth_components(cfg) if k == 0 else None
         predicted = mb_predict(posterior, cfg.motion, births)
-        updated = mb_update(predicted, scan, sensor)
+        updated = mb_update(predicted, scan, sensor,
+                            prune_threshold=REDUCE_CONFIG.gm.prune_threshold)
         posterior = mb_reduce(updated, REDUCE_CONFIG)
         out.append(posterior)
         prev_scan = scan
@@ -499,8 +506,8 @@ def scenario2(scale: str = "desk", seed: int = 1) -> ScenarioConfig:
     """Adaptive-birth multi-object scenario; desk scale by default.
 
     Desk scale: 10 objects, 3 chain-linked sensors, T = 100.
-    Full scale: 40 objects, 6 sensors, T = 200; one run takes 6-7 s on a
-    shared 2-vCPU x86_64 host, a level that drifts up to 2x with the host.
+    Full scale: 40 objects, 6 sensors, T = 200; one run takes 6.4-10 s on
+    a shared 2-vCPU x86_64 host, a level that drifts up to 2x with the host.
     """
     region = Rectangle(-2000.0, 2000.0, -2000.0, 2000.0)
     motion = MotionModel.ncv(dt=1.0, sigma_v=5.0, p_survival=0.98)

@@ -203,6 +203,16 @@ INVALID = {
                         NumericalError, False),
     "update-scan-shape": (lambda: mb_update(density(0.5), np.zeros((2, 3)), SENSOR),
                           DimensionMismatchError, False),
+    "update-prune-nan": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, NAN),
+                         ConfigError, False),
+    "update-prune-negative": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, -1e-5),
+                              ConfigError, False),
+    "update-prune-inf": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, np.inf),
+                         ConfigError, False),
+    "update-prune-string": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, "1e-5"),
+                            ConfigError, False),
+    "update-prune-complex": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, 1e-5j),
+                             ConfigError, False),
     "merge-gate-0": (lambda: mb_merge_components(density(0.5), gate=0.0), ConfigError, True),
     "merge-gate-nan": (lambda: mb_merge_components(density(0.5), gate=NAN), ConfigError, True),
     # A config object of the wrong type used to end in a bare AttributeError

@@ -10,6 +10,7 @@ from mbfuse import (
     ConfigError,
     DimensionMismatchError,
     GaussianMixture,
+    GmReduceConfig,
     InvalidDensityError,
     MbReduceConfig,
     MotionModel,
@@ -23,6 +24,7 @@ from mbfuse import (
     mb_reduce,
     mb_update,
 )
+from mbfuse.mb import _prune_tracks
 
 REGION = Rectangle(-500.0, 500.0, -500.0, 500.0)
 
@@ -216,6 +218,150 @@ class TestMbUpdate:
         updated = mb_update(MultiBernoulliDensity(comps), np.zeros((0, 2)), sensor)
         expected = np.sum(rs * 0.05 / (1.0 - rs * 0.95))
         assert updated.rs.sum() == pytest.approx(expected, abs=1e-12)
+
+
+def assert_same_bits(got, want):
+    """Every stack array equal in dtype, shape and every bit."""
+    for name, a, b in zip(want.stack._fields, got.stack, want.stack):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def reduced_both_ways(predicted, scan, sensor, threshold):
+    """mb_reduce after the pruning update and after the full one, at threshold."""
+    config = MbReduceConfig(gm=GmReduceConfig(prune_threshold=threshold))
+    pruned = mb_update(predicted, scan, sensor, prune_threshold=threshold)
+    return mb_reduce(pruned, config), mb_reduce(mb_update(predicted, scan, sensor), config)
+
+
+@st.composite
+def update_case(draw):
+    """(predicted density, scan): 1-6 components of 1-5 anisotropic
+    Gaussians, and 0-8 measurements, some near a Gaussian, some 2-5 km
+    from every one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for i, n in enumerate(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))):
+        a = rng.normal(size=(n, 4, 4))
+        covs = a @ np.swapaxes(a, 1, 2) * rng.uniform(1.0, 200.0, size=(n, 1, 1)) + np.eye(4)
+        means = rng.uniform(-400.0, 400.0, size=4) + rng.normal(scale=30.0, size=(n, 4))
+        comps.append(BernoulliComponent(
+            r=float(rng.uniform(0.01, 0.99)),
+            pdf=GaussianMixture(rng.dirichlet(np.ones(n)), means, covs), id=i,
+        ))
+    predicted = MultiBernoulliDensity(comps)
+    n_near = draw(st.integers(0, 8))
+    n_far = draw(st.integers(0, 8 - n_near))
+    near = predicted.stack.means[rng.integers(0, len(predicted.stack.means), n_near), :2]
+    far = rng.choice([-1.0, 1.0], size=(n_far, 2)) * rng.uniform(2e3, 5e3, size=(n_far, 2))
+    scan = np.vstack([near + rng.normal(scale=15.0, size=near.shape), far])
+    return predicted, rng.permutation(scan)
+
+
+def gaussians(weights, positions, cid=0, r=0.5):
+    """A component whose Gaussians sit at the given positions, at rest."""
+    n = len(weights)
+    means = np.hstack([np.asarray(positions, dtype=float), np.zeros((n, 2))])
+    pdf = GaussianMixture(np.asarray(weights, dtype=float), means,
+                          np.stack([np.diag([100.0, 100.0, 25.0, 25.0])] * n))
+    return BernoulliComponent(r=r, pdf=pdf, id=cid)
+
+
+class TestMbUpdatePrune:
+    """mb_update(..., prune_threshold=t) builds only the measurement-track
+    Gaussians that mb_reduce at t keeps, and mb_reduce then gives every bit
+    it gives after the full update."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(update_case(), st.sampled_from([1e-5, 1e-3, 0.02, 0.2]))
+    def test_reduce_after_pruning_matches_reduce_after_full_update(self, case, threshold):
+        predicted, scan = case
+        got, want = reduced_both_ways(predicted, scan, make_sensor(), threshold)
+        assert_same_bits(got, want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(update_case(), st.sampled_from([1e-5, 0.02, 0.2]))
+    def test_each_track_is_pruned_or_whole(self, case, threshold):
+        predicted, scan = case
+        pruned = mb_update(predicted, scan, make_sensor(), prune_threshold=threshold)
+        full = mb_update(predicted, scan, make_sensor())
+        n = len(predicted.stack.weights)
+        for got, want in zip(pruned.components[len(predicted):], full.components[len(predicted):]):
+            assert (got.id, got.r) == (want.id, want.r)
+            size = got.pdf.n_components
+            assert size == n or (size < n and got.pdf.weights.min() >= threshold)
+
+    def test_nothing_pruned_gives_the_full_update(self):
+        # Two Gaussians 10 apart, the measurement between them: both weigh 1/2.
+        predicted = MultiBernoulliDensity((gaussians([0.5, 0.5], [[-5.0, 0.0], [5.0, 0.0]]),))
+        scan = np.array([[0.0, 0.0]])
+        pruned = mb_update(predicted, scan, make_sensor(), prune_threshold=1e-5)
+        assert_same_bits(pruned, mb_update(predicted, scan, make_sensor()))
+
+    def test_all_but_one_pruned(self):
+        predicted = MultiBernoulliDensity(
+            (gaussians([0.4, 0.3, 0.3], [[0.0, 0.0], [300.0, 0.0], [0.0, 300.0]]),)
+        )
+        scan = np.array([[1.0, -2.0]])
+        pruned = mb_update(predicted, scan, make_sensor(), prune_threshold=1e-5)
+        track = pruned.components[1].pdf
+        assert track.n_components == 1 and track.weights[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(track.covs[0], mb_update(predicted, scan, make_sensor())
+                                      .components[1].pdf.covs[0])
+        assert_same_bits(*reduced_both_ways(predicted, scan, make_sensor(), 1e-5))
+
+    def test_weight_exactly_at_the_threshold_is_kept(self):
+        predicted = MultiBernoulliDensity((gaussians(
+            [0.4, 0.3, 0.2, 0.1], [[0.0, 0.0], [20.0, 0.0], [0.0, 25.0], [400.0, 0.0]]
+        ),))
+        scan = np.array([[2.0, 3.0]])
+        full_weights = mb_update(predicted, scan, make_sensor()).components[1].pdf.weights
+        # The third Gaussian's own normalized weight, far above the fourth's.
+        threshold = float(full_weights[2])
+        assert full_weights[3] < threshold < full_weights[1]
+        pruned = mb_update(predicted, scan, make_sensor(), prune_threshold=threshold)
+        assert pruned.components[1].pdf.n_components == 3
+        assert_same_bits(*reduced_both_ways(predicted, scan, make_sensor(), threshold))
+
+    def test_threshold_above_every_weight_leaves_the_track_whole(self):
+        # Both weights are 1/2, below a threshold of 0.6: the track keeps
+        # both, unscaled, and mb_reduce drops it, as after the full update.
+        predicted = MultiBernoulliDensity((gaussians([0.5, 0.5], [[-5.0, 0.0], [5.0, 0.0]]),))
+        scan = np.array([[0.0, 0.0]])
+        pruned = mb_update(predicted, scan, make_sensor(), prune_threshold=0.6)
+        assert_same_bits(pruned, mb_update(predicted, scan, make_sensor()))
+        got, want = reduced_both_ways(predicted, scan, make_sensor(), 0.6)
+        assert_same_bits(got, want)
+        assert len(got) == 0
+
+    def test_rescale_rounded_below_one_leaves_the_track_whole(self):
+        # A row whose pruned weights sum to ~4e-18: its sum over all 19
+        # Gaussians rounds below its sum over the 15 kept ones, so the
+        # rescale would take the lightest kept weight, the threshold, below
+        # it, and mb_reduce would prune that one again.
+        row = np.array([
+            0.003593864505205035, 0.10578708504497612, 5.078723929751264e-19,
+            0.12936074904328268, 0.010493079875858501, 0.11726947857942116,
+            0.01057675510503456, 0.048814539661478036, 0.06065813800401736,
+            0.1344511129953575, 0.07882984894433337, 1.0939445406101356e-19,
+            0.03467828389587808, 0.1237155859121394, 9.07953472541453e-19,
+            0.018546707049132586, 0.04110428228190881, 0.08212048910197671,
+            3.80994003262283e-19,
+        ])
+        kept = row >= row[0]
+        assert row.sum() < row[kept].sum()
+        track, g, weights = _prune_tracks(row[None, :], row[0])
+        assert g.tolist() == list(range(row.size)) and set(track.tolist()) == {0}
+        assert weights.tobytes() == row.tobytes()
+        # A threshold just above the pruned weights prunes them and rescales.
+        track, g, weights = _prune_tracks(row[None, :], 1e-10)
+        assert g.tolist() == np.flatnonzero(kept).tolist()
+        assert weights.tobytes() == (row[kept] * (row.sum() / row[kept].sum())).tobytes()
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1e-5, float("inf"), "1e-5", None, 1j])
+    def test_invalid_threshold_raises(self, threshold):
+        predicted = MultiBernoulliDensity((single_component(0.5),))
+        with pytest.raises(ConfigError):
+            mb_update(predicted, np.zeros((1, 2)), make_sensor(), prune_threshold=threshold)
 
 
 class TestAdaptiveBirth:

@@ -404,7 +404,10 @@ class TestAssemblyAgainstReference:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mixed_clusters())
     def test_mixed(self, instance):
-        check_against_reference(instance)
+        _, diag = check_against_reference(instance)
+        # Every two-sided cluster but a 1x1 runs the subset DP.
+        steps = [min(n) * max(n) * 2 ** min(n) for n in diag.cluster_sizes if n != (1, 1)]
+        assert diag.dp_steps == max(steps, default=0)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(mixed_clusters([(1, 0), (0, 1)], min_groups=0))
@@ -447,6 +450,9 @@ class TestAssemblyAgainstReference:
         assert compute_lic(gated, 4.0)[0] == Cluster([0, 1], [0, 1])
         _, diag = check_against_reference((mb1, mb2, W, 4.0, None))
         assert diag.cluster_sizes == [(2, 2)] and diag.far_cells == 1 + 2 * decoys
+        # Only the corner is refilled: the decoys' cells lie outside the cluster.
+        assert diag.refilled_cells == 1
+        assert diag.dp_steps == 2 * 2 * 2**2
 
 
 @st.composite
@@ -666,6 +672,22 @@ class TestHypothesisCounts:
         assert report.n_h == 2**3 * 6 == 48
         assert report.cluster_sizes == [(1, 1)] * 3
         assert report.far_cells == 6  # every cross-cluster cell, 1000 apart
+        assert report.refilled_cells == 0 and report.dp_steps == 0  # 1x1 clusters run no DP
+
+    def test_report_fields_of_a_dp_cluster(self):
+        # A 2x3 cluster 1 apart, so no cell of it is cleared, beside a 1x1
+        # pair 1000 away: only the 2x3 runs the DP, 3 * 2 * 2^2 steps.
+        mb1 = MultiBernoulliDensity((bern(0.9, [0.0, 0.0], comp_id=0),
+                                     bern(0.8, [1.0, 0.0], comp_id=1),
+                                     bern(0.7, [1e3, 0.0], comp_id=2)))
+        mb2 = MultiBernoulliDensity((bern(0.9, [0.0, 1.0], comp_id=0),
+                                     bern(0.8, [1.0, 1.0], comp_id=1),
+                                     bern(0.6, [0.5, 0.5], comp_id=2),
+                                     bern(0.7, [1e3, 1.0], comp_id=3)))
+        _, report = pgci_fuse(mb1, mb2, W, 4.0)
+        assert sorted(report.cluster_sizes) == [(1, 1), (2, 3)]
+        assert report.refilled_cells == 0
+        assert report.dp_steps == 3 * 2 * 2**2
 
 
 def one_cluster(gmb):

@@ -15,7 +15,10 @@ import mbfuse.pgci as pgci_mod
 import mbfuse.sim as sim_mod
 from mbfuse.errors import ConfigError
 from mbfuse.gci import FusionWeights, naive_gci_mb_fuse
-from mbfuse.mb import MotionModel, MultiBernoulliDensity, Rectangle, SensorModel, mb_reduce
+from mbfuse.mb import (
+    MotionModel, MultiBernoulliDensity, Rectangle, SensorModel, adaptive_birth, mb_predict,
+    mb_reduce, mb_update,
+)
 from mbfuse.pgci import multi_sensor_fuse
 from mbfuse.sim import (
     KNOWN_BIRTH_R,
@@ -488,6 +491,42 @@ class TestKnownBirths:
             births=(ObjectBirth(3, 8, np.array([0.0, 0.0, 1.0, 0.0])),)
         )
         assert len(known_birth_components(cfg)) == 0
+
+
+class TestLocalFilterPrunesInTheUpdate:
+    """run_local_filter prunes each measurement track in mb_update; every
+    posterior still equals, bit for bit, a fold whose update builds every
+    Gaussian and leaves all pruning to mb_reduce."""
+
+    @staticmethod
+    def full_update_fold(scans, cfg, sensor):
+        posterior, prev_scan, out = MultiBernoulliDensity(()), np.zeros((0, 2)), []
+        for k, scan in enumerate(scans):
+            if cfg.adaptive_births:
+                births = adaptive_birth(prev_scan, start_id=posterior.next_id())
+            else:
+                births = known_birth_components(cfg) if k == 0 else None
+            predicted = mb_predict(posterior, cfg.motion, births)
+            posterior = mb_reduce(mb_update(predicted, scan, sensor), REDUCE_CONFIG)
+            out.append(posterior)
+            prev_scan = scan
+        return out
+
+    @pytest.mark.parametrize("cfg", [scenario1(), scenario2("desk")], ids=lambda cfg: cfg.name)
+    def test_run0_posteriors_match_the_full_update(self, cfg):
+        assert REDUCE_CONFIG.gm.prune_threshold > 0
+        truth = generate_truth(cfg)
+        for s, sensor in enumerate(cfg.sensors):
+            scans = generate_measurements(
+                truth, sensor, np.random.SeedSequence([cfg.base_seed, 0, s]).entropy
+            )
+            got = run_local_filter(scans, cfg, sensor)
+            want = self.full_update_fold(scans, cfg, sensor)
+            assert len(got) == len(want) == cfg.duration
+            for k, (a, b) in enumerate(zip(got, want)):
+                for name, x, y in zip(b.stack._fields, a.stack, b.stack):
+                    assert x.dtype == y.dtype and x.shape == y.shape, (s, k, name)
+                    assert x.tobytes() == y.tobytes(), (s, k, name)
 
 
 class TestOutputsPassTheConstructorCheck:
