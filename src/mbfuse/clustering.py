@@ -17,19 +17,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .gm import _is_integer
+
+
+def _sorted_indices(values, side: str) -> tuple[int, ...]:
+    """values as a sorted tuple of ints; a bool, a non-integer or a repeated
+    entry raises ConfigError."""
+    values = tuple(values)
+    if not all(map(_is_integer, values)):
+        raise ConfigError(f"cluster side {side} must hold integers, got {values}")
+    indices = tuple(sorted(map(int, values)))
+    if len(set(indices)) < len(indices):
+        raise ConfigError(f"cluster side {side} repeats an index: {indices}")
+    return indices
 
 
 @dataclass(frozen=True)
 class Cluster:
     """The sensor-1 and sensor-2 components of one cluster, each side a
-    sorted tuple of indices, built from any iterable of integers."""
+    sorted tuple of distinct indices, built from any iterable of integers
+    (else ConfigError)."""
 
     l1: tuple[int, ...]
     l2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l1", tuple(sorted(map(int, self.l1))))
-        object.__setattr__(self, "l2", tuple(sorted(map(int, self.l2))))
+        object.__setattr__(self, "l1", _sorted_indices(self.l1, "l1"))
+        object.__setattr__(self, "l2", _sorted_indices(self.l2, "l2"))
 
 
 def connected_components(n_vertices: int, edges) -> list[set[int]]:

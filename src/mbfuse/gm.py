@@ -79,9 +79,15 @@ class GaussianMixture:
         return cls(np.ones(1), mean[None, :], cov[None, :, :])
 
 
+def _is_integer(n) -> bool:
+    """The rule for every integer a public entry takes: an int or a numpy
+    integer, and not a bool, which would count as 0 or 1."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _is_cap(n, least: int = 1) -> bool:
     """The rule for every component cap and count: an integer >= least, as it slices."""
-    return isinstance(n, (int, np.integer)) and n >= least
+    return _is_integer(n) and n >= least
 
 
 def _check_type(value, kind: type, what: str, optional: bool = False) -> None:

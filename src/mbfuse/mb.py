@@ -36,7 +36,8 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
     GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _check_type, _is_cap,
-    _leader_groups, _log_normal, _reduce_segments, _segment_argmax, _segment_rows, _segment_sums,
+    _is_integer, _leader_groups, _log_normal, _reduce_segments, _segment_argmax, _segment_rows,
+    _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -379,9 +380,9 @@ def mb_predict(
 
 def adaptive_birth(prev_scan: np.ndarray, start_id: int = 0) -> MultiBernoulliDensity:
     """One birth component per previous-scan measurement, zero-velocity prior,
-    with ids from start_id on, an integer (else ConfigError); a non-finite
-    measurement raises NumericalError."""
-    if not isinstance(start_id, (int, np.integer)):
+    with ids from start_id on, an integer and not a bool (else ConfigError);
+    a non-finite measurement raises NumericalError."""
+    if not _is_integer(start_id):
         raise ConfigError(f"start_id must be an integer, got {start_id!r}")
     prev_scan = _rows(prev_scan, 2, DimensionMismatchError)
     if not np.isfinite(prev_scan).all():
@@ -416,9 +417,10 @@ def mb_update(
     gives after an update that pruned nothing. A track is left whole if
     it keeps no Gaussian, or if rounding in the rescale takes a kept
     weight below the threshold: mb_reduce would prune it again. The
-    threshold must be a finite real >= 0, else ConfigError.
+    threshold must be a finite real >= 0 and not a bool, else ConfigError.
     """
-    if not (isinstance(prune_threshold, numbers.Real) and 0.0 <= prune_threshold < np.inf):
+    if not (isinstance(prune_threshold, numbers.Real) and not isinstance(prune_threshold, bool)
+            and 0.0 <= prune_threshold < np.inf):
         raise ConfigError(f"prune threshold must be finite and >= 0, got {prune_threshold!r}")
     _check_dimension(predicted, sensor.H.shape[1], "predicted density")
     scan = _rows(scan, sensor.H.shape[0], DimensionMismatchError)

@@ -11,7 +11,8 @@ through fuse_cluster; the gci module docstring describes both paths.
 Each part is one stacked density; one stable gather by cluster position
 puts them in canonical order. pgci_fuse reports the hypothesis counts of
 the clustering it gated; l1_error_bound gates the exhaustive oracle's own
-matrix.
+matrix at the gamma its bound decays by, so it bounds only what that gate
+discarded.
 """
 
 from __future__ import annotations
@@ -168,22 +169,22 @@ def pgci_fuse(
     )
 
 
-def l1_error_bound(gmb_full: GmbDensity, gate: float, gamma: float) -> tuple[float, float]:
+def l1_error_bound(gmb_full: GmbDensity, gamma: float) -> tuple[float, float]:
     """Measured truncated mass 2 sum_D w and its analytic bound A * exp(-gamma).
 
     D holds the hypotheses with a pair (l, l') that no cluster of
-    compute_lic(gmb_full.distances, gate) holds, the clustering of the matrix
-    that weighed them. Both sums run over D in hypothesis order: the mass adds
-    w left to right, and A sums the discarded Q-factor parts over eta, so the
-    bound depends on gamma only through exp(-gamma), which must be finite
-    (else ConfigError). Both are 0.0 when D is empty.
+    compute_lic(gmb_full.distances, gamma) holds, the clustering of the
+    matrix that weighed them. One gamma both cuts and decays: every pair D
+    discards has a divergence above the gamma in the exponent, which is
+    what makes A * exp(-gamma) a bound. Both sums run over D in hypothesis
+    order: the mass adds w left to right, and A sums the discarded Q-factor
+    parts over eta. Both are 0.0 when D is empty, as at gamma = inf; a gamma
+    that is not positive, NaN included, raises ConfigError in compute_lic.
     """
-    if not math.isfinite(gamma):
-        raise ConfigError(f"bound exponent gamma must be finite, got {gamma}")
     n1, n2 = gmb_full.distances.shape
     within = np.zeros((n1, n2 + 1), dtype=bool)
     within[:, n2] = True  # the column that the target -1 of an unassigned l reads
-    for c in compute_lic(gmb_full.distances, gate):
+    for c in compute_lic(gmb_full.distances, gamma):
         within[np.ix_(c.l1, c.l2)] = True
     discarded = ~within[np.arange(n1), gmb_full.targets].all(axis=1)
     exact_mass = 2.0 * sum(gmb_full.w[discarded].tolist())

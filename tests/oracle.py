@@ -174,6 +174,15 @@ def inter_cluster_hypotheses(gmb_full, clusters) -> set:
     }
 
 
+def same_clustering_step(distances, gamma: float) -> float:
+    """A step in (0, 1] that keeps gamma + step below the smallest distance
+    above gamma: every gate in that range holds the same pairs, so
+    compute_lic returns the same clustering and the bound discards the same
+    hypotheses."""
+    above = distances[distances > gamma]
+    return min(1.0, (above.min() - gamma) / 2) if above.size else 1.0
+
+
 def l1_error_bound(gmb_full, truncated: set, gamma: float) -> tuple[float, float]:
     """Measured truncated mass 2 sum_D w and its bound A * exp(-gamma), for
     the discarded hypotheses given as a set of their pair tuples: the

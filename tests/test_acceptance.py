@@ -31,6 +31,7 @@ from mbfuse.sim import run_montecarlo, scenario1, scenario2
 from conftest import ACCEPTANCE_SCOREBOARD
 from oracle import (
     cluster_log_eta, gci_divergence, gm_pair_log_mass, gm_power, inter_cluster_hypotheses,
+    same_clustering_step,
 )
 
 W = FusionWeights(0.5, 0.5)
@@ -133,22 +134,26 @@ def test_criterion_3_l1_truncation_bound():
         if not inter_cluster_hypotheses(gmb, lic):
             continue
         checked += 1
-        exact, bound = l1_error_bound(gmb, gamma, gamma)
+        exact, bound = l1_error_bound(gmb, gamma)
         assert exact <= bound * (1 + 1e-12)
         if bound > 0:
             worst_margin = max(worst_margin, exact / bound)
-        _, bound_up = l1_error_bound(gmb, gamma, gamma + 1.0)
+        # A step that crosses no distance keeps the clustering, so the same
+        # discarded set must scale its bound by exactly exp(-step).
+        step = same_clustering_step(gmb.distances, gamma)
+        _, bound_up = l1_error_bound(gmb, gamma + step)
         if bound > 0:
             ratio_checked += 1
             worst_ratio_err = max(
-                worst_ratio_err, abs(bound_up / bound - math.exp(-1.0)) / math.exp(-1.0)
+                worst_ratio_err, abs(bound_up / bound - math.exp(-step)) / math.exp(-step)
             )
     ok = worst_ratio_err <= 1e-6 and ratio_checked > 500
     report(
         3,
         ok,
         f"{checked} instances: mass <= bound (worst ratio {worst_margin:.3f}), "
-        f"exp(-dgamma) scaling within {worst_ratio_err:.1e}",
+        f"exp(-dgamma) scaling within {worst_ratio_err:.1e} over {ratio_checked} "
+        f"same-clustering steps",
     )
 
 

@@ -157,3 +157,13 @@ class TestBoundCheck:
         monkeypatch.setattr(cli_mod, "l1_error_bound", lambda *a: (0.5, 0.25))
         assert main(["bound-check", "--runs", "3"]) == 5
         assert "BOUND VIOLATED" in capsys.readouterr().out
+
+    def test_tiny_bound_violated_by_2x_maps_to_5(self, monkeypatch, capsys):
+        # The margin is relative: an absolute 1e-12 used to pass this pair.
+        monkeypatch.setattr(cli_mod, "l1_error_bound", lambda *a: (2e-12, 1e-12))
+        assert main(["bound-check", "--runs", "3"]) == 5
+        assert "BOUND VIOLATED" in capsys.readouterr().out
+
+    def test_infinite_gamma_discards_nothing(self, capsys):
+        assert main(["bound-check", "--gamma", "inf", "--runs", "5"]) == 0
+        assert "worst exact/bound ratio 0.000e+00" in capsys.readouterr().out

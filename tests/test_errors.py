@@ -128,10 +128,13 @@ INVALID = {
     "gm-config-cap-0": (lambda: GmReduceConfig(max_components=0), ConfigError, False),
     # A cap slices, so a fractional one used to fail later with a TypeError.
     "gm-config-cap-fraction": (lambda: GmReduceConfig(max_components=2.5), ConfigError, False),
+    # A bool is an int to Python; as a cap or count it used to read as 1 or 0.
+    "gm-config-cap-bool": (lambda: GmReduceConfig(max_components=True), ConfigError, False),
     # mb: configs, models, densities, filter
     "mb-config-cap-0": (lambda: MbReduceConfig(max_components=0), ConfigError, False),
     "mb-config-cap-nan": (lambda: MbReduceConfig(max_components=NAN), ConfigError, False),
     "mb-config-cap-fraction": (lambda: MbReduceConfig(max_components=2.5), ConfigError, False),
+    "mb-config-cap-bool": (lambda: MbReduceConfig(max_components=True), ConfigError, False),
     "mb-config-trunc-1": (lambda: MbReduceConfig(trunc_threshold=1.0), ConfigError, False),
     "mb-config-trunc-negative": (lambda: MbReduceConfig(trunc_threshold=-0.1), ConfigError, False),
     "mb-reduce-cap-0": (lambda: mb_reduce(density(0.5), MbReduceConfig(max_components=0)),
@@ -199,6 +202,8 @@ INVALID = {
     # A fractional first id used to give the ids [1, 2].
     "birth-start-id-fraction": (lambda: adaptive_birth(np.zeros((2, 2)), start_id=1.5),
                                 ConfigError, False),
+    "birth-start-id-bool": (lambda: adaptive_birth(np.zeros((2, 2)), start_id=True),
+                            ConfigError, False),
     "update-nan-scan": (lambda: mb_update(density(0.5), np.array([[0.0, NAN]]), SENSOR),
                         NumericalError, False),
     "update-scan-shape": (lambda: mb_update(density(0.5), np.zeros((2, 3)), SENSOR),
@@ -211,6 +216,8 @@ INVALID = {
                          ConfigError, False),
     "update-prune-string": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, "1e-5"),
                             ConfigError, False),
+    "update-prune-bool": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, True),
+                          ConfigError, False),
     "update-prune-complex": (lambda: mb_update(density(0.5), np.zeros((1, 2)), SENSOR, 1e-5j),
                              ConfigError, False),
     "merge-gate-0": (lambda: mb_merge_components(density(0.5), gate=0.0), ConfigError, True),
@@ -232,6 +239,16 @@ INVALID = {
     "nominal-count-fraction": (lambda: count_hypotheses_nominal(2.5, 3), ConfigError, False),
     "distinct-count-negative": (lambda: count_hypotheses_distinct(-1, 3), ConfigError, False),
     "distinct-count-fraction": (lambda: count_hypotheses_distinct(2.5, 3), ConfigError, False),
+    # True used to count as 1: count_hypotheses_distinct(True, 2) gave 3.
+    "distinct-count-bool": (lambda: count_hypotheses_distinct(True, 2), ConfigError, False),
+    "nominal-count-bool": (lambda: count_hypotheses_nominal(2, True), ConfigError, False),
+    # Each cluster entry used to pass through int(): floats were truncated,
+    # bools read as 0 or 1, and a repeated entry was fused twice.
+    "cluster-fraction": (lambda: Cluster([0.9, 1.2], [0, 1]), ConfigError, False),
+    "cluster-bool": (lambda: Cluster([0], [True]), ConfigError, False),
+    "cluster-numpy-bool": (lambda: Cluster(np.array([True, False]), [0, 1]), ConfigError, False),
+    "cluster-string": (lambda: Cluster(["0"], [0]), ConfigError, False),
+    "cluster-repeat": (lambda: Cluster([0, 0], [0, 1]), ConfigError, False),
     "distances-dimensions": (lambda: pairwise_distances(density(0.5), density(0.5, d=2), W),
                              DimensionMismatchError, False),
     # An empty density of another dimension used to give a (0, 2) result.
@@ -298,11 +315,12 @@ INVALID = {
         lambda: multi_sensor_fuse([density(0.5)] * 2, [0.5, 0.5], 4.0,
                                   reduce_config=GmReduceConfig()),
         ConfigError, False),
-    # The bound gates the oracle's own matrix, so compute_lic checks the gate.
-    "bound-gate-nan": (lambda: l1_error_bound(oracle_gmb(), NAN, 4.0), ConfigError, True),
-    # A NaN exponent used to give a NaN bound, an infinite one a bound of 0.
-    "bound-gamma-nan": (lambda: l1_error_bound(oracle_gmb(), 4.0, NAN), ConfigError, False),
-    "bound-gamma-inf": (lambda: l1_error_bound(oracle_gmb(), 4.0, np.inf), ConfigError, False),
+    # The bound gates the oracle's own matrix at gamma, so compute_lic checks
+    # it. A NaN exponent used to give a NaN bound; a gamma <= 0 in the
+    # exponent alone gave a bound, though no gate can cut there.
+    "bound-gamma-nan": (lambda: l1_error_bound(oracle_gmb(), NAN), ConfigError, False),
+    "bound-gamma-0": (lambda: l1_error_bound(oracle_gmb(), 0.0), ConfigError, False),
+    "bound-gamma-negative": (lambda: l1_error_bound(oracle_gmb(), -1.0), ConfigError, False),
     # A matrix of another shape used to end in a bare IndexError; a NaN
     # block gave an empty density.
     "fuse-cluster-distances-1x1": (
@@ -353,6 +371,10 @@ INVALID = {
                                      ConfigError, False),
     "scenario-built-seed-fraction": (lambda: dataclasses.replace(scenario1(), base_seed=1.5),
                                      ConfigError, False),
+    "scenario-built-seed-bool": (lambda: dataclasses.replace(scenario1(), base_seed=True),
+                                 ConfigError, False),
+    "scenario-built-fusion-cap-bool": (
+        lambda: dataclasses.replace(scenario1(), fusion_max_components=True), ConfigError, False),
     "scenario-built-direct": (
         lambda: ScenarioConfig(**{**vars(scenario1()), "duration": 0}), ConfigError, False),
     # The fusion cap slices too; a fractional one used to end in mb._strongest's TypeError.
@@ -365,6 +387,7 @@ INVALID = {
                         ConfigError, False),
     "montecarlo-runs-0": (lambda: run_montecarlo(scenario1(), 0), ConfigError, False),
     "montecarlo-runs-fraction": (lambda: run_montecarlo(scenario1(), 2.5), ConfigError, False),
+    "montecarlo-runs-bool": (lambda: run_montecarlo(scenario1(), True), ConfigError, False),
     "ospa-nan": (lambda: ospa(np.array([[NAN, 0.0]]), np.zeros((1, 2))), ConfigError, True),
     "ospa-shape": (lambda: ospa(np.zeros((2, 3)), np.zeros((1, 2))), ConfigError, True),
 }

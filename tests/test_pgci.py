@@ -596,7 +596,7 @@ class TestSharedOrientation:
         assert (n1, n2) == (min(len(mb1), len(mb2)), max(len(mb1), len(mb2)))
         assert gmb.targets.shape[1] == n1
         assert ((gmb.targets >= -1) & (gmb.targets < n2)).all()
-        exact, bound = l1_error_bound(gmb, gamma, gamma)
+        exact, bound = l1_error_bound(gmb, gamma)
         assert exact <= bound * (1 + 1e-12)
 
 
@@ -699,41 +699,45 @@ def one_cluster(gmb):
 class TestErrorBound:
     def test_truncated_mass_bounded(self):
         # [DERIVED] the discarded-hypothesis L1 mass never exceeds the
-        # analytic bound A * exp(-gamma).
+        # analytic bound A * exp(-gamma), down to gates that discard much.
         rng = np.random.default_rng(51)
         checked = 0
         for _ in range(300):
             mb1 = random_mb(rng, int(rng.integers(2, 4)), spread=6.0)
             mb2 = random_mb(rng, int(rng.integers(2, 4)), spread=6.0)
-            gamma = float(rng.uniform(2.0, 8.0))
+            gamma = float(rng.uniform(0.5, 8.0))
             _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
             lic = compute_lic(gmb.distances, gamma)
             if not inter_cluster_hypotheses(gmb, lic):
                 continue
             checked += 1
-            exact, bound = l1_error_bound(gmb, gamma, gamma)
+            exact, bound = l1_error_bound(gmb, gamma)
             assert exact <= bound * (1 + 1e-12)
         assert checked > 50
 
     def test_bound_decays_exponentially_in_gamma(self):
-        # [DERIVED] A depends only on the discarded set, so increasing gamma
-        # by 1 with the same set scales the bound by exactly exp(-1).
+        # [DERIVED] A depends only on the discarded set, so raising gamma by
+        # a step that crosses no distance, and so keeps the clustering,
+        # scales the bound by exactly exp(-step).
         rng = np.random.default_rng(52)
         mb1 = random_mb(rng, 3, spread=6.0)
         mb2 = random_mb(rng, 3, spread=6.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
         lic = compute_lic(gmb.distances, 3.0)
         assert inter_cluster_hypotheses(gmb, lic)
-        _, b1 = l1_error_bound(gmb, 3.0, 3.0)
-        _, b2 = l1_error_bound(gmb, 3.0, 4.0)
-        assert b2 / b1 == pytest.approx(math.exp(-1.0), rel=1e-6)
+        step = oracle.same_clustering_step(gmb.distances, 3.0)
+        assert step > 0.1 and compute_lic(gmb.distances, 3.0 + step) == lic
+        e1, b1 = l1_error_bound(gmb, 3.0)
+        e2, b2 = l1_error_bound(gmb, 3.0 + step)
+        assert e2 == e1
+        assert b2 / b1 == pytest.approx(math.exp(-step), rel=1e-6)
 
     def test_empty_truncation_gives_zero(self):
         rng = np.random.default_rng(53)
         mb1, mb2 = clustered_instance(rng, 2, max_per_side=1)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, W)
-        # An infinite gate puts every pair in one cluster, which discards nothing.
-        assert l1_error_bound(gmb, math.inf, 4.0) == (0.0, 0.0)
+        # An infinite gamma puts every pair in one cluster, which discards nothing.
+        assert l1_error_bound(gmb, math.inf) == (0.0, 0.0)
 
     def test_square_fusion_reads_its_own_orientation(self):
         # A square fusion used to accept the clustering of the transposed
@@ -743,7 +747,7 @@ class TestErrorBound:
             mb1 = cli_mod._random_mb(rng, 3, spread=8.0)
             mb2 = cli_mod._random_mb(rng, 3, spread=8.0)
         _, gmb = naive_gci_mb_fuse(mb1, mb2, FusionWeights(0.3, 0.7))
-        got = l1_error_bound(gmb, 4.0, 4.0)
+        got = l1_error_bound(gmb, 4.0)
         truncated = inter_cluster_hypotheses(gmb, compute_lic(gmb.distances, 4.0))
         want = oracle.l1_error_bound(gmb, truncated, 4.0)
         assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -756,19 +760,18 @@ class TestErrorBound:
     def test_bound_matches_the_set_reference(self, instance, gamma):
         # l1_error_bound clusters the oracle's matrix and finds the discarded
         # hypotheses itself; the reference filters them by their set of pair
-        # tuples. Both must agree to the bit at gamma and gamma + 1, in either
-        # call order, for the gates gamma and inf, whose clustering is one
-        # cluster that holds everything.
+        # tuples. Both must agree to the bit at gamma, gamma + 1 and inf, in
+        # either call order, each gamma clustering on its own; at inf the
+        # clustering is one cluster that holds everything.
         mb1, mb2, w = instance
         for a, b, v in ((mb1, mb2, w), (mb2, mb1, w.swapped())):
             _, gmb = naive_gci_mb_fuse(a, b, v)
-            gates = ((gamma, compute_lic(gmb.distances, gamma)), (math.inf, one_cluster(gmb)))
-            for gate, lic in gates:
+            for g in (gamma, gamma + 1.0, math.inf):
+                lic = one_cluster(gmb) if g == math.inf else compute_lic(gmb.distances, g)
                 truncated = inter_cluster_hypotheses(gmb, lic)
-                for g in (gamma, gamma + 1.0):
-                    got = l1_error_bound(gmb, gate, g)
-                    want = oracle.l1_error_bound(gmb, truncated, g)
-                    assert [x.hex() for x in got] == [x.hex() for x in want]
+                got = l1_error_bound(gmb, g)
+                want = oracle.l1_error_bound(gmb, truncated, g)
+                assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestMultiSensorFuse:

@@ -35,7 +35,7 @@ def density(*means):
 mb1, mb2 = density([0.0, 0.0], [3.0, 0.0]), density([0.5, 0.0], [9.0, 0.0])
 w = FusionWeights(0.5, 0.5)
 _, gmb = naive_gci_mb_fuse(mb1, mb2, w)
-exact, bound = l1_error_bound(gmb, 4.0, 4.0)
+exact, bound = l1_error_bound(gmb, 4.0)
 assert 0.0 < exact <= bound, (exact, bound)
 
 loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
