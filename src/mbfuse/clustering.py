@@ -17,33 +17,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .gm import _is_integer
-
-
-def _sorted_indices(values, side: str) -> tuple[int, ...]:
-    """values as a sorted tuple of ints; a bool, a non-integer or a repeated
-    entry raises ConfigError."""
-    values = tuple(values)
-    if not all(map(_is_integer, values)):
-        raise ConfigError(f"cluster side {side} must hold integers, got {values}")
-    indices = tuple(sorted(map(int, values)))
-    if len(set(indices)) < len(indices):
-        raise ConfigError(f"cluster side {side} repeats an index: {indices}")
-    return indices
+from .gm import _check_gate, _check_indices
 
 
 @dataclass(frozen=True)
 class Cluster:
     """The sensor-1 and sensor-2 components of one cluster, each side a
-    sorted tuple of distinct indices, built from any iterable of integers
-    (else ConfigError)."""
+    sorted tuple of distinct indices, built from any iterable of indices
+    that passes gm._check_indices with no upper end (else ConfigError)."""
 
     l1: tuple[int, ...]
     l2: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "l1", _sorted_indices(self.l1, "l1"))
-        object.__setattr__(self, "l2", _sorted_indices(self.l2, "l2"))
+        l1 = _check_indices(self.l1, np.inf, "cluster side l1", distinct=True)
+        l2 = _check_indices(self.l2, np.inf, "cluster side l2", distinct=True)
+        object.__setattr__(self, "l1", tuple(sorted(map(int, l1))))
+        object.__setattr__(self, "l2", tuple(sorted(map(int, l2))))
 
 
 def connected_components(n_vertices: int, edges) -> list[set[int]]:
@@ -73,8 +63,7 @@ def compute_lic(distances: np.ndarray, gamma: float) -> tuple[Cluster, ...]:
     their smallest vertex: by smallest sensor-1 member, and clusters with
     only a sensor-2 component after all others.
     """
-    if not gamma > 0:
-        raise ConfigError("gate threshold must be positive")
+    _check_gate(gamma, "gate threshold")
     if np.ndim(distances) != 2 or np.isnan(distances).any():
         raise ConfigError("gate distances must be a 2-D matrix without NaN")
     n1, n2 = distances.shape

@@ -59,6 +59,8 @@ from .gm import (
     FusionWeights,
     GaussianMixture,
     GmReduceConfig,
+    _check_gate,
+    _check_indices,
     _check_type,
     _is_cap,
     _pair_log_mass,
@@ -98,14 +100,13 @@ def pairwise_distances(
 
     A cell whose lower bound (see the module docstring) exceeds gate plus
     BOUND_MARGIN reads inf, and none of its Gaussian pairs is evaluated;
-    every other cell is exact. The default gate clears no cell. A NaN gate
-    raises ConfigError, as it would clear every cell, and densities of
-    different dimensions DimensionMismatchError, empty ones too; a density
-    built from no components has no dimension.
+    every other cell is exact. The default gate clears no cell. A gate that
+    gm._check_gate refuses raises ConfigError: NaN or <= 0 clears every cell.
+    Densities of different dimensions raise DimensionMismatchError, empty
+    ones too; a density built from no components has no dimension.
     """
     _check_type(w, FusionWeights, "fusion weights")
-    if math.isnan(gate):
-        raise ConfigError("distance gate must not be NaN")
+    _check_gate(gate, "distance gate")
     _, _, sizes1, a1, m1, p1 = mb1.stack
     _, _, sizes2, a2, m2, p2 = mb2.stack
     if m1.shape != (0, 0):
@@ -181,14 +182,6 @@ def count_hypotheses_nominal(n1: int, n2: int) -> int:
     return 2**n1 * math.perm(n2, n1)
 
 
-def _check_indices(idx, n: int, what: str) -> None:
-    """Raise ConfigError unless every index in idx lies in range(n); numpy
-    would read a negative one from the end."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ConfigError(f"{what} indices must lie in [0, {n}), got {idx.min()} to {idx.max()}")
-
-
 def _pair_blocks(l1, l2, mb1, mb2, product):
     """The normalized fused pdf and the mass Z of each pair (l1[k], l2[k]).
 
@@ -225,12 +218,12 @@ def fused_pair_density(pairs, mb1: MultiBernoulliDensity, mb2: MultiBernoulliDen
     block of the product is then gathered into one stack. Returns (sizes,
     weights, means, covs, mass): the pdf of each pair, in the order of
     pairs, as consecutive segments of the given sizes, and each pair's Z.
-    An index outside its density raises ConfigError.
+    An index that fails gm._check_indices on its density raises ConfigError.
     """
     _check_type(w, FusionWeights, "fusion weights")
-    l1, l2 = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    _check_indices(l1, len(mb1), "sensor-1 pair")
-    _check_indices(l2, len(mb2), "sensor-2 pair")
+    pairs = (pairs if isinstance(pairs, np.ndarray) else np.array(pairs, object)).reshape(-1, 2)
+    l1 = _check_indices(pairs[:, 0], len(mb1), "sensor-1 pair indices")
+    l2 = _check_indices(pairs[:, 1], len(mb2), "sensor-2 pair indices")
 
     def product(i1, i2):
         rows1, k1 = np.unique(i1, return_inverse=True)
@@ -304,11 +297,11 @@ def cluster_pair_marginals(mb1, mb2, w, distances, l1_idx, l2_idx):
     matchings of g; ``_matching_sums`` computes them over subsets of the
     smaller side instead of enumerating hypotheses. Returns (marginal,
     log eta), where marginal[i, j] is the pair marginal of l1_idx[i] and
-    l2_idx[j]. An index outside its density, a distances matrix not of shape
-    (len(mb1), len(mb2)), or NaN in the cluster's block raises ConfigError.
+    l2_idx[j]. A bad or repeated index (gm._check_indices), distances not of
+    shape (len(mb1), len(mb2)), or NaN in the cluster's block raise ConfigError.
     """
-    _check_indices(l1_idx, len(mb1), "sensor-1 cluster")
-    _check_indices(l2_idx, len(mb2), "sensor-2 cluster")
+    l1_idx = _check_indices(l1_idx, len(mb1), "sensor-1 cluster indices", distinct=True)
+    l2_idx = _check_indices(l2_idx, len(mb2), "sensor-2 cluster indices", distinct=True)
     if np.shape(distances) != (len(mb1), len(mb2)):
         raise ConfigError(f"distances must be {len(mb1)} x {len(mb2)}, got {np.shape(distances)}")
     steps = _dp_steps(len(l1_idx), len(l2_idx))

@@ -22,14 +22,16 @@ lone segment's sweep. _check_gaussians is the one Gaussian validity check,
 for the MultiBernoulliDensity constructor, gm_reduce and gm_pair_product.
 GmReduceConfig and FusionWeights hold the one rule of their parameters and
 raise ConfigError when built; gm_reduce and gm_pair_product take them built
-and check only their type, and the kernels check nothing. _pair_log_mass is
-the one body of the exponent-weighted Gaussian pair mass, for divergences
-and products.
+and check only their type, and the kernels check nothing. _check_indices
+and _check_gate are the one rule of every index and every gate a public
+entry takes. _pair_log_mass is the one body of the exponent-weighted
+Gaussian pair mass, for divergences and products.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +90,24 @@ def _is_integer(n) -> bool:
 def _is_cap(n, least: int = 1) -> bool:
     """The rule for every component cap and count: an integer >= least, as it slices."""
     return _is_integer(n) and n >= least
+
+
+def _check_indices(idx, n, what: str, distinct: bool = False):
+    """The rule for every index a public entry takes: an integer by _is_integer
+    in range(n), and no repeat where distinct; else ConfigError. Returns an
+    integer array as it is, other input as a list of its entries."""
+    array = isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
+    idx = idx if array else list(idx)
+    ok = (array or all(map(_is_integer, idx))) and (not len(idx) or 0 <= min(idx) <= max(idx) < n)
+    if not ok or distinct and len(set(idx)) < len(idx):
+        raise ConfigError(f"{what}: expected {'distinct ' * distinct}integers in [0, {n}), got {idx}")
+    return idx
+
+
+def _check_gate(gate, what: str) -> None:
+    """The rule for every gate: a real above 0 and not a bool; inf passes, NaN fails."""
+    if not (isinstance(gate, numbers.Real) and not isinstance(gate, bool) and gate > 0):
+        raise ConfigError(f"{what} must be a real above 0, got {gate!r}")
 
 
 def _check_type(value, kind: type, what: str, optional: bool = False) -> None:

@@ -35,9 +35,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, InvalidDensityError, NumericalError
 from .gm import (
-    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gaussians, _check_type, _is_cap,
-    _is_integer, _leader_groups, _log_normal, _reduce_segments, _segment_argmax, _segment_rows,
-    _segment_sums,
+    GaussianMixture, GmReduceConfig, _batch_cholesky, _check_gate, _check_gaussians, _check_type,
+    _is_cap, _is_integer, _leader_groups, _log_normal, _reduce_segments, _segment_argmax,
+    _segment_rows, _segment_sums,
 )
 
 # Existence probabilities are clamped below 1 so the Q^I ratios used by the
@@ -81,26 +81,28 @@ class MultiBernoulliDensity:
 
     The constructor stacks the given components once; ``.components``
     returns them as views into the stack. It is the one place where a
-    density is checked: it raises InvalidDensityError for a repeated id,
-    an r outside [0, 1] or NaN, a pdf that holds no Gaussian or no positive
-    weight, a negative Gaussian weight, a NaN or infinite Gaussian weight,
-    mean or covariance entry, or a covariance that is not _symmetric. A pdf
-    need not be normalized. The package's own operations build densities
-    from valid ones and check nothing again.
+    density is checked: it raises InvalidDensityError for an id that is not
+    an integer by gm._is_integer or repeats, an r outside [0, 1] or NaN, a
+    pdf that holds no Gaussian or no positive weight, a negative Gaussian
+    weight, a NaN or infinite Gaussian weight, mean or covariance entry, or
+    a covariance that is not _symmetric. A pdf need not be normalized. The
+    package's own operations build densities from valid ones and check
+    nothing again.
     """
 
     __slots__ = ("stack", "_components")
 
     def __init__(self, components=()):
         components = tuple(components)
-        ids = np.array([c.id for c in components], dtype=np.int64)
-        _check_unique_ids(ids)
+        ids = [c.id for c in components]
+        if not all(map(_is_integer, ids)) or len(set(ids)) < len(ids):
+            raise InvalidDensityError(f"component ids must be unique integers, got {ids}")
         pdfs = [c.pdf for c in components]
         if len({pdf.d for pdf in pdfs}) > 1:
             raise DimensionMismatchError("component pdfs differ in dimension")
         d = pdfs[0].d if pdfs else 0
         stack = _Stack(
-            ids,
+            np.array(ids, dtype=np.int64),
             np.array([c.r for c in components], dtype=float),
             np.array([pdf.n_components for pdf in pdfs], dtype=np.int64),
             np.concatenate([pdf.weights for pdf in pdfs] or [np.zeros(0)]),
@@ -594,8 +596,7 @@ def mb_merge_components(
     merged pdf that reduction empties raises NumericalError (see
     _reduced_density). An empty density is returned as it is.
     """
-    if not gate > 0:
-        raise ConfigError("merge gate must be positive")
+    _check_gate(gate, "merge gate")
     _check_type(gm_config, GmReduceConfig, "gm_config", optional=True)
     ids, rs, sizes, weights, means, covs = density.stack
     if not len(ids):
@@ -615,7 +616,7 @@ def mb_merge_components(
     h, i = np.triu_indices(len(ids), 1)
     diff = dom_mean[i] - dom_mean[h]
     trace = np.trace(dom_cov, axis1=1, axis2=2)
-    near = np.einsum("kd,kd->k", diff, diff) <= 2.0 * gate * (trace[h] + trace[i])
+    near = 0.5 * np.einsum("kd,kd->k", diff, diff) / (trace[h] + trace[i]) <= gate
     h, i, diff = h[near], i[near], diff[near]
     sol = np.linalg.solve(dom_cov[h] + dom_cov[i], diff[:, :, None])
     within = np.zeros((len(ids), len(ids)), dtype=bool)

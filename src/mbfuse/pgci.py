@@ -37,7 +37,7 @@ from .gci import (
     count_hypotheses_nominal,
     pairwise_distances,
 )
-from .gm import GmReduceConfig, _check_type
+from .gm import GmReduceConfig, _check_gate, _check_type
 from .mb import (
     BernoulliComponent,
     MbReduceConfig,
@@ -179,7 +179,7 @@ def l1_error_bound(gmb_full: GmbDensity, gamma: float) -> tuple[float, float]:
     what makes A * exp(-gamma) a bound. Both sums run over D in hypothesis
     order: the mass adds w left to right, and A sums the discarded Q-factor
     parts over eta. Both are 0.0 when D is empty, as at gamma = inf; a gamma
-    that is not positive, NaN included, raises ConfigError in compute_lic.
+    that fails gm._check_gate raises ConfigError in compute_lic.
     """
     n1, n2 = gmb_full.distances.shape
     within = np.zeros((n1, n2 + 1), dtype=bool)
@@ -204,10 +204,11 @@ def multi_sensor_fuse(
     The running result carries the accumulated weight mass; each pairwise
     step renormalizes (w_acc, w_i) so the final geometric-mean exponents
     equal the prescribed per-sensor weights, and reduces the fused density
-    when reduce_config is set. With gamma = inf the gate discards no
-    hypothesis, so each step is the exact GCI-MB fusion. With
-    ``return_diagnostics``, also returns the per-pair FusionDiagnostics list.
+    when reduce_config is set. gamma must pass gm._check_gate, even with one
+    posterior; at inf it gates nothing, so each step is exact GCI-MB fusion.
+    With ``return_diagnostics``, also returns the per-pair FusionDiagnostics list.
     """
+    _check_gate(gamma, "gate gamma")
     _check_type(reduce_config, MbReduceConfig, "reduce_config", optional=True)
     gm_config = reduce_config.gm if reduce_config is not None else None
     posteriors = list(posteriors)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import connected_components
 from .errors import ConfigError
-from .gm import _is_cap
+from .gm import _check_gate, _check_indices, _is_cap
 from .mb import (
     _check_matrix,
     _rows,
@@ -97,21 +97,18 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ConfigError unless the scenario is one the simulator runs;
-        runs whenever a config is built, dataclasses.replace included."""
-        if self.duration < 1:
-            raise ConfigError("duration must be >= 1")
+        """Raise ConfigError unless the simulator can run the scenario; runs on every
+        build and replace. Indices follow gm._check_indices, gamma gm._check_gate."""
+        if not _is_cap(self.duration):
+            raise ConfigError(f"duration must be an integer >= 1, got {self.duration!r}")
         n = len(self.sensors)
         if len(self.adjacency) != n:
             raise ConfigError("adjacency size must match sensor count")
-        if not (0 <= self.fusion_node < n):
-            raise ConfigError("fusion node out of range")
+        _check_indices((self.fusion_node,), n, "fusion node")
         for i, nbrs in enumerate(self.adjacency):
-            for j in nbrs:
-                if j == i or not (0 <= j < n):
-                    raise ConfigError(f"bad neighbor {j} for sensor {i}")
-                if i not in self.adjacency[j]:
-                    raise ConfigError("adjacency must be symmetric")
+            for j in _check_indices(nbrs, n, f"sensor {i}'s neighbours"):
+                if j == i or i not in self.adjacency[j]:
+                    raise ConfigError(f"sensor {i}'s neighbour {j} must be another that lists {i}")
         edges = ((i, j) for i, nbrs in enumerate(self.adjacency) for j in nbrs)
         if len(connected_components(n, edges)) > 1:
             raise ConfigError("sensor network must be connected")
@@ -120,7 +117,8 @@ class ScenarioConfig:
         for s in self.sensors:
             _check_matrix(s.H, (MEAS_DIM, STATE_DIM), "sensor H")
         for b in self.births:
-            if not (0 <= b.birth_step < b.death_step <= self.duration):
+            _check_indices((b.birth_step, b.death_step), self.duration + 1, "birth and death steps")
+            if not b.birth_step < b.death_step:
                 raise ConfigError("birth step must precede death step within duration")
             if np.shape(b.state) != (STATE_DIM,):
                 raise ConfigError(f"initial object state must have {STATE_DIM} entries")
@@ -128,9 +126,7 @@ class ScenarioConfig:
                 raise ConfigError("initial object state must be finite")
             if not self.region.contains(b.state[:2]):
                 raise ConfigError("initial object state outside region")
-        # Each check also rejects NaN, which fails every comparison.
-        if not self.gamma > 0:
-            raise ConfigError("gamma must be positive")
+        _check_gate(self.gamma, "gamma")
         if not _is_cap(self.fusion_max_components):
             raise ConfigError("fusion component cap must be an integer of at least 1")
         if not _is_cap(self.base_seed, least=0):
@@ -179,9 +175,9 @@ def generate_measurements(
 
 
 def metropolis_weights(adjacency, node: int) -> tuple[float, dict[int, float]]:
-    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)); self takes the rest."""
-    if not (0 <= node < len(adjacency)):
-        raise ConfigError(f"node {node} not in topology")
+    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)); self takes the rest.
+    A node that fails gm._check_indices on the topology raises ConfigError."""
+    _check_indices((node,), len(adjacency), "topology node")
     deg = [len(nbrs) for nbrs in adjacency]
     neighbor_w = {
         j: 1.0 / (1.0 + max(deg[node], deg[j])) for j in sorted(adjacency[node])

@@ -29,6 +29,7 @@ from mbfuse import (
     MotionModel,
     MultiBernoulliDensity,
     NumericalError,
+    ObjectBirth,
     Rectangle,
     ScenarioConfig,
     SensorModel,
@@ -89,6 +90,10 @@ MIX = GaussianMixture(np.array([0.6, 0.4]), np.zeros((2, 2)), np.stack([np.eye(2
 def oracle_gmb():
     """The exhaustive oracle's hypotheses of a 2x1 fusion whose pairs lie 10 apart."""
     return naive_gci_mb_fuse(density(0.5, 0.5), density(0.5), W)[1]
+
+
+TOPOLOGY = (frozenset({1}), frozenset({0}))
+STATE = np.array([0.0, 0.0, 1.0, 1.0])
 
 # (call, error type, raised a ValueError before it was typed)
 INVALID = {
@@ -163,6 +168,17 @@ INVALID = {
         InvalidDensityError, False),
     "density-repeated-id": (lambda: MultiBernoulliDensity((component(cid=2), component(cid=2))),
                             InvalidDensityError, True),
+    # An id used to pass through int64: 1.7 and True became 1 and "4" became
+    # 4, and ids 1.2 and 1.7 clashed as one repeated id.
+    "density-id-fraction": (lambda: MultiBernoulliDensity((component(cid=1.7),)),
+                            InvalidDensityError, False),
+    "density-id-bool": (lambda: MultiBernoulliDensity((component(cid=True),)),
+                        InvalidDensityError, False),
+    "density-id-string": (lambda: MultiBernoulliDensity((component(cid="4"),)),
+                          InvalidDensityError, False),
+    "density-ids-fractions": (
+        lambda: MultiBernoulliDensity((component(cid=1.2), component(cid=1.7))),
+        InvalidDensityError, True),
     # Accepted, then reduction pruned the -0.5 and rescaled the rest to 1.0,
     # and fusion against a valid track fused nothing.
     "density-negative-weight": (
@@ -259,11 +275,18 @@ INVALID = {
     # A NaN gate fails every bound > gate test, so it would clear every cell.
     "distances-gate-nan": (lambda: pairwise_distances(density(0.5), density(0.5), W, NAN),
                            ConfigError, False),
+    # A gate <= 0 clears every cell too, and used to give an all-inf matrix.
+    "distances-gate-negative": (lambda: pairwise_distances(density(0.5), density(0.5), W, -5.0),
+                                ConfigError, False),
+    "distances-gate-negative-inf": (
+        lambda: pairwise_distances(density(0.5), density(0.5), W, -np.inf), ConfigError, False),
     "oracle-over-cap": (lambda: naive_gci_mb_fuse(density(*[0.5] * 10), density(*[0.5] * 10), W),
                         IntractableFusionError, False),
     "lic-gamma-0": (lambda: compute_lic(np.zeros((1, 1)), 0.0), ConfigError, True),
     # A NaN gate fails every d <= gamma test, so it would drop every pair.
     "lic-gamma-nan": (lambda: compute_lic(np.zeros((1, 1)), NAN), ConfigError, True),
+    # A bool gate used to cluster at 1.0.
+    "lic-gamma-bool": (lambda: compute_lic(np.zeros((1, 1)), True), ConfigError, False),
     # A 1-D or 3-D matrix used to fail to unpack; a NaN entry fell outside the gate.
     "lic-matrix-1d": (lambda: compute_lic(np.zeros(2), 4.0), ConfigError, True),
     "lic-matrix-3d": (lambda: compute_lic(np.zeros((1, 2, 2)), 4.0), ConfigError, True),
@@ -295,6 +318,28 @@ INVALID = {
         ConfigError, False),
     "fused-pair-index-past-end": (
         lambda: fused_pair_density([(0, 1)], density(0.5), density(0.5), W),
+        ConfigError, False),
+    # A pair entry used to pass through int64: (0.7, 1.9) fused pair (0, 1),
+    # and (True, False) pair (1, 0).
+    "fused-pair-index-fraction": (
+        lambda: fused_pair_density([(0.7, 1.9)], density(0.5, 0.5), density(0.5, 0.5), W),
+        ConfigError, False),
+    "fused-pair-index-bool": (
+        lambda: fused_pair_density([(True, False)], density(0.5, 0.5), density(0.5, 0.5), W),
+        ConfigError, False),
+    # A repeated index used to fuse one Bernoulli twice and a bool to read as
+    # index 0 or 1; a fractional index ended in a bare IndexError.
+    "cluster-marginals-repeat": (
+        lambda: cluster_pair_marginals(density(0.5, 0.5), density(0.5, 0.5), W, np.zeros((2, 2)),
+                                       [0, 0], [0, 1]),
+        ConfigError, False),
+    "cluster-marginals-bool": (
+        lambda: cluster_pair_marginals(density(0.5, 0.5), density(0.5, 0.5), W, np.zeros((2, 2)),
+                                       [True], [0]),
+        ConfigError, False),
+    "cluster-marginals-fraction": (
+        lambda: cluster_pair_marginals(density(0.5, 0.5), density(0.5, 0.5), W, np.zeros((2, 2)),
+                                       [0.5], [0]),
         ConfigError, False),
     "cluster-marginals-index-negative": (
         lambda: cluster_pair_marginals(density(0.5), density(0.5, 0.5), W, np.zeros((1, 2)),
@@ -346,6 +391,10 @@ INVALID = {
                               ConfigError, True),
     "multi-fuse-weight-nan": (lambda: multi_sensor_fuse([density(0.5)], [NAN], 4.0),
                               ConfigError, True),
+    # With one posterior no fusion ran, so nothing read gamma, and a NaN one
+    # returned the posterior.
+    "multi-fuse-one-gamma-nan": (lambda: multi_sensor_fuse([density(0.5)], [1.0], NAN),
+                                 ConfigError, False),
     # sim
     "scenario-duration-0": (lambda: dataclasses.replace(scenario1(), duration=0).validate(),
                             ConfigError, False),
@@ -385,12 +434,53 @@ INVALID = {
     "scenario-unknown-scale": (lambda: scenario2("huge"), ConfigError, False),
     "metropolis-node": (lambda: metropolis_weights((frozenset({1}), frozenset({0})), 2),
                         ConfigError, False),
+    # A bool node used to read as node 0 or 1; a fractional one ended in a
+    # bare TypeError.
+    "metropolis-node-bool": (lambda: metropolis_weights(TOPOLOGY, True), ConfigError, False),
+    "metropolis-node-fraction": (lambda: metropolis_weights(TOPOLOGY, 0.5), ConfigError, False),
+    # These used to build: a bool node or neighbour as sensor 0 or 1, and a
+    # fractional node, duration or birth step, which run_montecarlo then met
+    # with a bare TypeError. A fractional neighbour failed at build with one.
+    "scenario-built-fusion-node-bool": (lambda: dataclasses.replace(scenario1(), fusion_node=True),
+                                        ConfigError, False),
+    "scenario-built-fusion-node-fraction": (
+        lambda: dataclasses.replace(scenario1(), fusion_node=0.5), ConfigError, False),
+    "scenario-built-adjacency-bool": (
+        lambda: dataclasses.replace(scenario1(), adjacency=(frozenset({True}), frozenset({False}))),
+        ConfigError, False),
+    "scenario-built-adjacency-fraction": (
+        lambda: dataclasses.replace(scenario1(), adjacency=(frozenset({1.0}), frozenset({0}))),
+        ConfigError, False),
+    "scenario-built-duration-fraction": (
+        lambda: dataclasses.replace(scenario1(), duration=2.5, births=()), ConfigError, False),
+    "scenario-built-birth-fraction": (
+        lambda: dataclasses.replace(scenario1(), births=(ObjectBirth(0.5, 3, STATE),)),
+        ConfigError, False),
     "montecarlo-runs-0": (lambda: run_montecarlo(scenario1(), 0), ConfigError, False),
     "montecarlo-runs-fraction": (lambda: run_montecarlo(scenario1(), 2.5), ConfigError, False),
     "montecarlo-runs-bool": (lambda: run_montecarlo(scenario1(), True), ConfigError, False),
     "ospa-nan": (lambda: ospa(np.array([[NAN, 0.0]]), np.zeros((1, 2))), ConfigError, True),
     "ospa-shape": (lambda: ospa(np.zeros((2, 3)), np.zeros((1, 2))), ConfigError, True),
 }
+
+# Every entry that takes a gate, as a call of the gate alone.
+GATE_ENTRIES = {
+    "lic": lambda gate: compute_lic(np.array([[0.5, 3.0], [7.0, 1.0]]), gate),
+    "distances": lambda gate: pairwise_distances(density(0.5, 0.6), density(0.7, 0.4), W, gate),
+    "merge": lambda gate: mb_merge_components(density(0.5, 0.6), gate),
+    "scenario": lambda gate: dataclasses.replace(scenario1(), gamma=gate),
+    "pgci": lambda gate: pgci_fuse(density(0.5, 0.6), density(0.7, 0.4), W, gate),
+    "bound": lambda gate: l1_error_bound(oracle_gmb(), gate),
+    "multi-fuse-one": lambda gate: multi_sensor_fuse([density(0.5)], [1.0], gate),
+    "multi-fuse-two": lambda gate: multi_sensor_fuse([density(0.5, 0.6), density(0.7, 0.4)],
+                                                     [0.5, 0.5], gate),
+}
+# A string or None gate used to end in a bare TypeError from a comparison;
+# with one posterior, multi_sensor_fuse returned it without reading gamma.
+INVALID.update({
+    f"{entry}-gate-{label}": (lambda call=call, gate=gate: call(gate), ConfigError, False)
+    for entry, call in GATE_ENTRIES.items() for label, gate in (("string", "4"), ("none", None))
+})
 
 
 @pytest.mark.parametrize("case", sorted(INVALID))
@@ -437,3 +527,148 @@ def test_reduction_parameters_follow_one_rule(prune, merge, cap):
         return
     with pytest.raises(ConfigError):
         GmReduceConfig(prune, merge, cap)
+
+
+def index_entries(lo=-2, hi=4):
+    """Index candidates of every kind a caller may pass, from lo to hi, so
+    negative and past-the-end ones too: Python and numpy ints, integral and
+    fractional floats, Python and numpy bools, and numeric strings."""
+    ints = st.integers(lo, hi)
+    return st.one_of(ints, ints.map(np.int64), ints.map(np.int32), ints.map(float),
+                     st.floats(lo, hi).filter(lambda v: not v.is_integer()),
+                     st.booleans(), st.booleans().map(np.bool_), ints.map(str))
+
+
+def is_index(v, n):
+    return type(v) in (int, np.int64, np.int32) and 0 <= v < n
+
+
+def is_index_set(values, n):
+    return all(is_index(v, n) for v in values) and len({int(v) for v in values}) == len(values)
+
+
+def stack_bytes(result):
+    """The bytes of every array of a density, or of a tuple of arrays."""
+    arrays = result.stack if isinstance(result, MultiBernoulliDensity) else result
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+MB1, MB2 = density(0.5, 0.6, 0.7), density(0.7, 0.4, 0.3)
+DISTANCES = pairwise_distances(MB1, MB2, W)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(index_entries(), index_entries()), max_size=3), st.booleans())
+def test_pair_indices_follow_one_rule(pairs, as_array):
+    """fused_pair_density takes a pair of integers in range, listed or as an
+    integer array, to the bits of the int64 array of the same pairs, and
+    raises ConfigError for any other entry."""
+    mb2 = density(0.7, 0.4)
+    if not all(is_index(a, 3) and is_index(b, 2) for a, b in pairs):
+        with pytest.raises(ConfigError):
+            fused_pair_density(pairs, MB1, mb2, W)
+        return
+    canonical = np.array([(int(a), int(b)) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
+    given_pairs = canonical.astype(np.int32) if as_array else pairs
+    assert (stack_bytes(fused_pair_density(given_pairs, MB1, mb2, W))
+            == stack_bytes(fused_pair_density(canonical, MB1, mb2, W)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(index_entries(), min_size=1, max_size=3),
+       st.lists(index_entries(), min_size=1, max_size=3))
+def test_cluster_indices_follow_one_rule(l1, l2):
+    """cluster_pair_marginals, Cluster and fuse_cluster take index sets of
+    integers, in range where a density bounds them, and raise ConfigError
+    for any other; valid sets give the bits of the same sets of ints."""
+    def ints(values):
+        return [int(v) for v in values]
+
+    if is_index_set(l1, 3) and is_index_set(l2, 3):
+        marginal, log_eta = cluster_pair_marginals(MB1, MB2, W, DISTANCES, l1, l2)
+        want = cluster_pair_marginals(MB1, MB2, W, DISTANCES, ints(l1), ints(l2))
+        assert marginal.tobytes() == want[0].tobytes() and log_eta == want[1]
+    else:
+        with pytest.raises(ConfigError):
+            cluster_pair_marginals(MB1, MB2, W, DISTANCES, l1, l2)
+    if not (is_index_set(l1, np.inf) and is_index_set(l2, np.inf)):
+        with pytest.raises(ConfigError):
+            Cluster(l1, l2)
+        return
+    cluster = Cluster(l1, l2)
+    assert (cluster.l1, cluster.l2) == (tuple(sorted(ints(l1))), tuple(sorted(ints(l2))))
+    assert all(type(v) is int for v in cluster.l1 + cluster.l2)
+    if max(cluster.l1 + cluster.l2) >= 3:
+        with pytest.raises(ConfigError):
+            fuse_cluster(cluster, MB1, MB2, W, DISTANCES)
+        return
+    got = fuse_cluster(cluster, MB1, MB2, W, DISTANCES)
+    want = fuse_cluster(Cluster(ints(l1), ints(l2)), MB1, MB2, W, DISTANCES)
+    assert stack_bytes(got.density) == stack_bytes(want.density)
+    assert got.log_eta == want.log_eta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(index_entries(-1, 3), index_entries(-1, 3), index_entries(-1, 3),
+       index_entries(-1, 70), index_entries(-1, 70))
+def test_network_and_step_indices_follow_one_rule(node, e, f, birth, death):
+    """metropolis_weights and every index field of ScenarioConfig (the
+    fusion node, a neighbour, a birth's steps and the duration) take
+    integers in range alone, and raise ConfigError for any other entry."""
+    path = (frozenset({1}), frozenset({0, 2}), frozenset({1}))
+    if is_index(node, 3):
+        assert metropolis_weights(path, node) == metropolis_weights(path, int(node))
+    else:
+        with pytest.raises(ConfigError):
+            metropolis_weights(path, node)
+    base = scenario1()
+    steps = is_index(birth, 66) and is_index(death, 66) and birth < death
+    changes = (
+        ({"fusion_node": node}, is_index(node, 2)),
+        ({"adjacency": (frozenset({e}), frozenset({f}))},
+         is_index(e, 2) and is_index(f, 2) and (e, f) == (1, 0)),
+        ({"births": (ObjectBirth(birth, death, STATE),)}, steps),
+        ({"duration": birth, "births": ()}, is_index(birth, np.inf) and birth >= 1),
+    )
+    for change, valid in changes:
+        if valid:
+            cfg = dataclasses.replace(base, **change)
+            assert all(getattr(cfg, k) is v for k, v in change.items())
+        else:
+            with pytest.raises(ConfigError):
+                dataclasses.replace(base, **change)
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True)
+gates = st.one_of(floats, floats.map(np.float64), st.integers(-3, 6),
+                  st.integers(-3, 6).map(np.int64), st.booleans(), st.booleans().map(np.bool_),
+                  st.sampled_from(["4", "inf", None]))
+
+
+def gate_result(entry, gate):
+    """An entry's output at gate, as comparable values."""
+    result = GATE_ENTRIES[entry](gate)
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, MultiBernoulliDensity):
+        return stack_bytes(result)
+    if entry == "scenario":
+        return result.gamma
+    if entry == "pgci":
+        return stack_bytes(result[0]), result[1]
+    return result
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gates)
+def test_gates_follow_one_rule(gate):
+    """Every gate entry takes a real above 0, inf included, and not a bool,
+    to the bits it gives at the same value as a Python float; any other gate
+    raises ConfigError, NaN included."""
+    valid = type(gate) in (float, np.float64, int, np.int64) and gate > 0
+    for entry in GATE_ENTRIES:
+        if valid:
+            assert gate_result(entry, gate) == gate_result(entry, float(gate)), entry
+        else:
+            with pytest.raises(ConfigError):
+                GATE_ENTRIES[entry](gate)
